@@ -8,14 +8,13 @@ cumulative regret and payments across several payment strategies.
 
 from .linalg import SingularMatrixError, min_eig_sym, quad_norm_inv, solve_spd
 from .model import (
-    ArmHistory,
     InstanceSpec,
     RoundRecord,
     agent_choose,
     inst_regret,
     unit_ball_projection,
 )
-from .estimation import ConfidenceWidth, EstimatorState, confidence_width
+from .estimation import EstimatorState, confidence_width
 from .environment import (
     BanditDataset,
     DatasetReplaySpec,
@@ -57,9 +56,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SingularMatrixError", "min_eig_sym", "quad_norm_inv", "solve_spd",
-    "ArmHistory", "InstanceSpec", "RoundRecord", "agent_choose",
+    "InstanceSpec", "RoundRecord", "agent_choose",
     "inst_regret", "unit_ball_projection",
-    "ConfidenceWidth", "EstimatorState", "confidence_width",
+    "EstimatorState", "confidence_width",
     "BanditDataset", "DatasetReplaySpec", "ExhaustedSequenceError",
     "FixedSequenceSpec", "GaussianContextSpec", "covariate_diversity_report",
     "dataset_to_instance", "load_dataset_csv", "realize_reward",

@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import harness
 from .environment import DatasetFormatError
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = None
+    if jobs is None or jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    run_p.add_argument("--jobs", type=_jobs, default=1,
+                       help="maximum worker processes (>= 1)")
     run_p.add_argument("--out", default=None, help="output directory override")
 
     val_p = sub.add_parser("validate", help="validate an experiment config")
@@ -48,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pre_p.add_argument("--dataset", default=None,
                        help="substitute a real dataset CSV (fig2-like only)")
     pre_p.add_argument("--out", default=None, help="output directory override")
-    pre_p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    pre_p.add_argument("--jobs", type=_jobs, default=1,
+                       help="maximum worker processes (>= 1)")
 
     return parser
 
@@ -58,8 +69,8 @@ def _print_diagnostics(diags) -> None:
         print(str(d), file=sys.stderr)
 
 
-def _cmd_run(args) -> int:
-    config, diags = harness.load_config_file(args.config)
+def _run(config, diags, args) -> int:
+    """Run a loaded config and print where each strategy's curves went."""
     _print_diagnostics(diags)
     if config is None:
         return harness.EXIT_CONFIG_INVALID
@@ -71,6 +82,10 @@ def _cmd_run(args) -> int:
     for entry in manifest["policies"]:
         print(f"{entry['label']}: {entry['aggregate']}")
     return harness.EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    return _run(*harness.load_config_file(args.config), args)
 
 
 def _cmd_validate(args) -> int:
@@ -98,38 +113,14 @@ def _cmd_preset(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return harness.EXIT_CONFIG_INVALID
-    if args.dataset is not None:
-        if args.name != "fig2-like":
-            print("--dataset only applies to the fig2-like preset", file=sys.stderr)
-            return harness.EXIT_CONFIG_INVALID
-        data = json.loads(config_path.read_text())
-        data["instance"]["context_source"]["path"] = args.dataset
-        diags = harness.validate_config_data(data)
-        _print_diagnostics(diags)
-        if any(d.severity == "error" for d in diags):
-            return harness.EXIT_CONFIG_INVALID
-        seed_override = None
-        env_seed = os.environ.get(harness.SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                seed_override = int(env_seed)
-            except ValueError:
-                print(f"{harness.SEED_ENV_VAR} must be an integer", file=sys.stderr)
-                return harness.EXIT_CONFIG_INVALID
-        config = harness.parse_config(data, master_seed_override=seed_override)
-    else:
-        config, diags = harness.load_config_file(config_path)
-        _print_diagnostics(diags)
-        if config is None:
-            return harness.EXIT_CONFIG_INVALID
-    try:
-        manifest = harness.run_experiment(config, jobs=args.jobs, out_dir=args.out)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"run failed: {exc}", file=sys.stderr)
-        return harness.EXIT_RUNTIME_FAILURE
-    for entry in manifest["policies"]:
-        print(f"{entry['label']}: {entry['aggregate']}")
-    return harness.EXIT_OK
+    if args.dataset is None:
+        return _run(*harness.load_config_file(config_path), args)
+    if args.name != "fig2-like":
+        print("--dataset only applies to the fig2-like preset", file=sys.stderr)
+        return harness.EXIT_CONFIG_INVALID
+    data = json.loads(config_path.read_text())
+    data["instance"]["context_source"]["path"] = args.dataset
+    return _run(*harness.load_config_data(data), args)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ dataset into a bandit instance with one arm per class.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -69,10 +70,10 @@ class GaussianContextSpec:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float)
-        if m.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if self.std < 0:
-            raise ValueError(f"std must be >= 0, got {self.std}")
+        if m.ndim != 1 or not np.all(np.isfinite(m)):
+            raise ValueError("mean must be a vector of finite numbers")
+        if not math.isfinite(self.std) or self.std < 0:
+            raise ValueError(f"std must be finite and >= 0, got {self.std}")
         object.__setattr__(self, "mean", m)
 
     @property
@@ -119,11 +120,6 @@ class GaussianContextStream:
     def context_at(self, index: int, rng: np.random.Generator) -> np.ndarray:
         raw = self.spec.mean + self.spec.std * rng.standard_normal(self.spec.dim)
         return unit_ball_projection(raw)
-
-
-def next_context(stream, index: int, rng: np.random.Generator) -> np.ndarray:
-    """Round context from a stream (zero-based index), unit-ball projected."""
-    return stream.context_at(index, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +208,14 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
             feats = []
             for col, cell in enumerate(cells[:-1], start=1):
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
                     raise DatasetFormatError(
-                        f"row {lineno}, column {col}: {cell!r} is not a number"
-                    ) from None
+                        f"row {lineno}, column {col}: {cell!r} is not a finite number"
+                    )
+                feats.append(value)
             try:
                 label = int(cells[-1])
             except ValueError:
@@ -257,7 +256,7 @@ class LinearEnvironment:
         self._ctx_rng = ctx_rng
 
     def context(self, t: int) -> np.ndarray:
-        return next_context(self._stream, t - 1, self._ctx_rng)
+        return self._stream.context_at(t - 1, self._ctx_rng)
 
     def true_means(self, t: int, context: np.ndarray) -> np.ndarray:
         return self.true_attrs @ context

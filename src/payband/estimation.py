@@ -11,7 +11,6 @@ used by the chained payment strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +26,17 @@ RIDGE = "ridge"
 
 
 class EstimatorState:
-    """Immutable accumulator for one arm's regression statistics.
+    """Mutable accumulator for one arm's regression statistics.
 
     ``gram`` always stores the raw sum of outer products; the ridge term
-    ``ridge_lambda * I`` is added at solve time only. ``absorb`` returns a new
-    state, so snapshots held by round records never change underneath.
+    ``ridge_lambda * I`` is added at solve time only. ``absorb`` updates the
+    statistics in place and drops the cached factor and estimate.
     """
 
     __slots__ = ("mode", "ridge_lambda", "dim", "gram", "moment", "count",
                  "_estimate", "_chol")
 
-    def __init__(self, mode: str, ridge_lambda: float, dim: int,
-                 gram: np.ndarray, moment: np.ndarray, count: int) -> None:
+    def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0) -> None:
         if mode not in (OLS, RIDGE):
             raise ValueError(f"unknown estimator mode {mode!r}")
         if mode == RIDGE and ridge_lambda <= 0:
@@ -46,29 +44,22 @@ class EstimatorState:
         self.mode = mode
         self.ridge_lambda = float(ridge_lambda)
         self.dim = int(dim)
-        self.gram = gram
-        self.moment = moment
-        self.count = int(count)
+        self.gram = np.zeros((self.dim, self.dim))
+        self.moment = np.zeros(self.dim)
+        self.count = 0
         self._estimate = None
         self._chol = None
 
-    @classmethod
-    def empty(cls, dim: int, mode: str = OLS, ridge_lambda: float = 0.0) -> "EstimatorState":
-        return cls(mode, ridge_lambda, dim, np.zeros((dim, dim)), np.zeros(dim), 0)
-
-    def absorb(self, context: np.ndarray, response: float) -> "EstimatorState":
-        """New state with one (context, response) pair added."""
+    def absorb(self, context: np.ndarray, response: float) -> None:
+        """Add one (context, response) pair to the statistics."""
         x = np.asarray(context, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"context shape {x.shape} does not match dim {self.dim}")
-        return EstimatorState(
-            self.mode,
-            self.ridge_lambda,
-            self.dim,
-            self.gram + np.outer(x, x),
-            self.moment + float(response) * x,
-            self.count + 1,
-        )
+        self.gram += np.outer(x, x)
+        self.moment += float(response) * x
+        self.count += 1
+        self._estimate = None
+        self._chol = None
 
     def regularized_gram(self) -> np.ndarray:
         if self.mode == RIDGE:
@@ -104,15 +95,8 @@ class EstimatorState:
         return float(np.linalg.norm(forward_substitute(low, np.asarray(context, float))))
 
 
-@dataclass(frozen=True)
-class ConfidenceWidth:
-    arm: int
-    width: float
-    delta: float
-
-
 def confidence_width(state: EstimatorState, context: np.ndarray, delta: float,
-                     explore_m: int, t: int, arm: int = 0) -> ConfidenceWidth:
+                     explore_m: int, t: int) -> float:
     """Ellipsoidal confidence width for one arm at round t.
 
     width = ||context||_{(G + lam I)^-1} * (m * sqrt(d * ln((1 + t/lam)/delta)) + sqrt(lam))
@@ -126,14 +110,13 @@ def confidence_width(state: EstimatorState, context: np.ndarray, delta: float,
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     lam = state.ridge_lambda
     scale = explore_m * math.sqrt(state.dim * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
-    return ConfidenceWidth(arm=arm, width=state.inv_norm(context) * scale, delta=delta)
+    return state.inv_norm(context) * scale
 
 
 __all__ = [
     "OLS",
     "RIDGE",
     "EstimatorState",
-    "ConfidenceWidth",
     "confidence_width",
     "SingularMatrixError",
 ]

@@ -22,6 +22,7 @@ import concurrent.futures
 import csv
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +40,7 @@ from .environment import (
     load_dataset_csv,
 )
 from .metrics import RunTrace, aggregate
-from .model import InstanceSpec
+from .model import MAX_DIM, InstanceSpec
 from .policies import (
     CHAINED_RESTRICTED,
     POLICY_KINDS,
@@ -100,6 +101,11 @@ def _warn(field: str, constraint: str, actual) -> Diagnostic:
     return Diagnostic(field, constraint, repr(actual), "warning")
 
 
+def _is_finite_number(v) -> bool:
+    # Python's json accepts NaN and Infinity, so a number can still be bad.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Diagnostic]:
     """Check a parsed JSON config against the schema. Empty list means valid."""
     diags: list[Diagnostic] = []
@@ -122,14 +128,21 @@ def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Di
             return None
         return v
 
+    def want_vector(v, field, length) -> bool:
+        if (isinstance(v, list) and (length is None or len(v) == length)
+                and all(_is_finite_number(x) for x in v)):
+            return True
+        diags.append(_err(field, f"vector of length {length} of finite numbers", v))
+        return False
+
     n_arms = want_int(inst, "n_arms", 2)
-    dim = want_int(inst, "dim", 1, 64)
+    dim = want_int(inst, "dim", 1, MAX_DIM)
     horizon = want_int(inst, "horizon", 1)
     want_int(inst, "master_seed", 0)
 
     noise_std = inst.get("noise_std")
-    if not isinstance(noise_std, (int, float)) or isinstance(noise_std, bool) or noise_std < 0:
-        diags.append(_err("instance.noise_std", "required number >= 0", noise_std))
+    if not _is_finite_number(noise_std) or noise_std < 0:
+        diags.append(_err("instance.noise_std", "required finite number >= 0", noise_std))
 
     m = inst.get("init_explore_m")
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
@@ -155,9 +168,7 @@ def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Di
             diags.append(_err("context_source.contexts", "nonempty list of vectors", ctxs))
         else:
             for i, c in enumerate(ctxs):
-                if not isinstance(c, list) or (dim is not None and len(c) != dim):
-                    diags.append(_err(f"context_source.contexts[{i}]",
-                                      f"vector of length {dim}", c))
+                if not want_vector(c, f"context_source.contexts[{i}]", dim):
                     break
             cycle = source.get("cycle", False)
             if horizon is not None and not cycle and len(ctxs) < horizon:
@@ -165,12 +176,10 @@ def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Di
                                   f"length >= horizon ({horizon}) unless cycle is true",
                                   len(ctxs)))
     elif kind == "gaussian_iid":
-        mean = source.get("mean")
-        if not isinstance(mean, list) or (dim is not None and len(mean) != dim):
-            diags.append(_err("context_source.mean", f"vector of length {dim}", mean))
+        want_vector(source.get("mean"), "context_source.mean", dim)
         std = source.get("std")
-        if not isinstance(std, (int, float)) or isinstance(std, bool) or std < 0:
-            diags.append(_err("context_source.std", "number >= 0", std))
+        if not _is_finite_number(std) or std < 0:
+            diags.append(_err("context_source.std", "finite number >= 0", std))
     elif kind == "dataset_replay":
         path = source.get("path")
         if not isinstance(path, str):
@@ -215,9 +224,7 @@ def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Di
             diags.append(_err("instance.true_attrs", f"list of {n_arms} vectors", attrs if not isinstance(attrs, list) else len(attrs)))
         else:
             for i, row in enumerate(attrs):
-                if not isinstance(row, list) or (dim is not None and len(row) != dim):
-                    diags.append(_err(f"instance.true_attrs[{i}]",
-                                      f"vector of length {dim}", row))
+                if not want_vector(row, f"instance.true_attrs[{i}]", dim):
                     break
                 norm = float(np.linalg.norm(row))
                 if norm > 1.0 + 1e-9:
@@ -332,32 +339,45 @@ def parse_config(data: dict, base_dir: Optional[Path] = None,
     )
 
 
-def load_config_file(path: Union[str, Path],
+def load_config_data(data: dict, base_dir: Optional[Path] = None,
                      master_seed_override: Optional[int] = None
                      ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
-    """Read, validate, and parse a JSON config file.
+    """Validate and parse config data already read from JSON.
 
     Returns (config, diagnostics); config is None when errors were found.
     The PAYBAND_SEED environment variable, when set, overrides the master
-    seed unless an explicit override is already supplied.
+    seed unless an explicit override is already supplied; it must be an
+    integer >= 0.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, [_err(str(path), "readable JSON file", str(exc))]
     if master_seed_override is None:
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
             try:
                 master_seed_override = int(env_seed)
             except ValueError:
-                return None, [_err(SEED_ENV_VAR, "integer", env_seed)]
-    diags = validate_config_data(data, base_dir=path.parent)
+                pass
+            if master_seed_override is None or master_seed_override < 0:
+                return None, [_err(SEED_ENV_VAR, "integer >= 0", env_seed)]
+    diags = validate_config_data(data, base_dir=base_dir)
     if any(d.severity == "error" for d in diags):
         return None, diags
-    return parse_config(data, base_dir=path.parent,
+    return parse_config(data, base_dir=base_dir,
                         master_seed_override=master_seed_override), diags
+
+
+def load_config_file(path: Union[str, Path],
+                     master_seed_override: Optional[int] = None
+                     ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
+    """Read a JSON config file, then validate and parse it (load_config_data).
+
+    Relative dataset paths resolve against the file's directory.
+    """
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        return None, [_err(str(path), "readable JSON file", str(exc))]
+    return load_config_data(data, path.parent, master_seed_override)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +472,22 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    out_dir: Optional[Union[str, Path]] = None) -> dict:
     """Run every (strategy, run) pair and write per-strategy CSV files.
 
-    Results are written in (policy, run) order regardless of worker
-    completion order, so output bytes do not depend on ``jobs``.
+    ``jobs`` (>= 1) caps the worker processes; no more are started than
+    there are tasks or CPUs. Results are written in (policy, run) order
+    regardless of worker completion order, so output bytes do not depend
+    on ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(config.instance, pcfg, pi, ri)
              for pi, pcfg in enumerate(config.policies)
              for ri in range(config.n_runs)]
     results: dict[tuple[int, int], RunTrace] = {}
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for pi, ri, trace in pool.map(_run_one, tasks):
                 results[(pi, ri)] = trace
     else:

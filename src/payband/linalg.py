@@ -1,9 +1,10 @@
 """Dense linear algebra helpers for small symmetric positive definite systems.
 
 All inputs are plain float64 numpy arrays. The matrices handled here are Gram
-matrices of per-arm observation histories, so dimensions stay small (capped at
-64) and an unblocked O(d^3) Cholesky with an explicit pivot check is both fast
-enough and gives precise control over the singularity threshold.
+matrices of per-arm observation histories, so dimensions stay small (at most
+``model.MAX_DIM``) and an unblocked O(d^3) Cholesky with an explicit pivot
+check is both fast enough and gives precise control over the singularity
+threshold.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ PIVOT_TOL = 1e-12
 
 # Residual contract for solve_spd: ||A x - b||_inf <= RESIDUAL_TOL * (1 + ||b||_inf).
 RESIDUAL_TOL = 1e-9
-
-MAX_DIM = 64
 
 _SYM_TOL = 1e-12
 

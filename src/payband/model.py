@@ -8,7 +8,8 @@ environment side and are never handed to a payment strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -81,8 +82,8 @@ class InstanceSpec:
             raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not (0 <= self.init_explore_m <= self.horizon):
             raise ValueError(
                 f"init_explore_m must be in [0, horizon], got {self.init_explore_m}"
@@ -124,24 +125,3 @@ class RoundRecord:
     inst_regret: float
     payment_paid: float
     budget_remaining: Optional[float] = None
-
-
-@dataclass
-class ArmHistory:
-    """Raw per-arm observation log (contexts as absorbed, responses)."""
-
-    arm: int
-    contexts: list = field(default_factory=list)
-    responses: list = field(default_factory=list)
-
-    def append(self, context: np.ndarray, response: float) -> None:
-        self.contexts.append(np.asarray(context, dtype=float))
-        self.responses.append(float(response))
-
-    def design_matrix(self) -> np.ndarray:
-        if not self.contexts:
-            return np.zeros((0, 0))
-        return np.vstack(self.contexts)
-
-    def __len__(self) -> int:
-        return len(self.contexts)

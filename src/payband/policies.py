@@ -11,7 +11,7 @@ strategies are provided:
                                each arm that vector dotted with the arm's
                                estimate, which makes the agent behave as if
                                the context itself were perturbed; the chosen
-                               arm's history absorbs the perturbed context
+                               arm's estimator absorbs the perturbed context
                                with the payment folded into the response.
 * ``linucb_alignment``       - runs a disjoint-model LinUCB choice internally
                                and, when it disagrees with the greedy arm,
@@ -32,6 +32,7 @@ truth attribute vectors never cross this interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,7 +45,7 @@ from .estimation import (
     SingularMatrixError,
     confidence_width,
 )
-from .model import ArmHistory, RoundRecord, agent_choose
+from .model import RoundRecord, agent_choose
 from .environment import realize_from_mean
 
 NO_PAYMENTS = "no_payments"
@@ -96,6 +97,10 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for name in ("sigma_pay", "ridge_lambda", "delta", "linucb_alpha", "budget"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma_pay < 0:
             raise ValueError(f"sigma_pay must be >= 0, got {self.sigma_pay}")
         if not (0 < self.delta < 1):
@@ -132,13 +137,6 @@ def perturbation_payment(estimates: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     (context + zeta) . estimate_i, so the agent acts on a perturbed context.
     """
     return np.asarray(estimates, float) @ np.asarray(zeta, float)
-
-
-def perturbed_absorb(state: EstimatorState, context: np.ndarray, zeta: np.ndarray,
-                     observed: float, paid: float) -> EstimatorState:
-    """Absorb the perturbed context with the payment folded into the response."""
-    return state.absorb(np.asarray(context, float) + np.asarray(zeta, float),
-                        observed + paid)
 
 
 def alignment_payment(scores: np.ndarray, greedy: int, base: int) -> np.ndarray:
@@ -214,7 +212,7 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 # ---------------------------------------------------------------------------
 
 class Policy:
-    """Base class: per-arm estimator states, histories, and estimate cache."""
+    """Base class: per-arm estimator states and the displayed-estimate cache."""
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
         self.config = config
@@ -222,8 +220,7 @@ class Policy:
         self.dim = dim
         mode = config.resolved_mode()
         lam = config.ridge_lambda if mode == RIDGE else 0.0
-        self.states = [EstimatorState.empty(dim, mode, lam) for _ in range(n_arms)]
-        self.histories = [ArmHistory(i) for i in range(n_arms)]
+        self.states = [EstimatorState(dim, mode, lam) for _ in range(n_arms)]
         self._est_matrix = np.zeros((n_arms, dim))
         self._stale: set[int] = set()
 
@@ -245,8 +242,7 @@ class Policy:
         return self._est_matrix
 
     def _absorb(self, arm: int, context: np.ndarray, response: float) -> None:
-        self.states[arm] = self.states[arm].absorb(context, response)
-        self.histories[arm].append(context, response)
+        self.states[arm].absorb(context, response)
         self._stale.add(arm)
 
     # -- interaction loop hooks -------------------------------------------
@@ -301,11 +297,7 @@ class PerturbationPaymentsPolicy(Policy):
         zeta, self._last_zeta = self._last_zeta, None
         perturbed = np.asarray(context, float) + zeta
         self.effective_contexts.append(perturbed)
-        self.states[chosen] = perturbed_absorb(
-            self.states[chosen], context, zeta, observed, float(payments[chosen])
-        )
-        self.histories[chosen].append(perturbed, observed + float(payments[chosen]))
-        self._stale.add(chosen)
+        self._absorb(chosen, perturbed, observed + float(payments[chosen]))
 
 
 class LinUCBAlignmentPolicy(Policy):
@@ -356,9 +348,8 @@ class ChainedPolicy(Policy):
         scores = est @ np.asarray(context, float)
         anchor = int(np.argmax(scores))
         widths = np.array([
-            confidence_width(self.states[i], context, self.config.delta,
-                             self.explore_m, t, arm=i).width
-            for i in range(self.n_arms)
+            confidence_width(state, context, self.config.delta, self.explore_m, t)
+            for state in self.states
         ])
         members = build_chain(scores, widths, anchor)
         pay, _, _, new_budget = chained_payment(members, scores, anchor, rng, self.budget)

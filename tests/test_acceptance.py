@@ -96,9 +96,9 @@ def test_acceptance_1_estimator_correctness(capsys):
     for d in range(1, 9):
         truth = rng.normal(size=d)
         truth /= max(1.0, float(np.linalg.norm(truth)))
-        state = EstimatorState.empty(d, mode=OLS)
+        state = EstimatorState(d, mode=OLS)
         for c in rng.normal(size=(d, d)):
-            state = state.absorb(c, float(c @ truth))
+            state.absorb(c, float(c @ truth))
         assert np.linalg.norm(state.estimate() - truth) < 1e-9
 
     histories = 0
@@ -108,9 +108,9 @@ def test_acceptance_1_estimator_correctness(capsys):
         n = int(rng.integers(d, d + 15))
         contexts = rng.normal(size=(n, d))
         responses = rng.normal(size=n)
-        state = EstimatorState.empty(d, mode=OLS)
+        state = EstimatorState(d, mode=OLS)
         for c, y in zip(contexts, responses):
-            state = state.absorb(c, float(y))
+            state.absorb(c, float(y))
         x = np.vstack(contexts)
         want = np.linalg.solve(x.T @ x, x.T @ responses)
         if np.linalg.norm(want) > 1.0:

@@ -53,6 +53,13 @@ def test_fixed_sequence_rejects_mixed_dimensions():
         FixedSequenceSpec(contexts=(np.array([1.0]), np.array([1.0, 0.0])))
 
 
+def test_gaussian_spec_rejects_non_finite_numbers():
+    with pytest.raises(ValueError, match="std"):
+        GaussianContextSpec(mean=np.zeros(2), std=float("nan"))
+    with pytest.raises(ValueError, match="mean"):
+        GaussianContextSpec(mean=np.array([0.0, float("inf")]), std=1.0)
+
+
 def test_gaussian_contexts_stay_in_unit_ball_and_are_seeded():
     spec = GaussianContextSpec(mean=np.array([0.5, 0.5, 0.5]), std=2.0)
     stream = GaussianContextStream(spec)
@@ -117,6 +124,13 @@ def test_bad_number_error_names_row_and_column(tmp_path):
     path = write_csv(tmp_path, "0.1,0.2,0\n0.3,oops,1\n")
     with pytest.raises(DatasetFormatError, match="row 2, column 2"):
         load_dataset_csv(path, n_classes=2)
+
+
+def test_non_finite_cell_error_names_row_and_column(tmp_path):
+    for cell in ("nan", "inf", "-Infinity"):
+        path = write_csv(tmp_path, f"0.1,0.2,0\n0.3,{cell},1\n")
+        with pytest.raises(DatasetFormatError, match="row 2, column 2.*finite"):
+            load_dataset_csv(path, n_classes=2)
 
 
 def test_ragged_row_error_names_row(tmp_path):

@@ -21,7 +21,7 @@ def normal_equation_oracle(contexts, responses, lam=0.0):
 
 def absorb_all(state, contexts, responses):
     for c, y in zip(contexts, responses):
-        state = state.absorb(c, y)
+        state.absorb(c, y)
     return state
 
 
@@ -30,10 +30,10 @@ def test_noiseless_recovery_after_d_independent_observations():
     for d in (1, 2, 4, 8):
         truth = rng.normal(size=d)
         truth /= max(1.0, np.linalg.norm(truth))
-        state = EstimatorState.empty(d, mode=OLS)
+        state = EstimatorState(d, mode=OLS)
         contexts = rng.normal(size=(d, d))
         for c in contexts:
-            state = state.absorb(c, float(c @ truth))
+            state.absorb(c, float(c @ truth))
         assert np.linalg.norm(state.estimate() - truth) < 1e-9
 
 
@@ -44,7 +44,7 @@ def test_estimate_matches_normal_equation_oracle_on_seeded_histories():
         n = int(rng.integers(d, d + 12))
         contexts = rng.normal(size=(n, d))
         responses = rng.normal(size=n)
-        state = absorb_all(EstimatorState.empty(d, mode=OLS), contexts, responses)
+        state = absorb_all(EstimatorState(d, mode=OLS), contexts, responses)
         want = normal_equation_oracle(contexts, responses)
         if np.linalg.norm(want) > 1.0:
             want = want / np.linalg.norm(want)
@@ -53,8 +53,8 @@ def test_estimate_matches_normal_equation_oracle_on_seeded_histories():
 
 def test_ridge_hand_example():
     # One observation (1,0) -> 1 with lambda=1: solve [[2,0],[0,1]] mu = (1,0).
-    state = EstimatorState.empty(2, mode=RIDGE, ridge_lambda=1.0)
-    state = state.absorb(np.array([1.0, 0.0]), 1.0)
+    state = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
+    state.absorb(np.array([1.0, 0.0]), 1.0)
     assert np.allclose(state.estimate(), [0.5, 0.0])
 
 
@@ -65,7 +65,7 @@ def test_ridge_matches_oracle_with_regularization():
         contexts = rng.normal(size=(n, d))
         responses = rng.normal(size=n)
         state = absorb_all(
-            EstimatorState.empty(d, mode=RIDGE, ridge_lambda=lam), contexts, responses
+            EstimatorState(d, mode=RIDGE, ridge_lambda=lam), contexts, responses
         )
         want = normal_equation_oracle(contexts, responses, lam=lam)
         if np.linalg.norm(want) > 1.0:
@@ -74,55 +74,66 @@ def test_ridge_matches_oracle_with_regularization():
 
 
 def test_estimate_clipped_to_unit_ball():
-    state = EstimatorState.empty(1, mode=OLS)
-    state = state.absorb(np.array([1.0]), 7.0)  # raw fit would be 7
+    state = EstimatorState(1, mode=OLS)
+    state.absorb(np.array([1.0]), 7.0)  # raw fit would be 7
     est = state.estimate()
     assert np.linalg.norm(est) == pytest.approx(1.0)
     assert est[0] == pytest.approx(1.0)
 
 
-def test_absorb_returns_new_state_and_keeps_original():
-    s0 = EstimatorState.empty(2, mode=RIDGE, ridge_lambda=1.0)
-    s1 = s0.absorb(np.array([1.0, 0.0]), 1.0)
-    assert s0.count == 0 and s1.count == 1
-    assert np.array_equal(s0.gram, np.zeros((2, 2)))
-    assert not np.array_equal(s1.gram, s0.gram)
+def test_absorb_updates_in_place_and_clears_cached_estimate():
+    rng = np.random.default_rng(14)
+    state = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
+    assert state.absorb(np.array([1.0, 0.0]), 1.0) is None
+    assert state.count == 1
     # gram accumulates the raw outer product; regularization only at solve time
-    assert np.allclose(s1.gram, [[1.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(s1.regularized_gram(), [[2.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(state.gram, [[1.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(state.regularized_gram(), [[2.0, 0.0], [0.0, 1.0]])
+    contexts, responses = [np.array([1.0, 0.0])], [1.0]
+    for _ in range(5):
+        state.estimate()  # fills the cache the next absorb must drop
+        c, y = rng.normal(size=2), float(rng.normal())
+        state.absorb(c, y)
+        contexts.append(c)
+        responses.append(y)
+        want = normal_equation_oracle(contexts, responses, lam=1.0)
+        if np.linalg.norm(want) > 1.0:
+            want = want / np.linalg.norm(want)
+        assert np.allclose(state.estimate(), want, atol=1e-9)
+    assert state.count == 6
+    assert np.allclose(state.moment, np.vstack(contexts).T @ np.asarray(responses))
 
 
 def test_ols_raises_before_identifiability():
-    state = EstimatorState.empty(2, mode=OLS)
+    state = EstimatorState(2, mode=OLS)
     with pytest.raises(SingularMatrixError):
         state.estimate()
-    state = state.absorb(np.array([1.0, 0.0]), 0.3)
+    state.absorb(np.array([1.0, 0.0]), 0.3)
     with pytest.raises(SingularMatrixError):
         state.estimate()  # rank 1 of 2
-    state = state.absorb(np.array([0.0, 1.0]), -0.1)
+    state.absorb(np.array([0.0, 1.0]), -0.1)
     assert np.allclose(state.estimate(), [0.3, -0.1])
 
 
 def test_repeated_context_never_identifies_ols():
-    state = EstimatorState.empty(2, mode=OLS)
+    state = EstimatorState(2, mode=OLS)
     for _ in range(10):
-        state = state.absorb(np.array([0.6, 0.8]), 0.5)
+        state.absorb(np.array([0.6, 0.8]), 0.5)
     with pytest.raises(SingularMatrixError):
         state.estimate()
 
 
 def test_width_hand_value_on_empty_state():
-    state = EstimatorState.empty(1, mode=RIDGE, ridge_lambda=1.0)
+    state = EstimatorState(1, mode=RIDGE, ridge_lambda=1.0)
     w = confidence_width(state, np.array([1.0]), delta=0.5, explore_m=1, t=1)
     want = 1.0 * (math.sqrt(math.log(4.0)) + 1.0)
-    assert w.width == pytest.approx(want, abs=1e-5)
-    assert w.width == pytest.approx(2.17741, abs=1e-5)
+    assert w == pytest.approx(want, abs=1e-5)
+    assert w == pytest.approx(2.17741, abs=1e-5)
 
 
 def test_width_zero_context_is_zero():
-    state = EstimatorState.empty(3, mode=RIDGE, ridge_lambda=1.0)
-    w = confidence_width(state, np.zeros(3), delta=0.1, explore_m=4, t=10)
-    assert w.width == 0.0
+    state = EstimatorState(3, mode=RIDGE, ridge_lambda=1.0)
+    assert confidence_width(state, np.zeros(3), delta=0.1, explore_m=4, t=10) == 0.0
 
 
 def test_width_never_grows_when_observations_double():
@@ -132,24 +143,28 @@ def test_width_never_grows_when_observations_double():
         contexts = rng.normal(size=(6, d))
         responses = rng.normal(size=6)
         once = absorb_all(
-            EstimatorState.empty(d, mode=RIDGE, ridge_lambda=1.0), contexts, responses
+            EstimatorState(d, mode=RIDGE, ridge_lambda=1.0), contexts, responses
         )
-        twice = absorb_all(once, contexts, responses)
+        twice = absorb_all(
+            EstimatorState(d, mode=RIDGE, ridge_lambda=1.0),
+            np.vstack([contexts, contexts]), np.concatenate([responses, responses]),
+        )
+        assert (once.count, twice.count) == (6, 12)
         probe = rng.normal(size=d)
         t = int(rng.integers(1, 50))
-        w1 = confidence_width(once, probe, 0.1, 2, t).width
-        w2 = confidence_width(twice, probe, 0.1, 2, t).width
+        w1 = confidence_width(once, probe, 0.1, 2, t)
+        w2 = confidence_width(twice, probe, 0.1, 2, t)
         assert w2 <= w1 + 1e-12
 
 
 def test_width_requires_ridge_mode():
-    state = EstimatorState.empty(2, mode=OLS)
+    state = EstimatorState(2, mode=OLS)
     with pytest.raises(ValueError):
         confidence_width(state, np.ones(2), 0.1, 2, 5)
 
 
 def test_width_rejects_bad_delta():
-    state = EstimatorState.empty(2, mode=RIDGE, ridge_lambda=1.0)
+    state = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
     for delta in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             confidence_width(state, np.ones(2), delta, 2, 5)

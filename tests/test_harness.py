@@ -1,11 +1,13 @@
 """Config validation, seeding, the run engine, CSV output, and the CLI."""
 
+import concurrent.futures
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from payband import harness
 from payband.cli import main
 from payband.environment import FixedSequenceSpec
 from payband.harness import (
@@ -228,6 +230,19 @@ def test_non_integer_env_seed_is_rejected(tmp_path, monkeypatch):
     assert any(SEED_ENV_VAR in d.fieldname for d in diags)
 
 
+def test_negative_env_seed_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(base_config()))
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    assert main(["validate", "--config", str(p)]) == 2
+    assert SEED_ENV_VAR in capsys.readouterr().err
+    dataset = preset_config_path("fig2-like").parent / "fig2_synth.csv"
+    out = tmp_path / "out"
+    assert main(["preset", "fig2-like", "--dataset", str(dataset), "--out", str(out)]) == 2
+    assert SEED_ENV_VAR in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_json_reports_a_diagnostic(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope")
@@ -293,6 +308,33 @@ def test_trace_floats_round_trip_exactly(tmp_path):
     assert list(rows[0].keys()) == TRACE_COLUMNS
 
 
+def test_workers_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
+    config = run_config(tmp_path)  # 2 policies x 2 runs = 4 tasks
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for cpus, jobs, want in ((64, 1000, 4), (3, 1000, 3), (64, 2, 2), (1, 1000, None)):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        started.clear()
+        run_experiment(config, jobs=jobs, out_dir=tmp_path / "out")
+        assert started == ([] if want is None else [want])
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(config, jobs=0, out_dir=tmp_path / "out")
+
+
 def test_parallel_run_byte_identical_to_serial(tmp_path):
     config = run_config(tmp_path)
     run_experiment(config, jobs=1, out_dir=tmp_path / "serial")
@@ -319,6 +361,68 @@ def test_cli_validate_bad_config_exits_2(tmp_path, capsys):
     p.write_text(json.dumps(data))
     assert main(["validate", "--config", str(p)]) == 2
     assert "n_runs" in capsys.readouterr().err
+
+
+def nan_noise(cfg):
+    cfg["instance"]["noise_std"] = float("nan")
+
+
+def nan_context_std(cfg):
+    cfg["instance"]["context_source"]["std"] = float("nan")
+
+
+def inf_context_mean(cfg):
+    cfg["instance"]["context_source"]["mean"] = [float("inf"), 0.0]
+
+
+def nan_true_attr(cfg):
+    cfg["instance"]["true_attrs"][1] = [0.0, float("nan")]
+
+
+def nan_sigma_pay(cfg):
+    cfg["policies"] = [{"kind": "perturbation_payments", "sigma_pay": float("nan")}]
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (nan_noise, "instance.noise_std"),
+    (nan_context_std, "context_source.std"),
+    (inf_context_mean, "context_source.mean"),
+    (nan_true_attr, "instance.true_attrs[1]"),
+    (nan_sigma_pay, "sigma_pay"),
+])
+def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, corrupt, field):
+    data = base_config()
+    corrupt(data)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))  # json writes NaN and Infinity literals
+    assert main(["validate", "--config", str(p)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):
+    (tmp_path / "toy.csv").write_text("0.1,0.2,0\nnan,0.4,1\n")
+    data = base_config()
+    data["instance"].update(horizon=2, init_explore_m=2)
+    data["instance"]["context_source"] = {"kind": "dataset_replay", "path": "toy.csv"}
+    del data["instance"]["true_attrs"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "context_source.path" in err and "row 2, column 1" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(base_config()))
+    for argv in (["run", "--config", str(p)], ["preset", "fig1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exits_2(tmp_path):

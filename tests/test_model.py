@@ -87,6 +87,12 @@ def test_instance_rejects_attr_norm_above_one():
         InstanceSpec(2, 2, 10, attrs, 0.0, SOURCE, 0, 0)
 
 
+def test_instance_rejects_non_finite_noise():
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_std"):
+            InstanceSpec(2, 2, 10, np.zeros((2, 2)), noise, SOURCE, 0, 0)
+
+
 def test_instance_rejects_m_exceeding_horizon():
     attrs = np.zeros((2, 2))
     with pytest.raises(ValueError):

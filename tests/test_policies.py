@@ -19,7 +19,6 @@ from payband.policies import (
     initial_exploration,
     linucb_choose,
     perturbation_payment,
-    perturbed_absorb,
     play_round,
 )
 
@@ -83,13 +82,21 @@ def test_perturbation_acts_like_a_perturbed_context():
     assert np.allclose(perceived, est @ (ctx + zeta))
 
 
-def test_perturbed_absorb_folds_payment_into_response():
-    s = EstimatorState.empty(2, mode=OLS)
-    ctx, zeta = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    s2 = perturbed_absorb(s, ctx, zeta, observed=0.4, paid=0.25)
-    ref = s.absorb(np.array([1.0, 1.0]), 0.65)
-    assert np.array_equal(s2.gram, ref.gram)
-    assert np.array_equal(s2.moment, ref.moment)
+def test_perturbation_update_folds_payment_into_response():
+    pol = build_policy(PolicyConfig(kind="perturbation_payments", sigma_pay=1.0), 2, 2)
+    ref = EstimatorState(2, mode=OLS)
+    for x, y in (([1.0, 0.0], 0.5), ([0.0, 1.0], 0.3)):  # identify arm 1
+        pol.absorb_forced(0, np.array(x), 1, y)
+        ref.absorb(np.array(x), y)
+    ctx = np.array([1.0, 0.0])
+    pay = pol.calc_payments(1, ctx, rng_for(16))
+    zeta = rng_for(16).standard_normal(2)  # the draw calc_payments made
+    assert pay[1] != 0.0
+    pol.update(1, ctx, 1, observed=0.4, payments=pay)
+    ref.absorb(ctx + zeta, 0.4 + pay[1])
+    assert np.array_equal(pol.states[1].gram, ref.gram)
+    assert np.array_equal(pol.states[1].moment, ref.moment)
+    assert pol.states[0].count == 0
 
 
 # -- alignment payments ------------------------------------------------------
@@ -120,10 +127,10 @@ def test_alignment_payment_moves_the_agent():
 
 def test_linucb_prefers_less_explored_arm_on_equal_scores():
     lam = 1.0
-    s_seen = EstimatorState.empty(2, RIDGE, lam)
+    s_seen = EstimatorState(2, RIDGE, lam)
     for _ in range(20):
-        s_seen = s_seen.absorb(np.array([1.0, 0.0]), 0.0)
-    s_fresh = EstimatorState.empty(2, RIDGE, lam)
+        s_seen.absorb(np.array([1.0, 0.0]), 0.0)
+    s_fresh = EstimatorState(2, RIDGE, lam)
     est = np.zeros((2, 2))  # equal point scores
     ctx = np.array([1.0, 0.0])
     pick = linucb_choose([s_seen, s_fresh], est, ctx, alpha=1.0)
@@ -284,12 +291,12 @@ def test_perturbation_history_keeps_perturbed_pairs():
     rng = rng_for(4)
     pay = pol.calc_payments(1, ctx, rng)
     pol.update(1, ctx, 0, observed=0.5, payments=pay)
-    (stored,) = pol.histories[0].contexts
-    (resp,) = pol.histories[0].responses
+    state = pol.states[0]
+    assert state.count == 1 and pol.states[1].count == 0
+    (stored,) = pol.effective_contexts
     assert not np.array_equal(stored, ctx)  # the zeta went in
-    assert resp == pytest.approx(0.5 + pay[0])
-    assert len(pol.effective_contexts) == 1
-    assert np.array_equal(pol.effective_contexts[0], stored)
+    assert np.array_equal(state.gram, np.outer(stored, stored))
+    assert np.array_equal(state.moment, (0.5 + pay[0]) * stored)
 
 
 def test_zero_budget_restricted_pays_nothing_and_skips_rng():
@@ -344,7 +351,9 @@ def test_initial_exploration_is_round_robin_with_zero_payments():
     for r in records:
         assert np.array_equal(r.payments, np.zeros(3))
         assert r.payment_paid == 0.0
-    assert len(pol.histories[0]) == 3 and len(pol.histories[2]) == 2
+    assert [s.count for s in pol.states] == [3, 2, 2]
+    assert np.array_equal(pol.states[0].gram, 3 * np.outer([1.0, 0.0], [1.0, 0.0]))
+    assert np.array_equal(pol.states[2].moment, [0.6, 0.0])
 
 
 def test_play_round_record_is_replayable():
