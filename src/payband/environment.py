@@ -18,15 +18,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import min_eig_sym
-from .model import unit_ball_projection
+from .model import ConfigError, unit_ball_projection
 
 
 class ExhaustedSequenceError(RuntimeError):
     """A non-cycling fixed context sequence ran out of entries."""
-
-
-class DimensionMismatchError(ValueError):
-    """A context or feature row does not match the instance dimension."""
 
 
 class DatasetFormatError(ValueError):
@@ -47,13 +43,12 @@ class FixedSequenceSpec:
     def __post_init__(self) -> None:
         arr = tuple(np.asarray(c, dtype=float) for c in self.contexts)
         if not arr:
-            raise ValueError("FixedSequenceSpec needs at least one context")
+            raise ConfigError("contexts", "nonempty list of vectors", [])
         dim = arr[0].shape[0]
         for i, c in enumerate(arr):
             if c.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"context {i} has shape {c.shape}, expected ({dim},)"
-                )
+                raise ConfigError(f"contexts[{i}]", f"vector of length {dim}, like contexts[0]",
+                                  c.shape)
         object.__setattr__(self, "contexts", arr)
 
     @property
@@ -71,9 +66,9 @@ class GaussianContextSpec:
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float)
         if m.ndim != 1 or not np.all(np.isfinite(m)):
-            raise ValueError("mean must be a vector of finite numbers")
+            raise ConfigError("mean", "vector of finite numbers", self.mean)
         if not math.isfinite(self.std) or self.std < 0:
-            raise ValueError(f"std must be finite and >= 0, got {self.std}")
+            raise ConfigError("std", "finite number >= 0", self.std)
         object.__setattr__(self, "mean", m)
 
     @property
@@ -83,12 +78,9 @@ class GaussianContextSpec:
 
 @dataclass(frozen=True)
 class DatasetReplaySpec:
-    """Replay feature rows of a classification dataset as contexts."""
+    """Replay feature rows of a classification dataset, read once, as contexts."""
 
-    path: str
-    n_classes: int
-    standardize: bool = False
-    has_header: bool = False
+    dataset: BanditDataset
     sample_with_replacement: bool = False
 
 

@@ -19,6 +19,7 @@ master seed.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import importlib.resources
 import json
@@ -40,10 +41,8 @@ from .environment import (
     load_dataset_csv,
 )
 from .metrics import RunTrace, aggregate
-from .model import MAX_DIM, InstanceSpec
+from .model import ConfigError, InstanceSpec
 from .policies import (
-    CHAINED_RESTRICTED,
-    POLICY_KINDS,
     ChainedPolicy,
     PerturbationPaymentsPolicy,
     LinUCBAlignmentPolicy,
@@ -86,11 +85,29 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An instance, the strategies to run on it, and how often to run each."""
+
     instance: InstanceSpec
     policies: tuple
     n_runs: int
     output_dir: str = "out"
     emit_full_trace: bool = True
+
+    def __post_init__(self) -> None:
+        self.check_n_runs(self.n_runs)
+        if not self.policies:
+            raise ConfigError("policies", "nonempty list", [])
+        for i, policy in enumerate(self.policies):
+            if policy.init_explore_m is not None:
+                self.instance.check_explore_m(f"policies[{i}].init_explore_m",
+                                              policy.init_explore_m)
+
+    @staticmethod
+    def check_n_runs(n_runs: int) -> None:
+        """Also called by the config loader on its own, so a bad run count is
+        reported together with errors that keep the config from being built."""
+        if n_runs < 1:
+            raise ConfigError("n_runs", "integer >= 1", n_runs)
 
 
 def _err(field: str, constraint: str, actual) -> Diagnostic:
@@ -106,169 +123,146 @@ def _is_finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Diagnostic]:
-    """Check a parsed JSON config against the schema. Empty list means valid."""
-    diags: list[Diagnostic] = []
+# The JSON value types a config field can have.
+_JSON_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "finite number": _is_finite_number,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "vector": lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+_REQUIRED = object()
+
+
+def _typed(value, kind: str, field: str):
+    """``value`` unchanged if it is a JSON value of type ``kind``."""
+    if not _JSON_TYPES[kind](value):
+        raise ConfigError(field, kind, value)
+    return value
+
+
+def _read(obj: dict, key: str, kind: str, default=_REQUIRED):
+    """``obj[key]`` as a JSON value of type ``kind``; ``default`` when absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(key, f"required {kind}", None)
+        return default
+    return _typed(obj[key], kind, key)
+
+
+def _vectors(obj: dict, key: str) -> list:
+    return [_typed(v, "vector", f"{key}[{i}]") for i, v in enumerate(_read(obj, key, "list"))]
+
+
+_POLICY_FIELDS = {"kind": "string", "sigma_pay": "finite number",
+                  "ridge_lambda": "finite number", "delta": "finite number",
+                  "linucb_alpha": "finite number", "budget": "finite number",
+                  "init_explore_m": "integer", "estimator_mode": "string"}
+
+
+def _policy(p) -> PolicyConfig:
+    _typed(p, "object", "")
+    unknown = sorted(set(p) - set(_POLICY_FIELDS))
+    if unknown:
+        raise ConfigError("", f"only the fields {', '.join(_POLICY_FIELDS)}", unknown)
+    _read(p, "kind", "string")
+    return PolicyConfig(**{k: _read(p, k, kind) for k, kind in _POLICY_FIELDS.items() if k in p})
+
+
+def _context_source(src: dict, n_arms: Optional[int], base_dir: Optional[Path]):
+    kind = _read(src, "kind", "string")
+    if kind == "fixed_sequence":
+        return FixedSequenceSpec(contexts=tuple(_vectors(src, "contexts")),
+                                 cycle=_read(src, "cycle", "boolean", False))
+    if kind == "gaussian_iid":
+        return GaussianContextSpec(mean=_read(src, "mean", "vector"),
+                                   std=float(_read(src, "std", "finite number")))
+    if kind == "dataset_replay":
+        path = _read(src, "path", "string")
+        standardize = _read(src, "standardize", "boolean", False)
+        has_header = _read(src, "has_header", "boolean", False)
+        with_replacement = _read(src, "sample_with_replacement", "boolean", False)
+        if n_arms is None:
+            return None  # labels are read against n_arms, already reported bad
+        try:
+            dataset = load_dataset_csv(str(resolve_dataset_path(path, base_dir)),
+                                       n_classes=n_arms, standardize=standardize,
+                                       has_header=has_header)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("path", "existing, parseable dataset CSV", str(exc)) from None
+        return DatasetReplaySpec(dataset, with_replacement)
+    raise ConfigError("kind", "one of fixed_sequence | gaussian_iid | dataset_replay", kind)
+
+
+def _load(data, base_dir: Optional[Path], master_seed_override: Optional[int]
+          ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
+    """Type-check config data and build the config in one pass.
+
+    Range and cross-field rules are checked by the constructors of the spec
+    objects. Each section (instance fields, context source, true_attrs, each
+    policy, n_runs) reports its first error, so independent mistakes are all
+    reported together.
+    """
     if not isinstance(data, dict):
-        return [_err("<root>", "must be a JSON object", type(data).__name__)]
+        return None, [_err("<root>", "must be a JSON object", type(data).__name__)]
+    diags: list[Diagnostic] = []
 
-    inst = data.get("instance")
-    if not isinstance(inst, dict):
-        diags.append(_err("instance", "required object", inst))
-        inst = {}
-
-    def want_int(obj, field, lo, hi=None, owner="instance"):
-        v = obj.get(field)
-        if not isinstance(v, int) or isinstance(v, bool):
-            diags.append(_err(f"{owner}.{field}", "required integer", v))
+    def attempt(section: str, build):
+        try:
+            return build()
+        except ConfigError as exc:
+            diags.append(_err(".".join(filter(None, (section, exc.field))),
+                              exc.constraint, exc.actual))
             return None
-        if v < lo or (hi is not None and v > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            diags.append(_err(f"{owner}.{field}", bound, v))
-            return None
-        return v
 
-    def want_vector(v, field, length) -> bool:
-        if (isinstance(v, list) and (length is None or len(v) == length)
-                and all(_is_finite_number(x) for x in v)):
-            return True
-        diags.append(_err(field, f"vector of length {length} of finite numbers", v))
-        return False
-
-    n_arms = want_int(inst, "n_arms", 2)
-    dim = want_int(inst, "dim", 1, MAX_DIM)
-    horizon = want_int(inst, "horizon", 1)
-    want_int(inst, "master_seed", 0)
-
-    noise_std = inst.get("noise_std")
-    if not _is_finite_number(noise_std) or noise_std < 0:
-        diags.append(_err("instance.noise_std", "required finite number >= 0", noise_std))
-
-    m = inst.get("init_explore_m")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        diags.append(_err("instance.init_explore_m", "required integer >= 0", m))
-    else:
-        if horizon is not None and m > horizon:
-            diags.append(_err("instance.init_explore_m", "<= horizon", m))
-        if n_arms is not None and dim is not None and m < n_arms * dim:
+    inst = attempt("", lambda: _read(data, "instance", "object")) or {}
+    ints = {key: attempt("instance", lambda key=key: _read(inst, key, "integer"))
+            for key in ("n_arms", "dim", "horizon", "init_explore_m", "master_seed")}
+    noise_std = attempt("instance", lambda: _read(inst, "noise_std", "finite number"))
+    src = attempt("instance", lambda: _read(inst, "context_source", "object"))
+    source = attrs = None
+    if src is not None:
+        source = attempt("instance.context_source",
+                         lambda: _context_source(src, ints["n_arms"], base_dir))
+    replay = src is not None and src.get("kind") == "dataset_replay"
+    if not replay:
+        attrs = attempt("instance", lambda: _vectors(inst, "true_attrs"))
+    instance = None
+    if not diags:  # every instance field and the context source read cleanly
+        if master_seed_override is not None:
+            ints["master_seed"] = master_seed_override
+        instance = attempt("instance", lambda: InstanceSpec(
+            true_attrs=attrs, noise_std=float(noise_std), context_source=source, **ints))
+    if instance is not None:
+        n_arms, dim, m = instance.n_arms, instance.dim, instance.init_explore_m
+        if m < n_arms * dim:
             diags.append(_warn("instance.init_explore_m",
                                f">= n_arms * dim = {n_arms * dim} recommended", m))
-
-    source = inst.get("context_source")
-    kind = None
-    if not isinstance(source, dict) or "kind" not in source:
-        diags.append(_err("instance.context_source", "object with a 'kind' field", source))
-        source = {}
-    else:
-        kind = source["kind"]
-
-    if kind == "fixed_sequence":
-        ctxs = source.get("contexts")
-        if not isinstance(ctxs, list) or not ctxs:
-            diags.append(_err("context_source.contexts", "nonempty list of vectors", ctxs))
-        else:
-            for i, c in enumerate(ctxs):
-                if not want_vector(c, f"context_source.contexts[{i}]", dim):
-                    break
-            cycle = source.get("cycle", False)
-            if horizon is not None and not cycle and len(ctxs) < horizon:
-                diags.append(_err("context_source.contexts",
-                                  f"length >= horizon ({horizon}) unless cycle is true",
-                                  len(ctxs)))
-    elif kind == "gaussian_iid":
-        want_vector(source.get("mean"), "context_source.mean", dim)
-        std = source.get("std")
-        if not _is_finite_number(std) or std < 0:
-            diags.append(_err("context_source.std", "finite number >= 0", std))
-    elif kind == "dataset_replay":
-        path = source.get("path")
-        if not isinstance(path, str):
-            diags.append(_err("context_source.path", "required string", path))
-        else:
-            try:
-                resolved = resolve_dataset_path(path, base_dir)
-            except FileNotFoundError as exc:
-                diags.append(_err("context_source.path", "existing file", str(exc)))
-                resolved = None
-            if resolved is not None:
-                try:
-                    ds = load_dataset_csv(
-                        str(resolved),
-                        n_classes=n_arms if n_arms else 2,
-                        standardize=False,
-                        has_header=bool(source.get("has_header", False)),
-                    )
-                except Exception as exc:
-                    diags.append(_err("context_source.path", "parseable dataset CSV", str(exc)))
-                else:
-                    if dim is not None and ds.dim != dim:
-                        diags.append(_err("context_source.path",
-                                          f"feature dimension == instance.dim ({dim})",
-                                          ds.dim))
-                    if (horizon is not None and len(ds) < horizon
-                            and not source.get("sample_with_replacement", False)):
-                        diags.append(_err("instance.horizon",
-                                          f"<= dataset rows ({len(ds)}) unless "
-                                          "sample_with_replacement", horizon))
-    elif kind is not None:
-        diags.append(_err("context_source.kind",
-                          "one of fixed_sequence | gaussian_iid | dataset_replay", kind))
-
-    attrs = inst.get("true_attrs")
-    if kind == "dataset_replay":
-        if attrs is not None:
+        if replay and "true_attrs" in inst:
             diags.append(_warn("instance.true_attrs",
                                "ignored for dataset_replay (labels define rewards)", "set"))
-    else:
-        if not isinstance(attrs, list) or (n_arms is not None and len(attrs) != n_arms):
-            diags.append(_err("instance.true_attrs", f"list of {n_arms} vectors", attrs if not isinstance(attrs, list) else len(attrs)))
-        else:
-            for i, row in enumerate(attrs):
-                if not want_vector(row, f"instance.true_attrs[{i}]", dim):
-                    break
-                norm = float(np.linalg.norm(row))
-                if norm > 1.0 + 1e-9:
-                    diags.append(_err(f"instance.true_attrs[{i}]",
-                                      "Euclidean norm <= 1", round(norm, 6)))
 
-    policies = data.get("policies")
-    if not isinstance(policies, list) or not policies:
-        diags.append(_err("policies", "nonempty list", policies))
-        policies = []
-    for i, p in enumerate(policies):
-        owner = f"policies[{i}]"
-        if not isinstance(p, dict):
-            diags.append(_err(owner, "object", p))
-            continue
-        pkind = p.get("kind")
-        if pkind not in POLICY_KINDS:
-            diags.append(_err(f"{owner}.kind", f"one of {', '.join(POLICY_KINDS)}", pkind))
-            continue
-        try:
-            _policy_config_from_dict(p)
-        except (ValueError, TypeError) as exc:
-            diags.append(_err(owner, "valid policy config", str(exc)))
-            continue
-        pm = p.get("init_explore_m")
-        if pm is not None and horizon is not None and isinstance(pm, int) and pm > horizon:
-            diags.append(_err(f"{owner}.init_explore_m", "<= horizon", pm))
-
-    n_runs = data.get("n_runs")
-    if not isinstance(n_runs, int) or isinstance(n_runs, bool) or n_runs < 1:
-        diags.append(_err("n_runs", "required integer >= 1", n_runs))
-
-    return diags
+    policy_data = attempt("", lambda: _read(data, "policies", "list")) or []
+    policies = [attempt(f"policies[{i}]", lambda p=p: _policy(p))
+                for i, p in enumerate(policy_data)]
+    n_runs = attempt("", lambda: _read(data, "n_runs", "integer"))
+    if n_runs is not None:
+        attempt("", lambda: ExperimentConfig.check_n_runs(n_runs))
+    output_dir = attempt("", lambda: _read(data, "output_dir", "string", "out"))
+    emit_full_trace = attempt("", lambda: _read(data, "emit_full_trace", "boolean", True))
+    if any(d.severity == "error" for d in diags):
+        return None, diags
+    config = attempt("", lambda: ExperimentConfig(instance, tuple(policies), n_runs,
+                                                  output_dir, emit_full_trace))
+    return config, diags
 
 
-_POLICY_FIELDS = {"kind", "sigma_pay", "ridge_lambda", "delta", "linucb_alpha",
-                  "budget", "init_explore_m", "estimator_mode"}
-
-
-def _policy_config_from_dict(p: dict) -> PolicyConfig:
-    unknown = set(p) - _POLICY_FIELDS
-    if unknown:
-        raise ValueError(f"unknown policy fields: {sorted(unknown)!r}")
-    return PolicyConfig(**p)
+def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Diagnostic]:
+    """Check a parsed JSON config against the schema. Empty list means valid."""
+    return _load(data, base_dir, None)[1]
 
 
 def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
@@ -286,57 +280,6 @@ def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
     return p
-
-
-def parse_config(data: dict, base_dir: Optional[Path] = None,
-                 master_seed_override: Optional[int] = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from validated JSON data."""
-    inst = data["instance"]
-    source_data = inst["context_source"]
-    kind = source_data["kind"]
-    if kind == "fixed_sequence":
-        source = FixedSequenceSpec(
-            contexts=tuple(source_data["contexts"]),
-            cycle=bool(source_data.get("cycle", False)),
-        )
-    elif kind == "gaussian_iid":
-        source = GaussianContextSpec(
-            mean=np.asarray(source_data["mean"], float),
-            std=float(source_data["std"]),
-        )
-    elif kind == "dataset_replay":
-        source = DatasetReplaySpec(
-            path=str(resolve_dataset_path(source_data["path"], base_dir)),
-            n_classes=int(inst["n_arms"]),
-            standardize=bool(source_data.get("standardize", False)),
-            has_header=bool(source_data.get("has_header", False)),
-            sample_with_replacement=bool(source_data.get("sample_with_replacement", False)),
-        )
-    else:
-        raise ValueError(f"unknown context source kind {kind!r}")
-
-    attrs = inst.get("true_attrs")
-    master_seed = int(inst["master_seed"])
-    if master_seed_override is not None:
-        master_seed = master_seed_override
-    instance = InstanceSpec(
-        n_arms=int(inst["n_arms"]),
-        dim=int(inst["dim"]),
-        horizon=int(inst["horizon"]),
-        true_attrs=None if kind == "dataset_replay" else np.asarray(attrs, float),
-        noise_std=float(inst["noise_std"]),
-        context_source=source,
-        init_explore_m=int(inst["init_explore_m"]),
-        master_seed=master_seed,
-    )
-    policies = tuple(_policy_config_from_dict(p) for p in data["policies"])
-    return ExperimentConfig(
-        instance=instance,
-        policies=policies,
-        n_runs=int(data["n_runs"]),
-        output_dir=str(data.get("output_dir", "out")),
-        emit_full_trace=bool(data.get("emit_full_trace", True)),
-    )
 
 
 def load_config_data(data: dict, base_dir: Optional[Path] = None,
@@ -358,11 +301,7 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None,
                 pass
             if master_seed_override is None or master_seed_override < 0:
                 return None, [_err(SEED_ENV_VAR, "integer >= 0", env_seed)]
-    diags = validate_config_data(data, base_dir=base_dir)
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    return parse_config(data, base_dir=base_dir,
-                        master_seed_override=master_seed_override), diags
+    return _load(data, base_dir, master_seed_override)
 
 
 def load_config_file(path: Union[str, Path],
@@ -411,10 +350,7 @@ def spawn_streams(seed: Union[int, np.random.SeedSequence]
 def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
     source = instance.context_source
     if isinstance(source, DatasetReplaySpec):
-        dataset = load_dataset_csv(source.path, n_classes=source.n_classes,
-                                   standardize=source.standardize,
-                                   has_header=source.has_header)
-        return DatasetEnvironment(dataset, instance.horizon, ctx_rng,
+        return DatasetEnvironment(source.dataset, instance.horizon, ctx_rng,
                                   source.sample_with_replacement)
     if isinstance(source, FixedSequenceSpec):
         from .environment import FixedSequenceStream
@@ -522,11 +458,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+@contextlib.contextmanager
+def _atomic_csv(path: Union[str, Path]):
+    """A csv writer whose rows replace ``path`` only once all are written.
+
+    Rows go to a temporary file in the same directory, which is renamed onto
+    ``path`` at the end, so a failed write leaves no partial file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield csv.writer(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
     """One row per (run, round), runs concatenated in order."""
     from .metrics import accumulate
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with _atomic_csv(path) as writer:
         writer.writerow(TRACE_COLUMNS)
         for run_index, trace in enumerate(traces):
             curves = accumulate(trace)
@@ -550,8 +503,7 @@ def write_aggregate_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
               "mean_cum_payment_abs", "stderr_cum_payment_abs"]
     header += [f"mean_cum_payment_arm{a}" for a in range(n_arms)]
     horizon = agg.mean_cum_regret.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with _atomic_csv(path) as writer:
         writer.writerow(header)
         for i in range(horizon):
             row = [i + 1,

@@ -57,13 +57,32 @@ def inst_regret(true_attrs: np.ndarray, context: np.ndarray, chosen: int) -> flo
     return float(means.max() - means[chosen])
 
 
+class ConfigError(ValueError):
+    """A value breaks a rule of the object it configures.
+
+    Carries the field (relative to that object), the rule and the value, so a
+    config loader can report it as a diagnostic that names the field.
+    """
+
+    def __init__(self, field: str, constraint: str, actual) -> None:
+        super().__init__(field, constraint, actual)
+        self.field = field
+        self.constraint = constraint
+        self.actual = actual
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.constraint} (got {self.actual!r})"
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """A bandit problem instance.
 
     ``true_attrs`` is an (n_arms, dim) array for linear reward instances and
     None for dataset-replay instances, where rewards come from class labels
-    instead of a linear model.
+    instead of a linear model. The constructor checks every rule that ties
+    the context source to the instance: context length, fixed-sequence
+    length, and dataset dimension and row count.
     """
 
     n_arms: int
@@ -76,34 +95,63 @@ class InstanceSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
+        # environment imports this module, so its spec types load late.
+        from .environment import DatasetReplaySpec, FixedSequenceSpec
+
         if self.n_arms < 2:
-            raise ValueError(f"n_arms must be >= 2, got {self.n_arms}")
+            raise ConfigError("n_arms", "integer >= 2", self.n_arms)
         if not (1 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
+            raise ConfigError("dim", f"integer in [1, {MAX_DIM}]", self.dim)
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ConfigError("horizon", "integer >= 1", self.horizon)
+        if self.master_seed < 0:
+            raise ConfigError("master_seed", "integer >= 0", self.master_seed)
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not (0 <= self.init_explore_m <= self.horizon):
-            raise ValueError(
-                f"init_explore_m must be in [0, horizon], got {self.init_explore_m}"
-            )
+            raise ConfigError("noise_std", "finite number >= 0", self.noise_std)
+        self.check_explore_m("init_explore_m", self.init_explore_m)
+
+        source = self.context_source
+        if isinstance(source, DatasetReplaySpec):
+            rows = len(source.dataset)
+            if source.dataset.dim != self.dim:
+                raise ConfigError("context_source.path",
+                                  f"feature dimension == dim ({self.dim})",
+                                  source.dataset.dim)
+            if rows < self.horizon and not source.sample_with_replacement:
+                raise ConfigError("horizon",
+                                  f"<= dataset rows ({rows}) unless sample_with_replacement",
+                                  self.horizon)
+        else:
+            fixed = isinstance(source, FixedSequenceSpec)
+            if source.dim != self.dim:
+                raise ConfigError("context_source." + ("contexts" if fixed else "mean"),
+                                  f"vectors of length dim ({self.dim})", source.dim)
+            if fixed and not source.cycle and len(source.contexts) < self.horizon:
+                raise ConfigError("context_source.contexts",
+                                  f"length >= horizon ({self.horizon}) unless cycle is true",
+                                  len(source.contexts))
+
         if self.true_attrs is not None:
+            if len(self.true_attrs) != self.n_arms:
+                raise ConfigError("true_attrs", f"list of n_arms ({self.n_arms}) vectors",
+                                  len(self.true_attrs))
+            for i, row in enumerate(self.true_attrs):
+                if np.shape(row) != (self.dim,) or not np.all(np.isfinite(row)):
+                    raise ConfigError(f"true_attrs[{i}]",
+                                      f"vector of dim ({self.dim}) finite numbers", row)
             attrs = np.asarray(self.true_attrs, dtype=float)
-            if attrs.shape != (self.n_arms, self.dim):
-                raise ValueError(
-                    f"true_attrs shape {attrs.shape} does not match "
-                    f"({self.n_arms}, {self.dim})"
-                )
-            if not np.all(np.isfinite(attrs)):
-                raise ValueError("true_attrs must be finite")
             norms = np.linalg.norm(attrs, axis=1)
             if np.any(norms > 1.0 + 1e-9):
                 bad = int(np.argmax(norms))
-                raise ValueError(
-                    f"true_attrs[{bad}] has norm {norms[bad]:.6f} > 1"
-                )
+                raise ConfigError(f"true_attrs[{bad}]", "Euclidean norm <= 1",
+                                  round(float(norms[bad]), 6))
             object.__setattr__(self, "true_attrs", attrs)
+
+    def check_explore_m(self, field: str, m: int) -> None:
+        """Rounds of mandated round-robin exploration, for the instance or a
+        policy that overrides it: at most the horizon."""
+        if not (0 <= m <= self.horizon):
+            raise ConfigError(field, f"integer in [0, horizon ({self.horizon})]", m)
 
 
 @dataclass

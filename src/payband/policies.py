@@ -45,7 +45,7 @@ from .estimation import (
     SingularMatrixError,
     confidence_width,
 )
-from .model import RoundRecord, agent_choose
+from .model import ConfigError, RoundRecord, agent_choose
 from .environment import realize_from_mean
 
 NO_PAYMENTS = "no_payments"
@@ -80,7 +80,7 @@ class PolicyConfig:
     """Declarative configuration for one strategy.
 
     ``init_explore_m`` overrides the instance-level initial exploration
-    length when set. ``estimator_mode`` forces "ols" or "ridge" regardless of
+    length when set; ``ExperimentConfig`` checks it against the horizon. ``estimator_mode`` forces "ols" or "ridge" regardless of
     the kind's default (the ridge override on no_payments gives an exact
     zero-budget reference for the restricted chained strategy).
     """
@@ -96,28 +96,28 @@ class PolicyConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            raise ConfigError("kind", f"one of {', '.join(POLICY_KINDS)}", self.kind)
         for name in ("sigma_pay", "ridge_lambda", "delta", "linucb_alpha", "budget"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ConfigError(name, "finite number", value)
         if self.sigma_pay < 0:
-            raise ValueError(f"sigma_pay must be >= 0, got {self.sigma_pay}")
+            raise ConfigError("sigma_pay", ">= 0", self.sigma_pay)
         if not (0 < self.delta < 1):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+            raise ConfigError("delta", "in (0, 1)", self.delta)
         if self.linucb_alpha < 0:
-            raise ValueError(f"linucb_alpha must be >= 0, got {self.linucb_alpha}")
+            raise ConfigError("linucb_alpha", ">= 0", self.linucb_alpha)
         if self.budget is not None:
             if self.kind != CHAINED_RESTRICTED:
-                raise ValueError("budget only applies to chained_restricted")
+                raise ConfigError("budget", "only applies to chained_restricted", self.budget)
             if self.budget < 0:
-                raise ValueError(f"budget must be >= 0, got {self.budget}")
+                raise ConfigError("budget", ">= 0", self.budget)
         if self.kind == CHAINED_RESTRICTED and self.budget is None:
-            raise ValueError("chained_restricted requires a budget")
+            raise ConfigError("budget", "chained_restricted requires a budget", None)
         if self.resolved_mode() == RIDGE and self.ridge_lambda <= 0:
-            raise ValueError(f"ridge_lambda must be > 0, got {self.ridge_lambda}")
+            raise ConfigError("ridge_lambda", "> 0 for ridge estimation", self.ridge_lambda)
         if self.estimator_mode is not None and self.estimator_mode not in (OLS, RIDGE):
-            raise ValueError(f"unknown estimator_mode {self.estimator_mode!r}")
+            raise ConfigError("estimator_mode", f"one of {OLS}, {RIDGE}", self.estimator_mode)
 
     def resolved_mode(self) -> str:
         return self.estimator_mode or _DEFAULT_MODE[self.kind]

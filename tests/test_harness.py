@@ -9,7 +9,7 @@ import pytest
 
 from payband import harness
 from payband.cli import main
-from payband.environment import FixedSequenceSpec
+from payband.environment import FixedSequenceSpec, load_dataset_csv
 from payband.harness import (
     SEED_ENV_VAR,
     TRACE_COLUMNS,
@@ -131,6 +131,13 @@ def test_dataset_dimension_mismatch_is_reported(tmp_path):
     del cfg["instance"]["true_attrs"]
     diags = errors_of(validate_config_data(cfg, base_dir=tmp_path))
     assert any("dimension" in d.constraint for d in diags)
+
+
+def test_errors_in_separate_sections_are_reported_together():
+    cfg = base_config()
+    cfg["n_runs"] = 0
+    cfg["policies"] = [{"kind": "no_payments"}, {"kind": "no_payments", "delta": 2.0}]
+    assert fields_of(errors_of(validate_config_data(cfg))) == {"n_runs", "policies[1].delta"}
 
 
 def test_diagnostics_render_field_constraint_and_actual():
@@ -308,6 +315,51 @@ def test_trace_floats_round_trip_exactly(tmp_path):
     assert list(rows[0].keys()) == TRACE_COLUMNS
 
 
+def test_dataset_is_read_once_per_experiment(tmp_path, monkeypatch):
+    (tmp_path / "toy.csv").write_text(
+        "\n".join(f"{i % 3 * 0.3},{i % 5 * 0.2},{i % 2}" for i in range(12)))
+    data = base_config()
+    data["instance"]["context_source"] = {"kind": "dataset_replay", "path": "toy.csv"}
+    del data["instance"]["true_attrs"]
+    data["policies"] = [{"kind": "no_payments"}, {"kind": "perturbation_payments"}]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load_dataset_csv(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_dataset_csv", counted)
+    config, diags = load_config_file(p)
+    assert errors_of(diags) == []
+    manifest = run_experiment(config, out_dir=tmp_path / "out")
+    assert len(manifest["policies"]) == 2 and config.n_runs == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("write", ["write_trace_csv", "write_aggregate_csv"])
+def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, write):
+    config = run_config(tmp_path)
+    traces = [run_single(config.instance, config.policies[0],
+                         child_seed_sequence(3, 0, r)) for r in range(2)]
+    fmt = harness._fmt
+    written = []
+
+    def failing_fmt(value):
+        written.append(value)
+        if len(written) == 40:  # part-way through the rows
+            raise OSError("disk full")
+        return fmt(value)
+
+    monkeypatch.setattr(harness, "_fmt", failing_fmt)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        getattr(harness, write)(out / "curves.csv", traces)
+    assert list(out.iterdir()) == []
+
+
 def test_workers_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
     config = run_config(tmp_path)  # 2 policies x 2 runs = 4 tasks
     started = []
@@ -383,21 +435,70 @@ def nan_sigma_pay(cfg):
     cfg["policies"] = [{"kind": "perturbation_payments", "sigma_pay": float("nan")}]
 
 
+def negative_policy_m(cfg):
+    cfg["policies"][0]["init_explore_m"] = -3
+
+
+def fractional_policy_m(cfg):
+    cfg["policies"][0]["init_explore_m"] = 2.5
+
+
+def boolean_policy_m(cfg):
+    cfg["policies"][0]["init_explore_m"] = True
+
+
+def string_emit_full_trace(cfg):
+    cfg["emit_full_trace"] = "no"
+
+
+def numeric_output_dir(cfg):
+    cfg["output_dir"] = 5
+
+
+def string_cycle(cfg):
+    # One context, horizon 12: a truthy string must not stand in for true.
+    cfg["instance"]["context_source"] = {
+        "kind": "fixed_sequence", "contexts": [[1.0, 0.0]], "cycle": "no",
+    }
+
+
+def replay_with_string(flag):
+    def corrupt(cfg):
+        cfg["instance"]["context_source"] = {
+            "kind": "dataset_replay", "path": "pkg:fig2_synth.csv", flag: "no",
+        }
+        del cfg["instance"]["true_attrs"]
+    corrupt.__name__ = f"string_{flag}"
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (nan_noise, "instance.noise_std"),
     (nan_context_std, "context_source.std"),
     (inf_context_mean, "context_source.mean"),
     (nan_true_attr, "instance.true_attrs[1]"),
     (nan_sigma_pay, "sigma_pay"),
+    (negative_policy_m, "policies[0].init_explore_m"),
+    (fractional_policy_m, "policies[0].init_explore_m"),
+    (boolean_policy_m, "policies[0].init_explore_m"),
+    (string_emit_full_trace, "emit_full_trace"),
+    (numeric_output_dir, "output_dir"),
+    (string_cycle, "context_source.cycle"),
+    (replay_with_string("standardize"), "context_source.standardize"),
+    (replay_with_string("has_header"), "context_source.has_header"),
+    (replay_with_string("sample_with_replacement"), "context_source.sample_with_replacement"),
 ])
-def test_cli_validate_rejects_non_finite_numbers(tmp_path, capsys, corrupt, field):
+def test_cli_validate_rejects_bad_values(tmp_path, capsys, corrupt, field):
     data = base_config()
     corrupt(data)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(data))  # json writes NaN and Infinity literals
     assert main(["validate", "--config", str(p)]) == 2
     assert field in capsys.readouterr().err
-    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):

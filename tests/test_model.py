@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from payband.model import (
+    ConfigError,
     InstanceSpec,
     agent_choose,
     inst_regret,
     unit_ball_projection,
 )
-from payband.environment import FixedSequenceSpec
+from payband.environment import (
+    BanditDataset,
+    DatasetReplaySpec,
+    FixedSequenceSpec,
+    GaussianContextSpec,
+)
 
 
 SOURCE = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]),), cycle=True)
@@ -107,3 +113,20 @@ def test_instance_rejects_shape_mismatch():
 def test_instance_allows_none_attrs_for_replay_style_instances():
     spec = InstanceSpec(2, 2, 10, None, 0.0, SOURCE, 0, 0)
     assert spec.true_attrs is None
+
+
+def test_instance_checks_its_context_source():
+    def field_of(source, horizon=10):
+        with pytest.raises(ConfigError) as exc:
+            InstanceSpec(2, 2, horizon, None, 0.0, source, 0, 0)
+        return exc.value.field
+
+    short = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]),) * 3)
+    assert field_of(short) == "context_source.contexts"
+    InstanceSpec(2, 2, 3, None, 0.0, short, 0, 0)
+    assert field_of(GaussianContextSpec(mean=np.zeros(3), std=1.0)) == "context_source.mean"
+    rows = BanditDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), n_classes=2)
+    assert field_of(DatasetReplaySpec(rows)) == "horizon"
+    InstanceSpec(2, 2, 10, None, 0.0, DatasetReplaySpec(rows, sample_with_replacement=True), 0, 0)
+    wide = BanditDataset(np.zeros((40, 3)), np.zeros(40, dtype=int), n_classes=2)
+    assert field_of(DatasetReplaySpec(wide)) == "context_source.path"
