@@ -185,8 +185,8 @@ def _context_source(src: dict, n_arms: Optional[int], base_dir: Optional[Path]):
         standardize = _read(src, "standardize", "boolean", False)
         has_header = _read(src, "has_header", "boolean", False)
         with_replacement = _read(src, "sample_with_replacement", "boolean", False)
-        if n_arms is None:
-            return None  # labels are read against n_arms, already reported bad
+        if n_arms is None or n_arms < 2:
+            return None  # labels are read against n_arms, reported bad elsewhere
         try:
             dataset = load_dataset_csv(str(resolve_dataset_path(path, base_dir)),
                                        n_classes=n_arms, standardize=standardize,

@@ -2,23 +2,18 @@
 
 All inputs are plain float64 numpy arrays. The matrices handled here are Gram
 matrices of per-arm observation histories, so dimensions stay small (at most
-``model.MAX_DIM``) and an unblocked O(d^3) Cholesky with an explicit pivot
-check is both fast enough and gives precise control over the singularity
-threshold.
+``model.MAX_DIM``). Factorizations and solves are numpy's LAPACK calls; the
+singularity threshold is applied to the finished factor, whose squared
+diagonal entries are exactly the pivots of the factorization.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 # Pivot below this during factorization means the matrix is treated as
 # singular rather than positive definite.
 PIVOT_TOL = 1e-12
-
-# Residual contract for solve_spd: ||A x - b||_inf <= RESIDUAL_TOL * (1 + ||b||_inf).
-RESIDUAL_TOL = 1e-9
 
 _SYM_TOL = 1e-12
 
@@ -39,48 +34,42 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if not np.all(np.abs(a - a.T) <= _SYM_TOL * scale):
-        raise ValueError("matrix is not symmetric within tolerance")
+    asym = a - a.T
+    if asym.any():  # exactly symmetric matrices, Gram matrices among them, stop here
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if not np.max(np.abs(asym)) <= _SYM_TOL * scale:  # NaN fails too
+            raise ValueError("matrix is not symmetric within tolerance")
     return a
 
 
 def cholesky_spd(a: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     """Lower-triangular factor L with A = L L^T.
 
-    Raises SingularMatrixError if any pivot falls below ``pivot_tol``.
+    Raises SingularMatrixError if any pivot L_jj^2 falls below ``pivot_tol``
+    or the matrix is not positive definite at all.
     """
     a = _check_symmetric(_as_square(a))
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot < pivot_tol:
-            raise SingularMatrixError(
-                f"pivot {pivot:.3e} below tolerance {pivot_tol:.1e} at column {j}"
-            )
-        low[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is not positive definite (a pivot <= 0)") from None
+    diag = low.diagonal()  # positive: LAPACK takes the square root of each pivot
+    if diag.size and float(diag.min()) ** 2 < pivot_tol:
+        j = int(np.argmax(diag ** 2 < pivot_tol))
+        raise SingularMatrixError(
+            f"pivot {diag[j] ** 2:.3e} below tolerance {pivot_tol:.1e} at column {j}"
+        )
     return low
 
 
 def forward_substitute(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b for lower-triangular L."""
-    n = low.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    return y
+    """Solve L Y = B for lower-triangular L; B is a vector or a matrix of columns."""
+    return np.linalg.solve(low, b)
 
 
 def back_substitute(low: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve L^T x = y for lower-triangular L."""
-    n = low.shape[0]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
+    """Solve L^T X = Y for lower-triangular L; Y is a vector or a matrix of columns."""
+    return np.linalg.solve(low.T, y)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,10 +78,8 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Deterministic; raises SingularMatrixError when a pivot drops below
     PIVOT_TOL instead of returning garbage.
     """
-    a = _check_symmetric(_as_square(a))
-    b = np.asarray(b, dtype=float)
     low = cholesky_spd(a)
-    return back_substitute(low, forward_substitute(low, b))
+    return back_substitute(low, forward_substitute(low, np.asarray(b, dtype=float)))
 
 
 def quad_norm_inv(a: np.ndarray, x: np.ndarray) -> float:
@@ -101,10 +88,8 @@ def quad_norm_inv(a: np.ndarray, x: np.ndarray) -> float:
     Computed as ||L^-1 x||_2, which is nonnegative by construction and
     exactly zero iff x is the zero vector.
     """
-    a = _check_symmetric(_as_square(a))
-    x = np.asarray(x, dtype=float)
     low = cholesky_spd(a)
-    return float(np.linalg.norm(forward_substitute(low, x)))
+    return float(np.linalg.norm(forward_substitute(low, np.asarray(x, dtype=float))))
 
 
 def min_eig_sym(a: np.ndarray) -> float:

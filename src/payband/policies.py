@@ -44,6 +44,7 @@ from .estimation import (
     EstimatorState,
     SingularMatrixError,
     confidence_width,
+    inv_norms,
 )
 from .model import ConfigError, RoundRecord, agent_choose
 from .environment import realize_from_mean
@@ -65,7 +66,7 @@ POLICY_KINDS = (
 # Default estimator mode per strategy. The passive baseline and the
 # perturbation strategy use plain least squares with a zero-vector display
 # before identifiability; everything that needs confidence geometry uses
-# ridge regression.
+# ridge regression, which keeps every Gram matrix positive definite.
 _DEFAULT_MODE = {
     NO_PAYMENTS: OLS,
     PERTURBATION: OLS,
@@ -80,9 +81,10 @@ class PolicyConfig:
     """Declarative configuration for one strategy.
 
     ``init_explore_m`` overrides the instance-level initial exploration
-    length when set; ``ExperimentConfig`` checks it against the horizon. ``estimator_mode`` forces "ols" or "ridge" regardless of
-    the kind's default (the ridge override on no_payments gives an exact
-    zero-budget reference for the restricted chained strategy).
+    length when set; ``ExperimentConfig`` checks it against the horizon.
+    ``estimator_mode`` forces "ols" or "ridge" (the ridge override on
+    no_payments gives an exact zero-budget reference for the restricted
+    chained strategy); strategies with confidence widths require "ridge".
     """
 
     kind: str
@@ -118,6 +120,9 @@ class PolicyConfig:
             raise ConfigError("ridge_lambda", "> 0 for ridge estimation", self.ridge_lambda)
         if self.estimator_mode is not None and self.estimator_mode not in (OLS, RIDGE):
             raise ConfigError("estimator_mode", f"one of {OLS}, {RIDGE}", self.estimator_mode)
+        if self.estimator_mode == OLS and _DEFAULT_MODE[self.kind] == RIDGE:
+            raise ConfigError("estimator_mode",
+                              f"{RIDGE}: {self.kind} needs confidence widths", OLS)
 
     def resolved_mode(self) -> str:
         return self.estimator_mode or _DEFAULT_MODE[self.kind]
@@ -155,13 +160,12 @@ def linucb_choose(states: list[EstimatorState], estimates: np.ndarray,
                   context: np.ndarray, alpha: float) -> int:
     """Disjoint-model LinUCB pick: argmax of estimate . context + alpha * width.
 
-    The width is the context norm in the inverse regularized Gram metric.
-    Ties break toward the lowest arm index.
+    The widths are the context norms in the arms' inverse regularized Gram
+    metrics, all from one product. Ties break toward the lowest arm index.
     """
     context = np.asarray(context, float)
     scores = np.asarray(estimates, float) @ context
-    ucb = scores + alpha * np.array([s.inv_norm(context) for s in states])
-    return int(np.argmax(ucb))
+    return int(np.argmax(scores + alpha * inv_norms(states, context)))
 
 
 def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) -> list[int]:
@@ -347,10 +351,7 @@ class ChainedPolicy(Policy):
         est = self.displayed_estimates()
         scores = est @ np.asarray(context, float)
         anchor = int(np.argmax(scores))
-        widths = np.array([
-            confidence_width(state, context, self.config.delta, self.explore_m, t)
-            for state in self.states
-        ])
+        widths = confidence_width(self.states, context, self.config.delta, self.explore_m, t)
         members = build_chain(scores, widths, anchor)
         pay, _, _, new_budget = chained_payment(members, scores, anchor, rng, self.budget)
         self.budget = new_budget

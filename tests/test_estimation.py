@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width
+from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width, inv_norms
 from payband.linalg import SingularMatrixError
 
 
@@ -124,16 +124,22 @@ def test_repeated_context_never_identifies_ols():
 
 
 def test_width_hand_value_on_empty_state():
-    state = EstimatorState(1, mode=RIDGE, ridge_lambda=1.0)
-    w = confidence_width(state, np.array([1.0]), delta=0.5, explore_m=1, t=1)
+    states = [EstimatorState(1, mode=RIDGE, ridge_lambda=1.0) for _ in range(3)]
+    widths = confidence_width(states, np.array([1.0]), delta=0.5, explore_m=1, t=1)
     want = 1.0 * (math.sqrt(math.log(4.0)) + 1.0)
-    assert w == pytest.approx(want, abs=1e-5)
-    assert w == pytest.approx(2.17741, abs=1e-5)
+    assert widths.shape == (3,)
+    for w in widths:
+        assert w == pytest.approx(want, abs=1e-5)
+        assert w == pytest.approx(2.17741, abs=1e-5)
 
 
 def test_width_zero_context_is_zero():
-    state = EstimatorState(3, mode=RIDGE, ridge_lambda=1.0)
-    assert confidence_width(state, np.zeros(3), delta=0.1, explore_m=4, t=10) == 0.0
+    rng = np.random.default_rng(15)
+    states = [EstimatorState(3, mode=RIDGE, ridge_lambda=1.0) for _ in range(4)]
+    for k, state in enumerate(states):
+        absorb_all(state, rng.normal(size=(k, 3)), rng.normal(size=k))
+    widths = confidence_width(states, np.zeros(3), delta=0.1, explore_m=4, t=10)
+    assert widths.tolist() == [0.0] * 4
 
 
 def test_width_never_grows_when_observations_double():
@@ -152,19 +158,70 @@ def test_width_never_grows_when_observations_double():
         assert (once.count, twice.count) == (6, 12)
         probe = rng.normal(size=d)
         t = int(rng.integers(1, 50))
-        w1 = confidence_width(once, probe, 0.1, 2, t)
-        w2 = confidence_width(twice, probe, 0.1, 2, t)
+        w1, w2 = confidence_width([once, twice], probe, 0.1, 2, t)
         assert w2 <= w1 + 1e-12
 
 
 def test_width_requires_ridge_mode():
-    state = EstimatorState(2, mode=OLS)
-    with pytest.raises(ValueError):
-        confidence_width(state, np.ones(2), 0.1, 2, 5)
+    ridge = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
+    for states in ([EstimatorState(2, mode=OLS)], [ridge, EstimatorState(2, mode=OLS)]):
+        with pytest.raises(ValueError):
+            confidence_width(states, np.ones(2), 0.1, 2, 5)
+    with pytest.raises(ValueError):  # one scale for all arms needs one lambda
+        confidence_width([ridge, EstimatorState(2, RIDGE, 2.0)], np.ones(2), 0.1, 2, 5)
 
 
 def test_width_rejects_bad_delta():
-    state = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
+    states = [EstimatorState(2, mode=RIDGE, ridge_lambda=1.0) for _ in range(2)]
     for delta in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            confidence_width(state, np.ones(2), delta, 2, 5)
+            confidence_width(states, np.ones(2), delta, 2, 5)
+
+
+@pytest.mark.parametrize("d", [1, 4, 14])
+@pytest.mark.parametrize("n_arms", [1, 2, 8])
+def test_batched_widths_match_per_arm_inverse_oracle(n_arms, d):
+    rng = np.random.default_rng(100 * n_arms + d)
+    lam, delta, m = 0.7, 0.1, 3
+    states = [EstimatorState(d, mode=RIDGE, ridge_lambda=lam) for _ in range(n_arms)]
+    grams = [lam * np.eye(d) for _ in range(n_arms)]
+    for t in range(1, 200):
+        arm = int(rng.integers(n_arms))
+        x = rng.normal(size=d)
+        states[arm].absorb(x, float(rng.normal()))
+        grams[arm] += np.outer(x, x)
+        probe = rng.normal(size=d)
+        scale = m * math.sqrt(d * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
+        want = [math.sqrt(probe @ np.linalg.inv(g) @ probe) * scale for g in grams]
+        got = confidence_width(states, probe, delta, m, t)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+        assert np.allclose(inv_norms(states, probe), [s.inv_norm(probe) for s in states],
+                           rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 4, 14])
+@pytest.mark.parametrize("mode", [OLS, RIDGE])
+def test_long_histories_match_normal_equation_solve(mode, d):
+    # 10^4 updates, checked against np.linalg.solve every 500 of them.
+    rng = np.random.default_rng(16 + d)
+    lam = 1.0 if mode == RIDGE else 0.0
+    n = 10_000
+    truth = rng.normal(size=d)
+    truth *= 0.9 / np.linalg.norm(truth)
+    contexts = rng.uniform(-1.0, 1.0, size=(n, d))
+    responses = contexts @ truth + 0.1 * rng.normal(size=n)
+    state = EstimatorState(d, mode=mode, ridge_lambda=lam)
+    for k in range(n):
+        state.absorb(contexts[k], responses[k])
+        if (k + 1) % 500:
+            continue
+        x, y = contexts[:k + 1], responses[:k + 1]
+        gram = x.T @ x + lam * np.eye(d)
+        want = np.linalg.solve(gram, x.T @ y)
+        if np.linalg.norm(want) > 1.0:
+            want = want / np.linalg.norm(want)
+        assert np.max(np.abs(state.estimate() - want)) <= 1e-9
+        for probe in rng.normal(size=(3, d)):
+            want_norm = math.sqrt(probe @ np.linalg.solve(gram, probe))
+            assert abs(state.inv_norm(probe) - want_norm) <= 1e-9
+    assert state.count == n

@@ -3,6 +3,10 @@
 import concurrent.futures
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from payband.harness import (
     validate_config_data,
 )
 from payband.model import InstanceSpec
-from payband.policies import PolicyConfig
+from payband.policies import POLICY_KINDS, PolicyConfig
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def base_config():
@@ -472,6 +478,25 @@ def replay_with_string(flag):
     return corrupt
 
 
+def one_arm_replay(cfg):
+    # Labels are read against n_arms: the error is n_arms, not the dataset.
+    cfg["instance"]["n_arms"] = 1
+    cfg["instance"]["context_source"] = {"kind": "dataset_replay", "path": "pkg:fig2_synth.csv"}
+    del cfg["instance"]["true_attrs"]
+
+
+def ols_estimator_for(kind):
+    # Widths are norms in the inverse Gram metric; an OLS Gram matrix is
+    # singular until every arm has dim independent observations.
+    def corrupt(cfg):
+        policy = {"kind": kind, "estimator_mode": "ols", "init_explore_m": 8}
+        if kind == "chained_restricted":
+            policy["budget"] = 1.0
+        cfg["policies"] = [policy]
+    corrupt.__name__ = f"ols_{kind}"
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (nan_noise, "instance.noise_std"),
     (nan_context_std, "context_source.std"),
@@ -487,6 +512,10 @@ def replay_with_string(flag):
     (replay_with_string("standardize"), "context_source.standardize"),
     (replay_with_string("has_header"), "context_source.has_header"),
     (replay_with_string("sample_with_replacement"), "context_source.sample_with_replacement"),
+    (one_arm_replay, "instance.n_arms"),
+    (ols_estimator_for("linucb_alignment"), "policies[0].estimator_mode"),
+    (ols_estimator_for("chained_unrestricted"), "policies[0].estimator_mode"),
+    (ols_estimator_for("chained_restricted"), "policies[0].estimator_mode"),
 ])
 def test_cli_validate_rejects_bad_values(tmp_path, capsys, corrupt, field):
     data = base_config()
@@ -512,6 +541,25 @@ def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):
     assert main(["validate", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "context_source.path" in err and "row 2, column 1" in err
+
+
+def test_running_an_experiment_does_not_import_scipy(tmp_path):
+    # numpy is the only dependency; scipy may be installed but must not be used.
+    data = base_config()
+    data["policies"] = [{"kind": kind} for kind in POLICY_KINDS if kind != "chained_restricted"]
+    data["policies"].append({"kind": "chained_restricted", "budget": 1.0})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    script = ("import sys; from payband.cli import main; "
+              "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+              "sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", script, str(p), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "out").glob("*_aggregate.csv"))) == len(POLICY_KINDS)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

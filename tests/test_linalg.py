@@ -91,6 +91,12 @@ def test_triangular_substitution_round_trip():
     assert np.allclose(low @ y, b)
     x = back_substitute(low, y)
     assert np.allclose(low.T @ x, y)
+    # a matrix right-hand side is solved column by column
+    rhs = rng.normal(size=(5, 3))
+    y = forward_substitute(low, rhs)
+    assert np.allclose(low @ y, rhs)
+    assert np.allclose(back_substitute(low, y), np.column_stack(
+        [back_substitute(low, col) for col in y.T]))
 
 
 def test_singular_matrix_raises():
