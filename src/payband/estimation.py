@@ -7,9 +7,17 @@ exceeds 1 are scaled back onto the unit ball because the true attribute
 vectors live there. Ridge states also provide ellipsoidal confidence widths
 used by the chained payment strategies.
 
-A state factors its Gram matrix G = L L^T at most once per absorb, keeps W = L^-1,
-so G^-1 = W^T W: the estimate is W^T (W moment), ||x|| in the G^-1 metric is
-||W x||, and the widths of all N arms are one (N, d, d) @ x product.
+A state caches A = G^-1 for its (regularized) Gram matrix G: the estimate is
+A moment, ||x|| in the G^-1 metric is sqrt(x^T A x), and the widths of all N
+arms are one (N, d, d) @ x product. ``absorb`` keeps A current with the
+Sherman-Morrison update A -= v v^T, v = A x / sqrt(s), s = 1 + x^T A x.
+Because s = det G' / det G, an observation with s > 2 drops A instead and
+the next use refactors G anew (Cholesky, then A = W^T W for
+W = L^-1); this is the determinant-doubling rule of rarely switching OFUL
+(Abbasi-Yadkori, Pal & Szepesvari, 2011) and fires O(d log n) times per arm.
+It bounds the drift of the updated inverse. Adding x x^T never lowers a
+Cholesky pivot, so an OLS arm that once passed ``PIVOT_TOL`` stays
+identifiable and needs no re-check between refactors.
 """
 
 from __future__ import annotations
@@ -24,17 +32,22 @@ from .linalg import SingularMatrixError, back_substitute, cholesky_spd, forward_
 OLS = "ols"
 RIDGE = "ridge"
 
+# An absorb whose update ratio s = det G' / det G exceeds this drops the
+# cached inverse, so the next use refactors G anew.
+REFACTOR_RATIO = 2.0
+
 
 class EstimatorState:
     """Mutable accumulator for one arm's regression statistics.
 
     ``gram`` always stores the raw sum of outer products; the ridge term
-    ``ridge_lambda * I`` is added at solve time only. ``absorb`` updates the
-    statistics in place and drops the cached inverse factor and estimate.
+    ``ridge_lambda * I`` is added at refactor time only. ``absorb`` updates
+    the statistics and the cached inverse in place and drops the cached
+    estimate.
     """
 
     __slots__ = ("mode", "ridge_lambda", "dim", "gram", "moment", "count",
-                 "_estimate", "_inv_factor")
+                 "_estimate", "_inverse")
 
     def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0) -> None:
         if mode not in (OLS, RIDGE):
@@ -48,7 +61,7 @@ class EstimatorState:
         self.moment = np.zeros(self.dim)
         self.count = 0
         self._estimate = None
-        self._inv_factor = None
+        self._inverse = None
 
     def absorb(self, context: np.ndarray, response: float) -> None:
         """Add one (context, response) pair to the statistics."""
@@ -59,21 +72,30 @@ class EstimatorState:
         self.moment += float(response) * x
         self.count += 1
         self._estimate = None
-        self._inv_factor = None
+        inv = self._inverse
+        if inv is not None:
+            u = inv @ x
+            s = 1.0 + x.dot(u)
+            if s <= REFACTOR_RATIO:
+                v = u / math.sqrt(s)
+                inv -= np.outer(v, v)  # v_i v_j == v_j v_i: stays exactly symmetric
+            else:  # also a NaN ratio: the refactor's checks then reject it
+                self._inverse = None
 
     def regularized_gram(self) -> np.ndarray:
         if self.mode == RIDGE:
             return self.gram + self.ridge_lambda * np.eye(self.dim)
         return self.gram
 
-    def inv_factor(self) -> np.ndarray:
-        """W = L^-1 for the Cholesky factor L of the (regularized) Gram matrix,
-        cached until the next absorb. OLS mode raises SingularMatrixError
-        while the arm is not identifiable."""
-        if self._inv_factor is None:
+    def inverse(self) -> np.ndarray:
+        """A = G^-1 for the (regularized) Gram matrix G, kept current by
+        ``absorb``. With none cached, G is factored anew; OLS mode
+        then raises SingularMatrixError while the arm is not identifiable."""
+        if self._inverse is None:
             low = cholesky_spd(self.regularized_gram())
-            self._inv_factor = forward_substitute(low, np.eye(self.dim))
-        return self._inv_factor
+            w = forward_substitute(low, np.eye(self.dim))
+            self._inverse = w.T @ w
+        return self._inverse
 
     def estimate(self) -> np.ndarray:
         """Point estimate of the arm's attribute vector, clipped to the unit ball.
@@ -83,8 +105,7 @@ class EstimatorState:
         zero-vector fallback.
         """
         if self._estimate is None:
-            w = self.inv_factor()
-            est = w.T @ (w @ self.moment)
+            est = self.inverse() @ self.moment
             norm = math.sqrt(est.dot(est))
             if norm > 1.0:
                 est = est / norm
@@ -93,13 +114,15 @@ class EstimatorState:
 
     def inv_norm(self, context: np.ndarray) -> float:
         """||context|| in the inverse (regularized) Gram metric."""
-        return float(np.linalg.norm(self.inv_factor() @ np.asarray(context, float)))
+        x = np.asarray(context, float)
+        return math.sqrt(max(float(x.dot(self.inverse() @ x)), 0.0))
 
 
 def inv_norms(states: list[EstimatorState], context: np.ndarray) -> np.ndarray:
     """||context|| in each state's inverse Gram metric, from one (N, d, d) @ x product."""
-    w = np.array([state.inv_factor() for state in states])
-    return np.linalg.norm(w @ np.asarray(context, float), axis=1)
+    x = np.asarray(context, float)
+    inv = np.array([state.inverse() for state in states])
+    return np.sqrt(np.maximum((inv @ x) @ x, 0.0))
 
 
 def confidence_width(states: list[EstimatorState], context: np.ndarray, delta: float,

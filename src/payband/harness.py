@@ -22,12 +22,13 @@ import concurrent.futures
 import contextlib
 import csv
 import importlib.resources
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -36,7 +37,9 @@ from .environment import (
     DatasetEnvironment,
     DatasetReplaySpec,
     FixedSequenceSpec,
+    FixedSequenceStream,
     GaussianContextSpec,
+    GaussianContextStream,
     LinearEnvironment,
     load_dataset_csv,
 )
@@ -353,10 +356,8 @@ def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
         return DatasetEnvironment(source.dataset, instance.horizon, ctx_rng,
                                   source.sample_with_replacement)
     if isinstance(source, FixedSequenceSpec):
-        from .environment import FixedSequenceStream
         stream = FixedSequenceStream(source)
     elif isinstance(source, GaussianContextSpec):
-        from .environment import GaussianContextStream
         stream = GaussianContextStream(source)
     else:
         raise TypeError(f"unsupported context source {type(source).__name__}")
@@ -476,6 +477,14 @@ def _atomic_csv(path: Union[str, Path]):
         raise
 
 
+def _reprs(values) -> Iterator[str]:
+    """``_fmt`` of each value in a column of floats, produced as rows are written.
+
+    np.float64 subclasses float, so ``float.__repr__`` prints it as Python does.
+    """
+    return map(float.__repr__, np.asarray(values, dtype=float))
+
+
 def write_trace_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
     """One row per (run, round), runs concatenated in order."""
     from .metrics import accumulate
@@ -483,14 +492,15 @@ def write_trace_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
         writer.writerow(TRACE_COLUMNS)
         for run_index, trace in enumerate(traces):
             curves = accumulate(trace)
-            for i, rec in enumerate(trace.records):
-                writer.writerow([
-                    rec.t, run_index, rec.chosen_arm,
-                    _fmt(rec.inst_regret), _fmt(curves.cum_regret[i]),
-                    _fmt(rec.payment_paid), _fmt(curves.cum_payment[i]),
-                    _fmt(curves.cum_payment_abs[i]),
-                    _fmt(rec.budget_remaining),
-                ])
+            records = trace.records
+            writer.writerows(zip(
+                [rec.t for rec in records], itertools.repeat(run_index),
+                [rec.chosen_arm for rec in records],
+                _reprs([rec.inst_regret for rec in records]), _reprs(curves.cum_regret),
+                _reprs([rec.payment_paid for rec in records]), _reprs(curves.cum_payment),
+                _reprs(curves.cum_payment_abs),
+                [_fmt(rec.budget_remaining) for rec in records],
+            ))
 
 
 def write_aggregate_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
@@ -503,15 +513,13 @@ def write_aggregate_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
               "mean_cum_payment_abs", "stderr_cum_payment_abs"]
     header += [f"mean_cum_payment_arm{a}" for a in range(n_arms)]
     horizon = agg.mean_cum_regret.shape[0]
+    columns = [agg.mean_cum_regret, agg.stderr_cum_regret,
+               agg.mean_cum_payment, agg.stderr_cum_payment,
+               agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
+               *agg.mean_per_arm_payment]
     with _atomic_csv(path) as writer:
         writer.writerow(header)
-        for i in range(horizon):
-            row = [i + 1,
-                   _fmt(agg.mean_cum_regret[i]), _fmt(agg.stderr_cum_regret[i]),
-                   _fmt(agg.mean_cum_payment[i]), _fmt(agg.stderr_cum_payment[i]),
-                   _fmt(agg.mean_cum_payment_abs[i]), _fmt(agg.stderr_cum_payment_abs[i])]
-            row += [_fmt(agg.mean_per_arm_payment[a, i]) for a in range(n_arms)]
-            writer.writerow(row)
+        writer.writerows(zip(range(1, horizon + 1), *map(_reprs, columns)))
 
 
 # ---------------------------------------------------------------------------

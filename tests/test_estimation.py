@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from payband import estimation
 from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width, inv_norms
 from payband.linalg import SingularMatrixError
 
@@ -225,3 +226,114 @@ def test_long_histories_match_normal_equation_solve(mode, d):
             want_norm = math.sqrt(probe @ np.linalg.solve(gram, probe))
             assert abs(state.inv_norm(probe) - want_norm) <= 1e-9
     assert state.count == n
+
+
+def longdouble_solve(gram, rhs):
+    """Solve gram @ X = rhs by Gaussian elimination with partial pivoting in np.longdouble."""
+    a = np.array(gram, dtype=np.longdouble)
+    b = np.array(rhs, dtype=np.longdouble)
+    d = a.shape[0]
+    for k in range(d):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]], b[[k, p]] = a[[p, k]], b[[p, k]]
+        f = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k:] -= np.outer(f, a[k, k:])
+        b[k + 1:] -= np.outer(f, b[k])
+    x = np.zeros_like(b)
+    for k in range(d - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    return x
+
+
+def unit_ball_contexts(rng, n, d):
+    x = rng.normal(size=(n, d))
+    return x / np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("d", [4, 14])
+@pytest.mark.parametrize("mode", [OLS, RIDGE])
+def test_updated_inverse_matches_extended_precision_oracle(mode, d):
+    # OLS: the first d contexts are nearly singular in coordinate 0, so the
+    # first full-size context raises det G by ~1e10 and a rank-1 update of the
+    # inverse would cancel catastrophically (errors near 1e-6 without the
+    # refactor). Ridge: contexts nearly collinear, most updates cheap.
+    lam = 1e-2 if mode == RIDGE else 0.0
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        n = 300
+        truth = rng.normal(size=d)
+        truth *= 0.9 / np.linalg.norm(truth)
+        contexts = unit_ball_contexts(rng, n, d)
+        if mode == OLS:
+            contexts[:d, 0] *= 1e-5
+        else:
+            u = rng.normal(size=d)
+            contexts = rng.uniform(-1.0, 1.0, size=(n, 1)) * u / np.linalg.norm(u) \
+                + 1e-4 * contexts
+        responses = contexts @ truth + 0.1 * rng.normal(size=n)
+        state = EstimatorState(d, mode=mode, ridge_lambda=lam)
+        gram = lam * np.eye(d, dtype=np.longdouble)
+        moment = np.zeros(d, dtype=np.longdouble)
+        for x, y in zip(contexts, responses):
+            state.absorb(x, y)
+            xl = x.astype(np.longdouble)
+            gram += np.outer(xl, xl)
+            moment += xl * np.longdouble(y)
+            if state.count < d and mode == OLS:
+                continue
+            probe = rng.normal(size=d)
+            sol = longdouble_solve(gram, np.column_stack([moment, probe]))
+            want = sol[:, 0].astype(float)
+            if np.linalg.norm(want) > 1.0:
+                want = want / np.linalg.norm(want)
+            assert np.max(np.abs(state.estimate() - want)) <= 1e-9
+            want_norm = math.sqrt(float(probe.astype(np.longdouble) @ sol[:, 1]))
+            assert abs(state.inv_norm(probe) - want_norm) <= 1e-9 * max(1.0, want_norm)
+
+
+@pytest.mark.parametrize("d", [4, 14])
+def test_refactorizations_bounded_by_determinant_doublings(monkeypatch, d):
+    # Each refactor after the first follows an absorb that more than doubled
+    # det G, and log2 det(G_n) / det(lam I) <= d log2(1 + n / (d lam)) for
+    # contexts in the unit ball. lam < 1 lets single contexts double det G.
+    calls = []
+    factor = estimation.cholesky_spd
+
+    def counted(a):
+        calls.append(1)
+        return factor(a)
+
+    monkeypatch.setattr(estimation, "cholesky_spd", counted)
+    lam, n = 0.1, 2000
+    rng = np.random.default_rng(30 + d)
+    state = EstimatorState(d, mode=RIDGE, ridge_lambda=lam)
+    for x in unit_ball_contexts(rng, n, d):
+        state.absorb(x, float(rng.normal()))
+        state.estimate()
+    assert 1 < len(calls) <= d * math.log2(1 + n / (d * lam)) + 1
+
+
+def test_identified_ols_arm_never_raises_again():
+    rng = np.random.default_rng(31)
+    state = EstimatorState(3, mode=OLS)
+    for x in np.eye(3):
+        state.absorb(1e-5 * x, 0.0)  # barely identifiable
+    state.estimate()
+    repeated = unit_ball_contexts(rng, 1, 3)[0]
+    for k, x in enumerate(unit_ball_contexts(rng, 400, 3)):
+        # mostly one repeated direction, and new ones down to 1e-6 in size
+        context = repeated if k % 3 else x * 10.0 ** -(k % 7)
+        state.absorb(context, float(rng.normal()))
+        state.estimate()
+        state.inv_norm(x)
+
+
+@pytest.mark.parametrize("mode,lam", [(OLS, 0.0), (RIDGE, 0.1), (RIDGE, 1.0)])
+def test_cached_inverse_stays_exactly_symmetric(mode, lam):
+    rng = np.random.default_rng(32)
+    state = EstimatorState(5, mode=mode, ridge_lambda=lam)
+    for x in unit_ball_contexts(rng, 300, 5):
+        state.absorb(x, float(rng.normal()))
+        if state.count >= 5:
+            inv = state.inverse()
+            assert np.array_equal(inv, inv.T)

@@ -349,16 +349,26 @@ def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, write):
     config = run_config(tmp_path)
     traces = [run_single(config.instance, config.policies[0],
                          child_seed_sequence(3, 0, r)) for r in range(2)]
-    fmt = harness._fmt
-    written = []
+    real_writer = csv.writer
 
-    def failing_fmt(value):
-        written.append(value)
-        if len(written) == 40:  # part-way through the rows
-            raise OSError("disk full")
-        return fmt(value)
+    class FailingWriter:
+        """Writes rows until the fifth, then fails as a full disk would."""
 
-    monkeypatch.setattr(harness, "_fmt", failing_fmt)
+        def __init__(self, fh):
+            self.writer = real_writer(fh)
+            self.rows = 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 5:  # part-way through the rows
+                raise OSError("disk full")
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(harness.csv, "writer", FailingWriter)
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(OSError, match="disk full"):
