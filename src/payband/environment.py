@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import min_eig_sym
-from .model import ConfigError, unit_ball_projection
+from .model import ConfigError, unit_ball_rows
 
 
 class ExhaustedSequenceError(RuntimeError):
@@ -88,30 +88,31 @@ ContextSourceSpec = Union[FixedSequenceSpec, GaussianContextSpec, DatasetReplayS
 
 
 # ---------------------------------------------------------------------------
-# Runtime context streams. ``index`` below is zero-based: round t of the
-# interaction loop reads index t - 1.
+# Runtime context streams. ``draw(n, rng)`` returns the contexts of rounds
+# 1..n as an (n, dim) array, each row projected onto the unit ball.
 # ---------------------------------------------------------------------------
 
 class FixedSequenceStream:
     def __init__(self, spec: FixedSequenceSpec) -> None:
         self.spec = spec
 
-    def context_at(self, index: int, rng: np.random.Generator) -> np.ndarray:
-        n = len(self.spec.contexts)
-        if index >= n and not self.spec.cycle:
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        contexts = self.spec.contexts
+        if n > len(contexts) and not self.spec.cycle:
             raise ExhaustedSequenceError(
-                f"fixed sequence of length {n} exhausted at index {index}"
+                f"fixed sequence of length {len(contexts)} exhausted at index {len(contexts)}"
             )
-        return unit_ball_projection(self.spec.contexts[index % n])
+        return unit_ball_rows(np.array(contexts)[np.arange(n) % len(contexts)])
 
 
 class GaussianContextStream:
     def __init__(self, spec: GaussianContextSpec) -> None:
         self.spec = spec
 
-    def context_at(self, index: int, rng: np.random.Generator) -> np.ndarray:
-        raw = self.spec.mean + self.spec.std * rng.standard_normal(self.spec.dim)
-        return unit_ball_projection(raw)
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # One (n, dim) draw holds the bits of n successive (dim,) draws.
+        raw = self.spec.mean + self.spec.std * rng.standard_normal((n, self.spec.dim))
+        return unit_ball_rows(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +239,36 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
 # ---------------------------------------------------------------------------
 
 class LinearEnvironment:
-    """Linear reward model over a context stream."""
+    """Linear reward model over a context stream.
 
-    def __init__(self, true_attrs: np.ndarray, stream, ctx_rng: np.random.Generator) -> None:
+    The whole run's contexts are drawn at construction: ``contexts`` is
+    (horizon, dim) and ``means`` the (horizon, n_arms) true mean rewards, row
+    t - 1 for round t. Each row of ``means`` comes from a stacked
+    (n_arms, dim) @ (dim, 1) product, which has the bits of
+    ``true_attrs @ context``.
+    """
+
+    def __init__(self, true_attrs: np.ndarray, stream, horizon: int,
+                 rng: np.random.Generator) -> None:
         self.true_attrs = np.asarray(true_attrs, dtype=float)
-        self.n_arms = self.true_attrs.shape[0]
-        self.dim = self.true_attrs.shape[1]
-        self._stream = stream
-        self._ctx_rng = ctx_rng
+        self.n_arms, self.dim = self.true_attrs.shape
+        self.contexts = stream.draw(horizon, rng)
+        self.means = (self.true_attrs @ self.contexts[:, :, None])[:, :, 0]
 
     def context(self, t: int) -> np.ndarray:
-        return self._stream.context_at(t - 1, self._ctx_rng)
+        return self.contexts[t - 1]
 
-    def true_means(self, t: int, context: np.ndarray) -> np.ndarray:
-        return self.true_attrs @ context
+    def true_means(self, t: int) -> np.ndarray:
+        return self.means[t - 1]
 
 
 class DatasetEnvironment:
     """Replay a dataset: context = feature row, reward = 1{arm == label}.
 
     Rows arrive in a seed-dependent shuffled order; without replacement each
-    row is visited at most once per pass through the dataset.
+    row is visited at most once per pass through the dataset. Like
+    ``LinearEnvironment`` it holds the whole run's ``contexts`` (the rows,
+    unit-ball projected) and one-hot ``means``.
     """
 
     def __init__(self, dataset: BanditDataset, horizon: int,
@@ -276,17 +286,18 @@ class DatasetEnvironment:
             self._order = rng.integers(0, n, size=horizon)
         else:
             self._order = rng.permutation(n)[:horizon]
+        self.contexts = unit_ball_rows(dataset.features[self._order])
+        self.means = np.zeros((horizon, self.n_arms))
+        self.means[np.arange(horizon), dataset.labels[self._order]] = 1.0
 
     def row_index(self, t: int) -> int:
         return int(self._order[t - 1])
 
     def context(self, t: int) -> np.ndarray:
-        return unit_ball_projection(self.dataset.features[self.row_index(t)])
+        return self.contexts[t - 1]
 
-    def true_means(self, t: int, context: np.ndarray) -> np.ndarray:
-        means = np.zeros(self.n_arms)
-        means[self.dataset.labels[self.row_index(t)]] = 1.0
-        return means
+    def true_means(self, t: int) -> np.ndarray:
+        return self.means[t - 1]
 
 
 def dataset_to_instance(dataset: BanditDataset, horizon: int, shuffle_seed: int,

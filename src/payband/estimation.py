@@ -68,7 +68,7 @@ class EstimatorState:
         x = np.asarray(context, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"context shape {x.shape} does not match dim {self.dim}")
-        self.gram += np.outer(x, x)
+        self.gram += x[:, None] * x
         self.moment += float(response) * x
         self.count += 1
         self._estimate = None
@@ -78,7 +78,7 @@ class EstimatorState:
             s = 1.0 + x.dot(u)
             if s <= REFACTOR_RATIO:
                 v = u / math.sqrt(s)
-                inv -= np.outer(v, v)  # v_i v_j == v_j v_i: stays exactly symmetric
+                inv -= v[:, None] * v  # v_i v_j == v_j v_i: stays exactly symmetric
             else:  # also a NaN ratio: the refactor's checks then reject it
                 self._inverse = None
 

@@ -43,7 +43,7 @@ from .environment import (
     LinearEnvironment,
     load_dataset_csv,
 )
-from .metrics import RunTrace, aggregate
+from .metrics import AccumulatedCurves, AggregateCurves, RunTrace, aggregate
 from .model import ConfigError, InstanceSpec
 from .policies import (
     ChainedPolicy,
@@ -54,6 +54,7 @@ from .policies import (
     build_policy,
     initial_exploration,
     play_round,
+    realize_outcomes,
 )
 
 SEED_ENV_VAR = "PAYBAND_SEED"
@@ -351,6 +352,7 @@ def spawn_streams(seed: Union[int, np.random.SeedSequence]
 
 
 def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
+    """The run's environment, with every round's context drawn from ``ctx_rng``."""
     source = instance.context_source
     if isinstance(source, DatasetReplaySpec):
         return DatasetEnvironment(source.dataset, instance.horizon, ctx_rng,
@@ -361,7 +363,7 @@ def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
         stream = GaussianContextStream(source)
     else:
         raise TypeError(f"unsupported context source {type(source).__name__}")
-    return LinearEnvironment(instance.true_attrs, stream, ctx_rng)
+    return LinearEnvironment(instance.true_attrs, stream, instance.horizon, ctx_rng)
 
 
 def _seed_label(seed: Union[int, np.random.SeedSequence]) -> int:
@@ -375,6 +377,10 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
                policy: Optional[Policy] = None) -> RunTrace:
     """One full run of one strategy on one instance.
 
+    Each stream is drawn for the whole run before the first round: the
+    contexts, the reward noise, and what the strategy can draw ahead (see
+    ``Policy.start_run``). Each round then fills its row of the trace.
+
     A pre-built (possibly warm-started) policy object can be injected; by
     default a fresh one is constructed from the config.
     """
@@ -386,17 +392,19 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
         else instance.init_explore_m
     if isinstance(policy, ChainedPolicy):
         policy.explore_m = m
-    records = initial_exploration(policy, env, instance.noise_std, m, noise_rng)
-    for t in range(m + 1, instance.horizon + 1):
-        records.append(play_round(policy, env, instance.noise_std, t,
-                                  noise_rng, policy_rng))
-    diagnostics: dict = {}
+    horizon = instance.horizon
+    noise = instance.noise_std * noise_rng.standard_normal(horizon)
+    policy.start_run(horizon - m, policy_rng)
+    trace = RunTrace.allocate(policy_cfg, _seed_label(seed), env.contexts, env.n_arms)
+    initial_exploration(policy, env, noise, trace, m)
+    for t in range(m + 1, horizon + 1):
+        play_round(policy, env, noise, trace, t, policy_rng)
+    realize_outcomes(env, noise, trace)
     if isinstance(policy, PerturbationPaymentsPolicy):
-        diagnostics["effective_contexts"] = policy.effective_contexts
+        trace.diagnostics["effective_contexts"] = policy.effective_contexts
     if isinstance(policy, LinUCBAlignmentPolicy):
-        diagnostics["alignment_log"] = policy.alignment_log
-    return RunTrace(records=records, policy=policy_cfg,
-                    seed=_seed_label(seed), diagnostics=diagnostics)
+        trace.diagnostics["alignment_log"] = policy.alignment_log
+    return trace
 
 
 def _run_one(args) -> tuple[int, int, RunTrace]:
@@ -437,11 +445,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         traces = [results[(pi, ri)] for ri in range(config.n_runs)]
         label = f"p{pi}_{pcfg.label()}"
         agg_path = out / f"{label}_aggregate.csv"
-        write_aggregate_csv(agg_path, traces)
+        agg = aggregate(traces)
+        write_aggregate_csv(agg_path, agg)
         entry = {"label": label, "kind": pcfg.kind, "aggregate": str(agg_path)}
         if config.emit_full_trace:
             trace_path = out / f"{label}_trace.csv"
-            write_trace_csv(trace_path, traces)
+            write_trace_csv(trace_path, traces, agg.runs)
             entry["trace"] = str(trace_path)
         manifest["policies"].append(entry)
     return manifest
@@ -485,27 +494,28 @@ def _reprs(values) -> Iterator[str]:
     return map(float.__repr__, np.asarray(values, dtype=float))
 
 
-def write_trace_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
-    """One row per (run, round), runs concatenated in order."""
-    from .metrics import accumulate
+def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
+                    curves: list[AccumulatedCurves]) -> None:
+    """One row per (run, round), runs concatenated in order.
+
+    ``curves`` are the runs' accumulated curves, in the same order, as
+    ``aggregate`` returns them in ``runs``.
+    """
     with _atomic_csv(path) as writer:
         writer.writerow(TRACE_COLUMNS)
-        for run_index, trace in enumerate(traces):
-            curves = accumulate(trace)
-            records = trace.records
+        for run_index, (trace, run) in enumerate(zip(traces, curves, strict=True)):
             writer.writerows(zip(
-                [rec.t for rec in records], itertools.repeat(run_index),
-                [rec.chosen_arm for rec in records],
-                _reprs([rec.inst_regret for rec in records]), _reprs(curves.cum_regret),
-                _reprs([rec.payment_paid for rec in records]), _reprs(curves.cum_payment),
-                _reprs(curves.cum_payment_abs),
-                [_fmt(rec.budget_remaining) for rec in records],
+                range(1, trace.horizon + 1), itertools.repeat(run_index),
+                trace.arm.tolist(),
+                _reprs(trace.inst_regret), _reprs(run.cum_regret),
+                _reprs(trace.paid), _reprs(run.cum_payment),
+                _reprs(run.cum_payment_abs),
+                map(_fmt, trace.budget),
             ))
 
 
-def write_aggregate_csv(path: Union[str, Path], traces: list[RunTrace]) -> None:
+def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
     """Pointwise mean/stderr curves; exactly horizon rows."""
-    agg = aggregate(traces)
     n_arms = agg.mean_per_arm_payment.shape[0]
     header = ["t",
               "mean_cum_regret", "stderr_cum_regret",

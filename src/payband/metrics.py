@@ -1,17 +1,17 @@
-"""Trace accumulation and cross-run aggregation.
+"""Run traces, trace accumulation and cross-run aggregation.
 
-A run trace is the ordered list of round records from one run. Disbursed
-payment per round is exactly the chosen arm's payment entry; its cumulative
-signed sum is the primary payment curve, and the cumulative sum of absolute
-disbursements is tracked separately since a payment perturbation scheme
-disburses both signs.
+A run trace holds one run's rounds as columns, row t - 1 for round t.
+Disbursed payment per round is exactly the chosen arm's payment entry; its
+cumulative signed sum is the primary payment curve, and the cumulative sum
+of absolute disbursements is tracked separately since a payment
+perturbation scheme disburses both signs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,22 +25,92 @@ class MixedConfigError(ValueError):
 
 @dataclass
 class RunTrace:
-    """All round records of one run, plus the strategy diagnostics."""
+    """One run's rounds as columns, plus the strategy diagnostics.
 
-    records: list[RoundRecord]
+    Row i of every column is round t = i + 1: the chosen arm, the payment
+    vector offered (n_arms,), the estimates the agent saw (n_arms, dim), the
+    context, the budget left after the round (None without a budget; an
+    object column, so an integer budget stays an integer), and the chosen
+    arm's true mean, regret, disbursed payment and observed reward.
+    ``records`` shows the rows as RoundRecord objects.
+    """
+
     policy: PolicyConfig
     seed: int
+    arm: np.ndarray
+    payments: np.ndarray
+    displayed: np.ndarray
+    contexts: np.ndarray
+    budget: np.ndarray
+    true_mean: np.ndarray
+    inst_regret: np.ndarray
+    paid: np.ndarray
+    observed: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
+    COLUMNS = ("arm", "payments", "displayed", "contexts", "budget",
+               "true_mean", "inst_regret", "paid", "observed")
+
     def __post_init__(self) -> None:
-        for i, rec in enumerate(self.records, start=1):
-            if rec.t != i:
-                raise ValueError(f"records must be contiguous from t=1; "
-                                 f"position {i} holds t={rec.t}")
+        for name in self.COLUMNS:
+            if len(getattr(self, name)) != len(self.arm):
+                raise ValueError(f"column {name} has {len(getattr(self, name))} rows, "
+                                 f"arm has {len(self.arm)}")
+
+    @classmethod
+    def allocate(cls, policy: PolicyConfig, seed: int, contexts: np.ndarray,
+                 n_arms: int) -> RunTrace:
+        """A trace with one zeroed row per context, for a run to fill."""
+        horizon, dim = contexts.shape
+        return cls(policy=policy, seed=seed, arm=np.zeros(horizon, dtype=int),
+                   payments=np.zeros((horizon, n_arms)),
+                   displayed=np.zeros((horizon, n_arms, dim)), contexts=contexts,
+                   budget=np.full(horizon, None, dtype=object),
+                   true_mean=np.zeros(horizon), inst_regret=np.zeros(horizon),
+                   paid=np.zeros(horizon), observed=np.zeros(horizon))
 
     @property
     def horizon(self) -> int:
-        return len(self.records)
+        return len(self.arm)
+
+    @property
+    def records(self) -> RoundRecords:
+        return RoundRecords(self)
+
+
+class RoundRecords(Sequence):
+    """Read-only view of a trace's rows as RoundRecord objects.
+
+    ``len`` and indexing are O(1); nothing is cached, and each access builds
+    a new RoundRecord whose arrays are views of the trace's columns.
+    """
+
+    def __init__(self, trace: RunTrace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.horizon
+
+    def __getitem__(self, index):
+        rows = range(self._trace.horizon)[index]
+        if isinstance(rows, range):
+            return [self._record(i) for i in rows]
+        return self._record(rows)
+
+    def _record(self, i: int) -> RoundRecord:
+        tr = self._trace
+        return RoundRecord(
+            t=i + 1,
+            context=tr.contexts[i],
+            payments=tr.payments[i],
+            chosen_arm=int(tr.arm[i]),
+            displayed_estimates=tr.displayed[i],
+            observed_reward=float(tr.observed[i]),
+            true_mean_reward=float(tr.true_mean[i]),
+            inst_regret=float(tr.inst_regret[i]),
+            payment_paid=float(tr.paid[i]),
+            budget_remaining=tr.budget[i],
+        )
 
 
 @dataclass
@@ -53,23 +123,17 @@ class AccumulatedCurves:
     per_arm_payment: np.ndarray    # (n_arms, T) signed disbursed per chosen arm
 
 
-def accumulate(trace: RunTrace, n_arms: Optional[int] = None) -> AccumulatedCurves:
+def accumulate(trace: RunTrace) -> AccumulatedCurves:
     """Prefix-sum the per-round regret and disbursed payments."""
-    records = trace.records
-    horizon = len(records)
-    if n_arms is None:
-        n_arms = len(records[0].payments) if records else 0
-    inst_regret = np.array([r.inst_regret for r in records])
-    paid = np.array([r.payment_paid for r in records])
-    arms = np.array([r.chosen_arm for r in records], dtype=int)
-    per_arm = np.zeros((n_arms, horizon))
+    horizon = trace.horizon
+    per_arm = np.zeros((trace.payments.shape[1], horizon))
     if horizon:
-        per_arm[arms, np.arange(horizon)] = paid
+        per_arm[trace.arm, np.arange(horizon)] = trace.paid
         per_arm = np.cumsum(per_arm, axis=1)
     return AccumulatedCurves(
-        cum_regret=np.cumsum(inst_regret),
-        cum_payment=np.cumsum(paid),
-        cum_payment_abs=np.cumsum(np.abs(paid)),
+        cum_regret=np.cumsum(trace.inst_regret),
+        cum_payment=np.cumsum(trace.paid),
+        cum_payment_abs=np.cumsum(np.abs(trace.paid)),
         per_arm_payment=per_arm,
     )
 
@@ -98,6 +162,7 @@ class AggregateCurves:
     mean_cum_payment_abs: np.ndarray
     stderr_cum_payment_abs: np.ndarray
     mean_per_arm_payment: np.ndarray  # (n_arms, T)
+    runs: list[AccumulatedCurves]     # each run's curves, in the order given
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,4 +210,5 @@ def aggregate(traces: list[RunTrace]) -> AggregateCurves:
         mean_cum_payment_abs=mean_a,
         stderr_cum_payment_abs=se_a,
         mean_per_arm_payment=per_arm,
+        runs=curves,
     )

@@ -32,23 +32,34 @@ def unit_ball_projection(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
+    """``unit_ball_projection`` of each row of an (n, d) array, as a new array.
+
+    Each row's squared norm comes from a stacked (1, d) @ (d, 1) product,
+    which gives the bits of the ``x.dot(x)`` inside ``np.linalg.norm``, so the
+    rows equal the one-at-a-time projection exactly.
+    """
+    rows = np.array(rows, dtype=float)
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    over = norms > 1.0
+    rows[over] /= norms[over, None]
+    return rows
+
+
 def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarray) -> int:
     """Myopic agent's pick: argmax over arms of context . estimate + payment.
 
     Ties (within TIE_TOLERANCE) break toward the arm with the larger payment,
     then toward the lowest arm index. Adding a constant to every payment entry
-    does not change the outcome.
+    does not change the outcome. All three arguments are float arrays.
     """
-    est = np.asarray(estimates, dtype=float)
-    pay = np.asarray(payments, dtype=float)
-    utilities = est @ np.asarray(context, dtype=float) + pay
-    top = float(utilities.max())
-    tied = np.flatnonzero(utilities >= top - TIE_TOLERANCE)
-    if tied.size == 1:
+    utilities = estimates @ context + payments
+    tied = (utilities >= utilities.max() - TIE_TOLERANCE).nonzero()[0]
+    if len(tied) == 1:
         return int(tied[0])
     # argmax returns the first maximum, so equal payments fall back to the
     # lowest index among the tied arms.
-    return int(tied[np.argmax(pay[tied])])
+    return int(tied[payments[tied].argmax()])
 
 
 def inst_regret(true_attrs: np.ndarray, context: np.ndarray, chosen: int) -> float:
@@ -156,7 +167,7 @@ class InstanceSpec:
 
 @dataclass
 class RoundRecord:
-    """Full log of one interaction round.
+    """Full log of one interaction round, as ``RunTrace.records`` builds it.
 
     ``displayed_estimates`` is the (n_arms, dim) snapshot the agent saw, so
     the choice can be replayed offline. ``payment_paid`` is exactly the

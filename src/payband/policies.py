@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +46,13 @@ from .estimation import (
     confidence_width,
     inv_norms,
 )
-from .model import ConfigError, RoundRecord, agent_choose
-from .environment import realize_from_mean
+from .model import ConfigError, agent_choose
+# No round calls realize_from_mean any more (noise is drawn per run), but
+# perfbench/worker.py still looks it up in this module.
+from .environment import realize_from_mean  # noqa: F401
+
+if TYPE_CHECKING:
+    from .metrics import RunTrace
 
 NO_PAYMENTS = "no_payments"
 PERTURBATION = "perturbation_payments"
@@ -175,20 +180,26 @@ def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) ->
     endpoints count) and membership is the transitive closure, so two arms
     can be chained through an intermediate arm without overlapping each
     other. Returns a sorted list that always contains the anchor.
+
+    Sorted by lower endpoint, the intervals split into components wherever
+    a lower endpoint exceeds every upper endpoint before it; the chain is
+    the anchor's component.
     """
     e = np.asarray(point_estimates, float)
     w = np.asarray(widths, float)
-    lo, hi = e - w, e + w
-    n = len(e)
-    members = {int(anchor)}
-    frontier = [int(anchor)]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in members and max(lo[i], lo[j]) <= min(hi[i], hi[j]):
-                members.add(j)
-                frontier.append(j)
-    return sorted(members)
+    lo, hi = (e - w).tolist(), (e + w).tolist()
+    chain: list[int] = []
+    reach = -math.inf
+    found = False
+    for i in sorted(range(len(lo)), key=lo.__getitem__):
+        if lo[i] > reach:  # nothing so far reaches interval i: a new component
+            if found:
+                break
+            chain = []
+        chain.append(i)
+        found = found or i == anchor
+        reach = max(reach, hi[i])
+    return sorted(chain)
 
 
 def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int,
@@ -251,6 +262,11 @@ class Policy:
 
     # -- interaction loop hooks -------------------------------------------
 
+    def start_run(self, rounds: int, rng: np.random.Generator) -> None:
+        """Draw from ``rng``, in one call, what the next ``rounds`` free rounds
+        use. Strategies whose per-round draws cannot be known ahead draw
+        nothing here."""
+
     def calc_payments(self, t: int, context: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -278,29 +294,41 @@ class NoPaymentsPolicy(Policy):
 class PerturbationPaymentsPolicy(Policy):
     """Gaussian payment perturbations that emulate context diversity.
 
-    Each round draws zeta ~ N(0, sigma_pay^2 I) and pays every arm
+    Each round takes its zeta ~ N(0, sigma_pay^2 I) and pays every arm
     zeta . estimate. The chosen arm's regression then absorbs the perturbed
     context (context + zeta) with the disbursed payment folded into the
     response, keeping the absorbed pairs consistent with the perturbed
-    linear model. The perturbed contexts are kept for diversity diagnostics.
+    linear model. ``start_run`` draws the zetas of all free rounds in one
+    (rounds, dim) call, which holds the bits of one (dim,) draw per round;
+    ``effective_contexts`` keeps the perturbed contexts, one row per round
+    played, for diversity diagnostics.
     """
 
     def __init__(self, config, n_arms, dim):
         super().__init__(config, n_arms, dim)
+        self._zeta = np.empty((0, dim))
         self._last_zeta: Optional[np.ndarray] = None
-        self.effective_contexts: list[np.ndarray] = []
+        self._played = 0
+        self.effective_contexts = np.empty((0, dim))
+
+    def start_run(self, rounds, rng):
+        self._zeta = self.config.sigma_pay * rng.standard_normal((rounds, self.dim))
+        self._played = 0
+        self.effective_contexts = np.empty((rounds, self.dim))
 
     def calc_payments(self, t, context, rng):
-        zeta = self.config.sigma_pay * rng.standard_normal(self.dim)
-        self._last_zeta = zeta
+        if self._played >= len(self._zeta):
+            raise RuntimeError("no perturbation drawn for this round; call start_run first")
+        zeta = self._last_zeta = self._zeta[self._played]
         return perturbation_payment(self.displayed_estimates(), zeta)
 
     def update(self, t, context, chosen, observed, payments):
         if self._last_zeta is None:
             raise RuntimeError("update called before calc_payments in the same round")
         zeta, self._last_zeta = self._last_zeta, None
-        perturbed = np.asarray(context, float) + zeta
-        self.effective_contexts.append(perturbed)
+        perturbed = self.effective_contexts[self._played]
+        np.add(context, zeta, out=perturbed)
+        self._played += 1
         self._absorb(chosen, perturbed, observed + float(payments[chosen]))
 
 
@@ -372,60 +400,60 @@ def build_policy(config: PolicyConfig, n_arms: int, dim: int) -> Policy:
 
 
 # ---------------------------------------------------------------------------
-# Initial exploration.
+# The interaction loop. A run's rounds are rows of its RunTrace: row t - 1
+# holds round t. The environment supplies every round's context and true
+# means, and ``noise`` (horizon,) the reward noise already scaled by the
+# noise level, all drawn before the first round. The rounds write the
+# columns only they can fill (arm, payments, displayed estimates, budget);
+# ``realize_outcomes`` then fills the rest from the arm column in bulk.
 # ---------------------------------------------------------------------------
 
-def initial_exploration(policy: Policy, env, noise_std: float, m: int,
-                        noise_rng: np.random.Generator) -> list[RoundRecord]:
+class RoundOutcome(NamedTuple):
+    """The agent's pick in one free round and the payment it was paid."""
+
+    chosen_arm: int
+    payment_paid: float
+
+
+def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace,
+                        m: int) -> None:
     """Mandated round-robin pulls for rounds 1..m.
 
-    Round t forces arm (t - 1) mod n_arms. Payments are zero (a mandate, not
+    Round t forces arm (t - 1) mod n_arms. Payments stay zero (a mandate, not
     a purchase), so these rounds add nothing to payment totals while their
     regret still counts.
     """
-    records = []
-    for t in range(1, m + 1):
-        theta = env.context(t)
-        arm = (t - 1) % env.n_arms
-        means = env.true_means(t, theta)
-        observed = realize_from_mean(float(means[arm]), noise_std, noise_rng)
-        snapshot = np.array(policy.displayed_estimates(), copy=True)
-        policy.absorb_forced(t, theta, arm, observed)
-        records.append(RoundRecord(
-            t=t,
-            context=theta,
-            payments=np.zeros(env.n_arms),
-            chosen_arm=arm,
-            displayed_estimates=snapshot,
-            observed_reward=observed,
-            true_mean_reward=float(means[arm]),
-            inst_regret=float(means.max() - means[arm]),
-            payment_paid=0.0,
-            budget_remaining=policy.budget_remaining(),
-        ))
-    return records
+    arms = np.arange(m) % env.n_arms
+    trace.arm[:m] = arms
+    trace.budget[:m] = policy.budget_remaining()
+    observed = env.means[np.arange(m), arms] + noise[:m]
+    for i, arm in enumerate(arms.tolist()):
+        trace.displayed[i] = policy.displayed_estimates()
+        policy.absorb_forced(i + 1, env.contexts[i], arm, observed[i])
 
 
-def play_round(policy: Policy, env, noise_std: float, t: int,
-               noise_rng: np.random.Generator,
-               policy_rng: np.random.Generator) -> RoundRecord:
+def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int,
+               policy_rng: np.random.Generator) -> RoundOutcome:
     """One free-choice round: payments, agent choice, realization, update."""
-    theta = env.context(t)
+    i = t - 1
+    theta = env.contexts[i]
     payments = policy.calc_payments(t, theta, policy_rng)
-    snapshot = np.array(policy.displayed_estimates(), copy=True)
-    chosen = agent_choose(snapshot, theta, payments)
-    means = env.true_means(t, theta)
-    observed = realize_from_mean(float(means[chosen]), noise_std, noise_rng)
-    policy.update(t, theta, chosen, observed, payments)
-    return RoundRecord(
-        t=t,
-        context=theta,
-        payments=payments,
-        chosen_arm=chosen,
-        displayed_estimates=snapshot,
-        observed_reward=observed,
-        true_mean_reward=float(means[chosen]),
-        inst_regret=float(means.max() - means[chosen]),
-        payment_paid=float(payments[chosen]),
-        budget_remaining=policy.budget_remaining(),
-    )
+    shown = policy.displayed_estimates()
+    chosen = agent_choose(shown, theta, payments)
+    trace.arm[i] = chosen
+    trace.payments[i] = payments
+    trace.displayed[i] = shown
+    policy.update(t, theta, chosen, float(env.means[i, chosen] + noise[i]), payments)
+    trace.budget[i] = policy.budget_remaining()
+    return RoundOutcome(chosen, float(payments[chosen]))
+
+
+def realize_outcomes(env, noise: np.ndarray, trace: RunTrace) -> None:
+    """Fill each round's chosen-arm columns once every arm is chosen: true
+    mean, regret against the best arm, disbursed payment and the observed
+    reward (true mean plus the round's noise, as the round observed it)."""
+    rows = np.arange(trace.horizon)
+    trace.true_mean[:] = env.means[rows, trace.arm]
+    trace.inst_regret[:] = env.means.max(axis=1) - trace.true_mean
+    trace.paid[:] = trace.payments[rows, trace.arm]
+    trace.observed[:] = trace.true_mean + noise

@@ -1,0 +1,176 @@
+"""The run engine: bulk streams and columns against a round-by-round loop."""
+
+import filecmp
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from payband import harness, metrics
+from payband.environment import (
+    BanditDataset,
+    DatasetReplaySpec,
+    FixedSequenceSpec,
+    GaussianContextSpec,
+    realize_from_mean,
+)
+from payband.harness import child_seed_sequence, run_experiment, run_single, spawn_streams
+from payband.metrics import RunTrace
+from payband.model import InstanceSpec, agent_choose, unit_ball_projection, unit_ball_rows
+from payband.policies import (
+    ChainedPolicy,
+    PERTURBATION,
+    PolicyConfig,
+    build_policy,
+    perturbation_payment,
+)
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+N_ARMS, DIM, HORIZON, EXPLORE = 3, 3, 40, 6
+
+POLICIES = [
+    PolicyConfig(kind="no_payments"),
+    PolicyConfig(kind="perturbation_payments", sigma_pay=0.7),
+    PolicyConfig(kind="linucb_alignment", linucb_alpha=0.8),
+    PolicyConfig(kind="chained_unrestricted", delta=0.2),
+    PolicyConfig(kind="chained_restricted", budget=0.5),
+    PolicyConfig(kind="chained_restricted", budget=1),  # an integer budget stays one
+]
+
+
+def instance(source):
+    rng = np.random.default_rng(31)
+    attrs = None
+    if not isinstance(source, DatasetReplaySpec):
+        attrs = rng.normal(size=(N_ARMS, DIM))
+        attrs /= np.maximum(1.0, np.linalg.norm(attrs, axis=1, keepdims=True))
+    return InstanceSpec(N_ARMS, DIM, HORIZON, attrs, 0.2, source, EXPLORE, 0)
+
+
+def sources():
+    rng = np.random.default_rng(32)
+    dataset = BanditDataset(rng.normal(scale=0.6, size=(50, DIM)),
+                            rng.integers(N_ARMS, size=50), N_ARMS)
+    return {
+        "gaussian": GaussianContextSpec(mean=np.array([0.3, -0.1, 0.2]), std=0.7),
+        "fixed_cycled": FixedSequenceSpec(contexts=tuple(rng.normal(size=(7, DIM))), cycle=True),
+        "dataset": DatasetReplaySpec(dataset, sample_with_replacement=False),
+        "dataset_with_replacement": DatasetReplaySpec(dataset, sample_with_replacement=True),
+    }
+
+
+def reference_run(inst, cfg, seed):
+    """The run one round at a time: each round draws its own context, noise
+    and perturbation and builds its own row, as the engine did before it
+    drew streams per run. Returns the rows, the perturbed contexts and the
+    policy."""
+    ctx_rng, noise_rng, policy_rng = spawn_streams(seed)
+    source = inst.context_source
+    if isinstance(source, DatasetReplaySpec):
+        ds, n = source.dataset, len(source.dataset)
+        order = (ctx_rng.integers(0, n, size=inst.horizon) if source.sample_with_replacement
+                 else ctx_rng.permutation(n)[:inst.horizon])
+
+        def round_inputs(i):
+            means = np.zeros(inst.n_arms)
+            means[ds.labels[order[i]]] = 1.0
+            return unit_ball_projection(ds.features[order[i]]), means
+    else:
+        def round_inputs(i):
+            if isinstance(source, FixedSequenceSpec):
+                raw = source.contexts[i % len(source.contexts)]
+            else:
+                raw = source.mean + source.std * ctx_rng.standard_normal(inst.dim)
+            x = unit_ball_projection(raw)
+            return x, inst.true_attrs @ x
+
+    policy = build_policy(cfg, inst.n_arms, inst.dim)
+    if isinstance(policy, ChainedPolicy):
+        policy.explore_m = inst.init_explore_m
+    rows, effective = [], []
+    for t in range(1, inst.horizon + 1):
+        x, means = round_inputs(t - 1)
+        if t <= inst.init_explore_m:
+            arm, pay = (t - 1) % inst.n_arms, np.zeros(inst.n_arms)
+            shown = policy.displayed_estimates().copy()
+            observed = realize_from_mean(float(means[arm]), inst.noise_std, noise_rng)
+            policy.absorb_forced(t, x, arm, observed)
+        else:
+            if cfg.kind == PERTURBATION:
+                zeta = cfg.sigma_pay * policy_rng.standard_normal(inst.dim)
+                pay = perturbation_payment(policy.displayed_estimates(), zeta)
+            else:
+                pay = policy.calc_payments(t, x, policy_rng)
+            shown = policy.displayed_estimates().copy()
+            arm = agent_choose(shown, x, pay)
+            observed = realize_from_mean(float(means[arm]), inst.noise_std, noise_rng)
+            if cfg.kind == PERTURBATION:
+                effective.append(x + zeta)
+                policy.absorb_forced(t, x + zeta, arm, observed + float(pay[arm]))
+            else:
+                policy.update(t, x, arm, observed, pay)
+        rows.append({"arm": arm, "payments": pay, "displayed": shown, "contexts": x,
+                     "budget": policy.budget_remaining(), "true_mean": float(means[arm]),
+                     "inst_regret": float(means.max() - means[arm]),
+                     "paid": float(pay[arm]), "observed": observed})
+    return rows, effective, policy
+
+
+@pytest.mark.parametrize("source_name", list(sources()))
+def test_columns_equal_a_round_by_round_loop(source_name):
+    inst = instance(sources()[source_name])
+    for pi, cfg in enumerate(POLICIES):
+        for run in range(10):
+            seed = child_seed_sequence(5, pi, run)
+            trace = run_single(inst, cfg, seed)
+            rows, effective, policy = reference_run(inst, cfg, seed)
+            assert trace.horizon == len(rows) == HORIZON
+            for name in RunTrace.COLUMNS:
+                want = [row[name] for row in rows]
+                got = getattr(trace, name)
+                if name == "budget":
+                    assert [(type(b), b) for b in got] == [(type(b), b) for b in want]
+                else:
+                    assert np.array_equal(got, np.array(want)), (cfg.kind, run, name)
+            if cfg.kind == PERTURBATION:
+                assert np.array_equal(trace.diagnostics["effective_contexts"],
+                                      np.array(effective))
+            if cfg.kind == "linucb_alignment":
+                assert trace.diagnostics["alignment_log"] == policy.alignment_log
+
+
+@pytest.mark.parametrize("dim", [1, 4, 14, 64])
+def test_bulk_projection_equals_one_at_a_time(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(5000, dim)) * rng.choice([0.05, 0.3, 1.0, 3.0], size=(5000, 1))
+    rows[:3] = 0.0
+    rows[3] = unit_ball_projection(rows[3] + 1.0)  # on or next to the sphere
+    projected = unit_ball_rows(rows)
+    assert projected is not rows and not np.array_equal(projected, rows)  # some rows shrank
+    assert np.array_equal(projected, np.array([unit_ball_projection(r) for r in rows]))
+
+
+def test_packaged_presets_equal_the_repo_copies():
+    packaged = harness.preset_config_path("fig1").parent
+    names = sorted(p.name for p in (REPO_ROOT / "presets").glob("*.json"))
+    assert names == sorted(p.name for p in packaged.glob("*.json")) == [
+        "fig1.json", "fig2_like.json"]
+    for name in names:
+        assert filecmp.cmp(REPO_ROOT / "presets" / name, packaged / name, shallow=False), name
+
+
+def test_prefix_sums_computed_once_per_run(tmp_path, monkeypatch):
+    config, diags = harness.load_config_file(REPO_ROOT / "presets" / "fig1.json")
+    assert not diags
+    config = type(config)(config.instance, config.policies[:2], 3, emit_full_trace=True)
+    calls = []
+
+    def counted(trace):
+        calls.append(trace)
+        return accumulate(trace)
+
+    accumulate = metrics.accumulate
+    monkeypatch.setattr(metrics, "accumulate", counted)
+    manifest = run_experiment(config, out_dir=tmp_path)
+    assert all("trace" in entry for entry in manifest["policies"])
+    assert len(calls) == len({id(trace) for trace in calls}) == 2 * 3

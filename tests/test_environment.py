@@ -27,24 +27,25 @@ def rng_for(seed=0):
 
 def test_fixed_sequence_indexing_is_zero_based():
     spec = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    stream = FixedSequenceStream(spec)
-    assert np.array_equal(stream.context_at(0, rng_for()), [1.0, 0.0])
-    assert np.array_equal(stream.context_at(1, rng_for()), [0.0, 1.0])
+    contexts = FixedSequenceStream(spec).draw(2, rng_for())
+    assert np.array_equal(contexts[0], [1.0, 0.0])
+    assert np.array_equal(contexts[1], [0.0, 1.0])
 
 
 def test_fixed_sequence_exhaustion_and_cycling():
     contexts = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     plain = FixedSequenceStream(FixedSequenceSpec(contexts=contexts))
+    assert plain.draw(2, rng_for()).shape == (2, 2)
     with pytest.raises(ExhaustedSequenceError):
-        plain.context_at(2, rng_for())
-    cyc = FixedSequenceStream(FixedSequenceSpec(contexts=contexts, cycle=True))
-    assert np.array_equal(cyc.context_at(2, rng_for()), [1.0, 0.0])
-    assert np.array_equal(cyc.context_at(7, rng_for()), [0.0, 1.0])
+        plain.draw(3, rng_for())
+    cyc = FixedSequenceStream(FixedSequenceSpec(contexts=contexts, cycle=True)).draw(8, rng_for())
+    assert np.array_equal(cyc[2], [1.0, 0.0])
+    assert np.array_equal(cyc[7], [0.0, 1.0])
 
 
 def test_fixed_sequence_projects_oversized_contexts():
     stream = FixedSequenceStream(FixedSequenceSpec(contexts=(np.array([3.0, 4.0]),)))
-    ctx = stream.context_at(0, rng_for())
+    ctx = stream.draw(1, rng_for())[0]
     assert np.linalg.norm(ctx) == pytest.approx(1.0)
 
 
@@ -64,14 +65,15 @@ def test_gaussian_contexts_stay_in_unit_ball_and_are_seeded():
     spec = GaussianContextSpec(mean=np.array([0.5, 0.5, 0.5]), std=2.0)
     stream = GaussianContextStream(spec)
     gen = rng_for(42)
-    a = [stream.context_at(i, gen) for i in range(50)]
+    a = stream.draw(50, gen)
     for x in a:
         assert np.linalg.norm(x) <= 1.0 + 1e-12
     assert not np.array_equal(a[0], a[1])
     # a generator from the same seed replays the same draws
-    gen2 = rng_for(42)
-    b = [stream.context_at(i, gen2) for i in range(50)]
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(stream.draw(50, rng_for(42)), a)
+    # one draw of 50 rows holds the bits of 50 draws of one row
+    gen3 = rng_for(42)
+    assert np.array_equal(np.vstack([stream.draw(1, gen3) for _ in range(50)]), a)
 
 
 def test_noiseless_realization_returns_mean_but_advances_stream():
@@ -184,7 +186,7 @@ def test_dataset_environment_one_hot_true_means(tmp_path):
     ds = load_dataset_csv(path, n_classes=2)
     env = DatasetEnvironment(ds, horizon=2, rng=rng_for(0))
     for t in (1, 2):
-        means = env.true_means(t, env.context(t))
+        means = env.true_means(t)
         label = ds.labels[env.row_index(t)]
         assert means[label] == 1.0 and means.sum() == 1.0
 
@@ -212,10 +214,12 @@ def test_dataset_to_instance_uses_shuffle_seed(tmp_path):
 def test_linear_environment_round_indexing():
     attrs = np.array([[0.5, 0.0], [0.0, 0.5]])
     spec = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    env = LinearEnvironment(attrs, FixedSequenceStream(spec), rng_for())
+    env = LinearEnvironment(attrs, FixedSequenceStream(spec), 2, rng_for())
     assert np.array_equal(env.context(1), [1.0, 0.0])
     assert np.array_equal(env.context(2), [0.0, 1.0])
-    assert np.allclose(env.true_means(1, env.context(1)), [0.5, 0.0])
+    assert np.allclose(env.true_means(1), [0.5, 0.0])
+    assert np.allclose(env.true_means(2), [0.0, 0.5])
+    assert env.contexts.shape == (2, 2) and env.means.shape == (2, 2)
 
 
 def test_diversity_of_standard_basis_is_half():

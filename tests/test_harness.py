@@ -349,6 +349,8 @@ def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, write):
     config = run_config(tmp_path)
     traces = [run_single(config.instance, config.policies[0],
                          child_seed_sequence(3, 0, r)) for r in range(2)]
+    agg = harness.aggregate(traces)
+    args = {"write_trace_csv": (traces, agg.runs), "write_aggregate_csv": (agg,)}[write]
     real_writer = csv.writer
 
     class FailingWriter:
@@ -372,7 +374,7 @@ def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, write):
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(OSError, match="disk full"):
-        getattr(harness, write)(out / "curves.csv", traces)
+        getattr(harness, write)(out / "curves.csv", *args)
     assert list(out.iterdir()) == []
 
 

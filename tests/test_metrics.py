@@ -36,15 +36,48 @@ def record(t, regret=0.0, payments=(0.0, 0.0), chosen=0, budget=None):
 
 
 def trace(records, cfg=CFG, seed=0):
-    return RunTrace(records=records, policy=cfg, seed=seed)
+    """A trace whose row i holds the fields of records[i]."""
+    def column(name, dtype=float):
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+    return RunTrace(policy=cfg, seed=seed, arm=column("chosen_arm", int),
+                    payments=column("payments"), displayed=column("displayed_estimates"),
+                    contexts=column("context"), budget=column("budget_remaining", object),
+                    true_mean=column("true_mean_reward"), inst_regret=column("inst_regret"),
+                    paid=column("payment_paid"), observed=column("observed_reward"))
 
 
-def test_trace_requires_contiguous_rounds():
-    with pytest.raises(ValueError):
-        trace([record(1), record(3)])
-    with pytest.raises(ValueError):
-        trace([record(2)])
-    assert trace([record(1), record(2)]).horizon == 2
+def test_trace_requires_equal_column_lengths():
+    tr = trace([record(1), record(2)])
+    assert tr.horizon == 2
+    for name in RunTrace.COLUMNS:
+        columns = {c: getattr(tr, c) for c in RunTrace.COLUMNS}
+        columns[name] = columns[name][:1]
+        with pytest.raises(ValueError, match=name):
+            RunTrace(policy=CFG, seed=0, **columns)
+
+
+def test_records_view_rebuilds_each_round_from_the_columns():
+    records = [record(t, regret=0.1 * t, payments=(0.5, -0.25 * t), chosen=t % 2, budget=t)
+               for t in range(1, 6)]
+    tr = trace(records)
+    view = tr.records
+    assert len(view) == 5
+    for got, want in zip(view, records, strict=True):
+        for name in ("t", "chosen_arm", "inst_regret", "payment_paid", "budget_remaining",
+                     "observed_reward", "true_mean_reward"):
+            assert getattr(got, name) == getattr(want, name)
+            assert type(getattr(got, name)) is type(getattr(want, name))
+        for name in ("payments", "context", "displayed_estimates"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert view[-1].t == 5 and [r.t for r in view[1:3]] == [2, 3]
+    assert view[2] is not view[2]  # built on access, never cached
+    tr.inst_regret[2] = 9.0
+    assert view[2].inst_regret == 9.0
+    with pytest.raises(IndexError):
+        view[5]
+    with pytest.raises(TypeError):
+        view[0] = records[0]
 
 
 def test_regret_prefix_sum():

@@ -5,6 +5,7 @@ import pytest
 
 from payband.environment import FixedSequenceSpec, FixedSequenceStream, LinearEnvironment
 from payband.estimation import OLS, RIDGE, EstimatorState
+from payband.metrics import RunTrace
 from payband.model import agent_choose
 from payband.policies import (
     ChainedPolicy,
@@ -20,6 +21,7 @@ from payband.policies import (
     linucb_choose,
     perturbation_payment,
     play_round,
+    realize_outcomes,
 )
 
 
@@ -89,8 +91,9 @@ def test_perturbation_update_folds_payment_into_response():
         pol.absorb_forced(0, np.array(x), 1, y)
         ref.absorb(np.array(x), y)
     ctx = np.array([1.0, 0.0])
-    pay = pol.calc_payments(1, ctx, rng_for(16))
-    zeta = rng_for(16).standard_normal(2)  # the draw calc_payments made
+    pol.start_run(1, rng_for(16))
+    pay = pol.calc_payments(1, ctx, rng_for(17))
+    zeta = rng_for(16).standard_normal(2)  # the draw start_run made
     assert pay[1] != 0.0
     pol.update(1, ctx, 1, observed=0.4, payments=pay)
     ref.absorb(ctx + zeta, 0.4 + pay[1])
@@ -198,6 +201,35 @@ def test_chain_matches_union_find_oracle_on_random_instances():
         assert build_chain(e, w, anchor) == union_find_closure(e, w, anchor)
 
 
+def pairwise_closure(e, w, anchor):
+    """The chain as a frontier search over all pairs of intervals."""
+    lo, hi = e - w, e + w
+    members = {anchor}
+    frontier = [anchor]
+    while frontier:
+        i = frontier.pop()
+        for j in range(len(e)):
+            if j not in members and max(lo[i], lo[j]) <= min(hi[i], hi[j]):
+                members.add(j)
+                frontier.append(j)
+    return sorted(members)
+
+
+def test_chain_matches_pairwise_closure_with_touching_endpoints():
+    # Endpoints on a 0.1 grid, so many intervals only touch.
+    rng = rng_for(20)
+    touching = 0
+    for _ in range(20_000):
+        n = int(rng.integers(1, 10))
+        e = np.round(rng.uniform(-1.0, 1.0, size=n), 1)
+        w = np.round(rng.uniform(0.0, 0.4, size=n), 1)
+        anchor = int(rng.integers(n))
+        lo, hi = e - w, e + w
+        touching += bool(np.isin(lo, hi).any())
+        assert build_chain(e, w, anchor) == pairwise_closure(e, w, anchor)
+    assert touching > 1000
+
+
 def test_chained_payment_amount_is_gap_to_anchor():
     e = np.array([0.9, 0.4, 0.6])
     members = [0, 1, 2]
@@ -289,6 +321,7 @@ def test_perturbation_history_keeps_perturbed_pairs():
     pol = build_policy(PolicyConfig(kind="perturbation_payments", sigma_pay=1.0), 2, 2)
     ctx = np.array([1.0, 0.0])
     rng = rng_for(4)
+    pol.start_run(1, rng)
     pay = pol.calc_payments(1, ctx, rng)
     pol.update(1, ctx, 0, observed=0.5, payments=pay)
     state = pol.states[0]
@@ -336,16 +369,25 @@ def test_unrestricted_chained_payment_targets_chain_member():
 
 # -- the interaction loop ----------------------------------------------------
 
-def make_env(attrs, contexts, cycle=True, seed=0):
+def make_env(attrs, contexts, horizon, cycle=True, seed=0):
     spec = FixedSequenceSpec(contexts=tuple(contexts), cycle=cycle)
-    return LinearEnvironment(np.asarray(attrs, float), FixedSequenceStream(spec), rng_for(seed))
+    return LinearEnvironment(np.asarray(attrs, float), FixedSequenceStream(spec), horizon,
+                             rng_for(seed))
+
+
+def empty_trace(env, cfg):
+    return RunTrace.allocate(cfg, 0, env.contexts, env.n_arms)
 
 
 def test_initial_exploration_is_round_robin_with_zero_payments():
     attrs = [[0.5, 0.0], [0.0, 0.5], [0.3, 0.3]]
-    env = make_env(attrs, [np.array([1.0, 0.0])])
-    pol = build_policy(PolicyConfig(kind="no_payments"), 3, 2)
-    records = initial_exploration(pol, env, noise_std=0.0, m=7, noise_rng=rng_for(8))
+    env = make_env(attrs, [np.array([1.0, 0.0])], horizon=7)
+    cfg = PolicyConfig(kind="no_payments")
+    pol = build_policy(cfg, 3, 2)
+    trace, noise = empty_trace(env, cfg), np.zeros(7)
+    initial_exploration(pol, env, noise, trace, m=7)
+    realize_outcomes(env, noise, trace)
+    records = trace.records
     assert [r.t for r in records] == list(range(1, 8))
     assert [r.chosen_arm for r in records] == [0, 1, 2, 0, 1, 2, 0]
     for r in records:
@@ -358,22 +400,31 @@ def test_initial_exploration_is_round_robin_with_zero_payments():
 
 def test_play_round_record_is_replayable():
     attrs = [[0.5, 0.0], [0.0, 0.5]]
-    env = make_env(attrs, [np.array([0.8, 0.6]), np.array([0.6, -0.8])])
-    pol = build_policy(PolicyConfig(kind="perturbation_payments", sigma_pay=0.5), 2, 2)
-    initial_exploration(pol, env, 0.0, 0, rng_for(9))
-    noise_rng, policy_rng = rng_for(10), rng_for(11)
-    for t in (1, 2):
-        rec = play_round(pol, env, 0.1, t, noise_rng, policy_rng)
+    env = make_env(attrs, [np.array([0.8, 0.6]), np.array([0.6, -0.8])], horizon=2)
+    cfg = PolicyConfig(kind="perturbation_payments", sigma_pay=0.5)
+    pol = build_policy(cfg, 2, 2)
+    trace, policy_rng = empty_trace(env, cfg), rng_for(11)
+    noise = 0.1 * rng_for(10).standard_normal(2)
+    initial_exploration(pol, env, noise, trace, 0)
+    pol.start_run(2, policy_rng)
+    outcomes = [play_round(pol, env, noise, trace, t, policy_rng) for t in (1, 2)]
+    realize_outcomes(env, noise, trace)
+    for rec, outcome in zip(trace.records, outcomes, strict=True):
         assert rec.chosen_arm == agent_choose(rec.displayed_estimates, rec.context, rec.payments)
         assert rec.payment_paid == rec.payments[rec.chosen_arm]
+        assert (outcome.chosen_arm, outcome.payment_paid) == (rec.chosen_arm, rec.payment_paid)
         assert rec.inst_regret >= 0.0
+        assert rec.observed_reward == rec.true_mean_reward + noise[rec.t - 1]
 
 
 def test_play_round_snapshot_not_aliased_to_live_estimates():
     attrs = [[0.5, 0.0], [0.0, 0.5]]
-    env = make_env(attrs, [np.array([1.0, 0.0])])
-    pol = build_policy(PolicyConfig(kind="no_payments", estimator_mode="ridge"), 2, 2)
-    rec1 = play_round(pol, env, 0.0, 1, rng_for(12), rng_for(13))
-    frozen = rec1.displayed_estimates.copy()
-    play_round(pol, env, 0.0, 2, rng_for(14), rng_for(15))
-    assert np.array_equal(rec1.displayed_estimates, frozen)
+    env = make_env(attrs, [np.array([1.0, 0.0])], horizon=2)
+    cfg = PolicyConfig(kind="no_payments", estimator_mode="ridge")
+    pol = build_policy(cfg, 2, 2)
+    trace, noise = empty_trace(env, cfg), np.zeros(2)
+    play_round(pol, env, noise, trace, 1, rng_for(13))
+    frozen = trace.displayed[0].copy()
+    play_round(pol, env, noise, trace, 2, rng_for(15))
+    assert not np.array_equal(pol.displayed_estimates(), frozen)  # the estimates moved on
+    assert np.array_equal(trace.displayed[0], frozen)
