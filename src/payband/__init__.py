@@ -6,14 +6,8 @@ myopic agents, learns the attributes from the observed choices, and tracks
 cumulative regret and payments across several payment strategies.
 """
 
-from .linalg import SingularMatrixError, min_eig_sym, quad_norm_inv, solve_spd
-from .model import (
-    InstanceSpec,
-    RoundRecord,
-    agent_choose,
-    inst_regret,
-    unit_ball_projection,
-)
+from .linalg import SingularMatrixError, min_eig_sym
+from .model import InstanceSpec, RoundRecord, agent_choose, unit_ball_projection
 from .estimation import EstimatorState, confidence_width
 from .environment import (
     BanditDataset,
@@ -22,9 +16,7 @@ from .environment import (
     FixedSequenceSpec,
     GaussianContextSpec,
     covariate_diversity_report,
-    dataset_to_instance,
     load_dataset_csv,
-    realize_reward,
 )
 from .policies import (
     POLICY_KINDS,
@@ -55,13 +47,11 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SingularMatrixError", "min_eig_sym", "quad_norm_inv", "solve_spd",
-    "InstanceSpec", "RoundRecord", "agent_choose",
-    "inst_regret", "unit_ball_projection",
+    "SingularMatrixError", "min_eig_sym",
+    "InstanceSpec", "RoundRecord", "agent_choose", "unit_ball_projection",
     "EstimatorState", "confidence_width",
-    "BanditDataset", "DatasetReplaySpec", "ExhaustedSequenceError",
+    "BanditDataset", "DatasetReplaySpec", "ExhaustedSequenceError", "load_dataset_csv",
     "FixedSequenceSpec", "GaussianContextSpec", "covariate_diversity_report",
-    "dataset_to_instance", "load_dataset_csv", "realize_reward",
     "POLICY_KINDS", "Policy", "PolicyConfig", "build_chain", "build_policy",
     "chained_payment", "initial_exploration",
     "AggregateCurves", "MixedConfigError", "RunTrace", "accumulate",

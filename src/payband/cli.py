@@ -19,14 +19,17 @@ from . import harness
 from .environment import DatasetFormatError
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = None
-    if jobs is None or jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+def _int_at_least(low: int):
+    """An argparse type: the argument as an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--jobs", type=_jobs, default=1,
+    run_p.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="maximum worker processes (>= 1)")
     run_p.add_argument("--out", default=None, help="output directory override")
 
@@ -47,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     imp_p = sub.add_parser("import", help="parse and summarize a dataset CSV")
     imp_p.add_argument("--csv", required=True, help="path to the dataset CSV")
-    imp_p.add_argument("--classes", required=True, type=int, help="number of classes")
+    imp_p.add_argument("--classes", required=True, type=_int_at_least(2),
+                       help="number of classes (>= 2)")
     imp_p.add_argument("--standardize", action="store_true",
                        help="z-score feature columns")
     imp_p.add_argument("--header", action="store_true",
@@ -58,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pre_p.add_argument("--dataset", default=None,
                        help="substitute a real dataset CSV (fig2-like only)")
     pre_p.add_argument("--out", default=None, help="output directory override")
-    pre_p.add_argument("--jobs", type=_jobs, default=1,
+    pre_p.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="maximum worker processes (>= 1)")
 
     return parser

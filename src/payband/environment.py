@@ -1,11 +1,13 @@
-"""Context streams, reward realization, and the dataset-to-bandit adapter.
+"""Context sources, dataset loading, and the environments a run plays in.
 
 Context sources come in three kinds: a fixed (optionally cycled) sequence,
 i.i.d. Gaussian draws around a mean vector, and replay of a classification
-dataset's feature rows. Every context handed to the interaction loop is
-projected onto the unit ball first. For dataset replay the reward for pulling
-arm i on a row labeled c is the indicator i == c, which turns a supervised
-dataset into a bandit instance with one arm per class.
+dataset's feature rows. The first two are specs that draw a run's contexts
+themselves (``draw``) for a linear reward model; dataset replay shuffles the
+rows instead. Every context handed to the interaction loop is projected onto
+the unit ball first. For dataset replay the reward for pulling arm i on a row
+labeled c is the indicator i == c, which turns a supervised dataset into a
+bandit instance with one arm per class.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .linalg import min_eig_sym
-from .model import ConfigError, unit_ball_rows
+from .model import MAX_MAGNITUDE, ConfigError, unit_ball_rows
 
 
 class ExhaustedSequenceError(RuntimeError):
@@ -30,7 +32,9 @@ class DatasetFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Context source descriptors (declarative, JSON-friendly).
+# Context source descriptors (declarative, JSON-friendly). ``draw(n, rng)``
+# returns the contexts of rounds 1..n as an (n, dim) array, each row
+# projected onto the unit ball.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -49,11 +53,23 @@ class FixedSequenceSpec:
             if c.shape != (dim,):
                 raise ConfigError(f"contexts[{i}]", f"vector of length {dim}, like contexts[0]",
                                   c.shape)
+            if not np.all(np.abs(c) <= MAX_MAGNITUDE):
+                raise ConfigError(f"contexts[{i}]",
+                                  f"vector of numbers of magnitude <= {MAX_MAGNITUDE:g}",
+                                  c.tolist())
         object.__setattr__(self, "contexts", arr)
 
     @property
     def dim(self) -> int:
         return self.contexts[0].shape[0]
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        contexts = self.contexts
+        if n > len(contexts) and not self.cycle:
+            raise ExhaustedSequenceError(
+                f"fixed sequence of length {len(contexts)} exhausted at index {len(contexts)}"
+            )
+        return unit_ball_rows(np.array(contexts)[np.arange(n) % len(contexts)])
 
 
 @dataclass(frozen=True)
@@ -65,15 +81,20 @@ class GaussianContextSpec:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float)
-        if m.ndim != 1 or not np.all(np.isfinite(m)):
-            raise ConfigError("mean", "vector of finite numbers", self.mean)
-        if not math.isfinite(self.std) or self.std < 0:
-            raise ConfigError("std", "finite number >= 0", self.std)
+        if m.ndim != 1 or not np.all(np.abs(m) <= MAX_MAGNITUDE):
+            raise ConfigError("mean", f"vector of numbers of magnitude <= {MAX_MAGNITUDE:g}",
+                              self.mean)
+        if not 0 <= self.std <= MAX_MAGNITUDE:
+            raise ConfigError("std", f"number in [0, {MAX_MAGNITUDE:g}]", self.std)
         object.__setattr__(self, "mean", m)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # One (n, dim) draw holds the bits of n successive (dim,) draws.
+        return unit_ball_rows(self.mean + self.std * rng.standard_normal((n, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -82,37 +103,6 @@ class DatasetReplaySpec:
 
     dataset: BanditDataset
     sample_with_replacement: bool = False
-
-
-ContextSourceSpec = Union[FixedSequenceSpec, GaussianContextSpec, DatasetReplaySpec]
-
-
-# ---------------------------------------------------------------------------
-# Runtime context streams. ``draw(n, rng)`` returns the contexts of rounds
-# 1..n as an (n, dim) array, each row projected onto the unit ball.
-# ---------------------------------------------------------------------------
-
-class FixedSequenceStream:
-    def __init__(self, spec: FixedSequenceSpec) -> None:
-        self.spec = spec
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        contexts = self.spec.contexts
-        if n > len(contexts) and not self.spec.cycle:
-            raise ExhaustedSequenceError(
-                f"fixed sequence of length {len(contexts)} exhausted at index {len(contexts)}"
-            )
-        return unit_ball_rows(np.array(contexts)[np.arange(n) % len(contexts)])
-
-
-class GaussianContextStream:
-    def __init__(self, spec: GaussianContextSpec) -> None:
-        self.spec = spec
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # One (n, dim) draw holds the bits of n successive (dim,) draws.
-        raw = self.spec.mean + self.spec.std * rng.standard_normal((n, self.spec.dim))
-        return unit_ball_rows(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +116,6 @@ def realize_from_mean(true_mean: float, noise_std: float, rng: np.random.Generat
     identical configurations stay stream-aligned.
     """
     return float(true_mean + noise_std * rng.standard_normal())
-
-
-def realize_reward(true_attrs: np.ndarray, context: np.ndarray, chosen: int,
-                   noise_std: float, rng: np.random.Generator) -> tuple[float, float]:
-    """(observed, true mean) for the chosen arm under the linear reward model."""
-    true_mean = float(np.asarray(true_attrs, float)[chosen] @ np.asarray(context, float))
-    return realize_from_mean(true_mean, noise_std, rng), true_mean
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +222,8 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
 # ---------------------------------------------------------------------------
 
 class LinearEnvironment:
-    """Linear reward model over a context stream.
+    """Linear reward model over contexts drawn by a fixed-sequence or
+    Gaussian source spec.
 
     The whole run's contexts are drawn at construction: ``contexts`` is
     (horizon, dim) and ``means`` the (horizon, n_arms) true mean rewards, row
@@ -248,11 +232,11 @@ class LinearEnvironment:
     ``true_attrs @ context``.
     """
 
-    def __init__(self, true_attrs: np.ndarray, stream, horizon: int,
+    def __init__(self, true_attrs: np.ndarray, source, horizon: int,
                  rng: np.random.Generator) -> None:
         self.true_attrs = np.asarray(true_attrs, dtype=float)
         self.n_arms, self.dim = self.true_attrs.shape
-        self.contexts = stream.draw(horizon, rng)
+        self.contexts = source.draw(horizon, rng)
         self.means = (self.true_attrs @ self.contexts[:, :, None])[:, :, 0]
 
     def context(self, t: int) -> np.ndarray:
@@ -279,7 +263,6 @@ class DatasetEnvironment:
                 f"horizon {horizon} exceeds dataset size {n}; "
                 "enable sample_with_replacement to allow this"
             )
-        self.dataset = dataset
         self.n_arms = dataset.n_classes
         self.dim = dataset.dim
         if sample_with_replacement:
@@ -298,13 +281,6 @@ class DatasetEnvironment:
 
     def true_means(self, t: int) -> np.ndarray:
         return self.means[t - 1]
-
-
-def dataset_to_instance(dataset: BanditDataset, horizon: int, shuffle_seed: int,
-                        sample_with_replacement: bool = False) -> DatasetEnvironment:
-    """Bandit environment over a dataset with a seed-determined arrival order."""
-    rng = np.random.default_rng(shuffle_seed)
-    return DatasetEnvironment(dataset, horizon, rng, sample_with_replacement)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,7 @@ from .environment import (
     DatasetEnvironment,
     DatasetReplaySpec,
     FixedSequenceSpec,
-    FixedSequenceStream,
     GaussianContextSpec,
-    GaussianContextStream,
     LinearEnvironment,
     load_dataset_csv,
 )
@@ -357,19 +355,7 @@ def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
     if isinstance(source, DatasetReplaySpec):
         return DatasetEnvironment(source.dataset, instance.horizon, ctx_rng,
                                   source.sample_with_replacement)
-    if isinstance(source, FixedSequenceSpec):
-        stream = FixedSequenceStream(source)
-    elif isinstance(source, GaussianContextSpec):
-        stream = GaussianContextStream(source)
-    else:
-        raise TypeError(f"unsupported context source {type(source).__name__}")
-    return LinearEnvironment(instance.true_attrs, stream, instance.horizon, ctx_rng)
-
-
-def _seed_label(seed: Union[int, np.random.SeedSequence]) -> int:
-    if isinstance(seed, np.random.SeedSequence):
-        return int(seed.generate_state(1)[0])
-    return int(seed)
+    return LinearEnvironment(instance.true_attrs, source, instance.horizon, ctx_rng)
 
 
 def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
@@ -395,7 +381,7 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
     horizon = instance.horizon
     noise = instance.noise_std * noise_rng.standard_normal(horizon)
     policy.start_run(horizon - m, policy_rng)
-    trace = RunTrace.allocate(policy_cfg, _seed_label(seed), env.contexts, env.n_arms)
+    trace = RunTrace.allocate(policy_cfg, env.contexts, env.n_arms)
     initial_exploration(policy, env, noise, trace, m)
     for t in range(m + 1, horizon + 1):
         play_round(policy, env, noise, trace, t, policy_rng)
@@ -443,7 +429,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     manifest: dict = {"out_dir": str(out), "policies": []}
     for pi, pcfg in enumerate(config.policies):
         traces = [results[(pi, ri)] for ri in range(config.n_runs)]
-        label = f"p{pi}_{pcfg.label()}"
+        label = f"p{pi}_{pcfg.kind}"
         agg_path = out / f"{label}_aggregate.csv"
         agg = aggregate(traces)
         write_aggregate_csv(agg_path, agg)

@@ -72,26 +72,6 @@ def back_substitute(low: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low.T, y)
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky.
-
-    Deterministic; raises SingularMatrixError when a pivot drops below
-    PIVOT_TOL instead of returning garbage.
-    """
-    low = cholesky_spd(a)
-    return back_substitute(low, forward_substitute(low, np.asarray(b, dtype=float)))
-
-
-def quad_norm_inv(a: np.ndarray, x: np.ndarray) -> float:
-    """The norm sqrt(x^T A^-1 x) for symmetric positive definite A.
-
-    Computed as ||L^-1 x||_2, which is nonnegative by construction and
-    exactly zero iff x is the zero vector.
-    """
-    low = cholesky_spd(a)
-    return float(np.linalg.norm(forward_substitute(low, np.asarray(x, dtype=float))))
-
-
 def min_eig_sym(a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     a = _check_symmetric(_as_square(a))

@@ -36,7 +36,6 @@ class RunTrace:
     """
 
     policy: PolicyConfig
-    seed: int
     arm: np.ndarray
     payments: np.ndarray
     displayed: np.ndarray
@@ -58,11 +57,10 @@ class RunTrace:
                                  f"arm has {len(self.arm)}")
 
     @classmethod
-    def allocate(cls, policy: PolicyConfig, seed: int, contexts: np.ndarray,
-                 n_arms: int) -> RunTrace:
+    def allocate(cls, policy: PolicyConfig, contexts: np.ndarray, n_arms: int) -> RunTrace:
         """A trace with one zeroed row per context, for a run to fill."""
         horizon, dim = contexts.shape
-        return cls(policy=policy, seed=seed, arm=np.zeros(horizon, dtype=int),
+        return cls(policy=policy, arm=np.zeros(horizon, dtype=int),
                    payments=np.zeros((horizon, n_arms)),
                    displayed=np.zeros((horizon, n_arms, dim)), contexts=contexts,
                    budget=np.full(horizon, None, dtype=object),

@@ -8,7 +8,6 @@ environment side and are never handed to a payment strategy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -21,6 +20,13 @@ import numpy as np
 TIE_TOLERANCE = 1e-12
 
 MAX_DIM = 64
+
+# Largest magnitude accepted for a config value that scales contexts,
+# rewards or payments. Those values are squared (unit-ball projection, Gram
+# matrices, standard errors) and summed over rounds, so 1e100 keeps the
+# squares near 1e200, far below float64's limit of about 1.8e308; from about
+# 1e154 a square overflows.
+MAX_MAGNITUDE = 1e100
 
 
 def unit_ball_projection(v: np.ndarray) -> np.ndarray:
@@ -60,12 +66,6 @@ def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarra
     # argmax returns the first maximum, so equal payments fall back to the
     # lowest index among the tied arms.
     return int(tied[payments[tied].argmax()])
-
-
-def inst_regret(true_attrs: np.ndarray, context: np.ndarray, chosen: int) -> float:
-    """One-round regret: best true mean reward minus the chosen arm's."""
-    means = np.asarray(true_attrs, dtype=float) @ np.asarray(context, dtype=float)
-    return float(means.max() - means[chosen])
 
 
 class ConfigError(ValueError):
@@ -117,8 +117,8 @@ class InstanceSpec:
             raise ConfigError("horizon", "integer >= 1", self.horizon)
         if self.master_seed < 0:
             raise ConfigError("master_seed", "integer >= 0", self.master_seed)
-        if not math.isfinite(self.noise_std) or self.noise_std < 0:
-            raise ConfigError("noise_std", "finite number >= 0", self.noise_std)
+        if not 0 <= self.noise_std <= MAX_MAGNITUDE:
+            raise ConfigError("noise_std", f"number in [0, {MAX_MAGNITUDE:g}]", self.noise_std)
         self.check_explore_m("init_explore_m", self.init_explore_m)
 
         source = self.context_source

@@ -46,7 +46,7 @@ from .estimation import (
     confidence_width,
     inv_norms,
 )
-from .model import ConfigError, agent_choose
+from .model import MAX_MAGNITUDE, ConfigError, agent_choose
 # No round calls realize_from_mean any more (noise is drawn per run), but
 # perfbench/worker.py still looks it up in this module.
 from .environment import realize_from_mean  # noqa: F401
@@ -108,8 +108,8 @@ class PolicyConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(name, "finite number", value)
-        if self.sigma_pay < 0:
-            raise ConfigError("sigma_pay", ">= 0", self.sigma_pay)
+        if not 0 <= self.sigma_pay <= MAX_MAGNITUDE:
+            raise ConfigError("sigma_pay", f"number in [0, {MAX_MAGNITUDE:g}]", self.sigma_pay)
         if not (0 < self.delta < 1):
             raise ConfigError("delta", "in (0, 1)", self.delta)
         if self.linucb_alpha < 0:
@@ -131,9 +131,6 @@ class PolicyConfig:
 
     def resolved_mode(self) -> str:
         return self.estimator_mode or _DEFAULT_MODE[self.kind]
-
-    def label(self) -> str:
-        return self.kind
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Context streams, reward realization, dataset ingestion, diagnostics."""
+"""Context sources, reward realization, dataset ingestion, diagnostics."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,11 @@ from payband.environment import (
     DatasetFormatError,
     ExhaustedSequenceError,
     FixedSequenceSpec,
-    FixedSequenceStream,
     GaussianContextSpec,
-    GaussianContextStream,
     LinearEnvironment,
     covariate_diversity_report,
-    dataset_to_instance,
     load_dataset_csv,
     realize_from_mean,
-    realize_reward,
     standardize_features,
 )
 
@@ -27,25 +23,25 @@ def rng_for(seed=0):
 
 def test_fixed_sequence_indexing_is_zero_based():
     spec = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    contexts = FixedSequenceStream(spec).draw(2, rng_for())
+    contexts = spec.draw(2, rng_for())
     assert np.array_equal(contexts[0], [1.0, 0.0])
     assert np.array_equal(contexts[1], [0.0, 1.0])
 
 
 def test_fixed_sequence_exhaustion_and_cycling():
     contexts = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    plain = FixedSequenceStream(FixedSequenceSpec(contexts=contexts))
+    plain = FixedSequenceSpec(contexts=contexts)
     assert plain.draw(2, rng_for()).shape == (2, 2)
     with pytest.raises(ExhaustedSequenceError):
         plain.draw(3, rng_for())
-    cyc = FixedSequenceStream(FixedSequenceSpec(contexts=contexts, cycle=True)).draw(8, rng_for())
+    cyc = FixedSequenceSpec(contexts=contexts, cycle=True).draw(8, rng_for())
     assert np.array_equal(cyc[2], [1.0, 0.0])
     assert np.array_equal(cyc[7], [0.0, 1.0])
 
 
 def test_fixed_sequence_projects_oversized_contexts():
-    stream = FixedSequenceStream(FixedSequenceSpec(contexts=(np.array([3.0, 4.0]),)))
-    ctx = stream.draw(1, rng_for())[0]
+    spec = FixedSequenceSpec(contexts=(np.array([3.0, 4.0]),))
+    ctx = spec.draw(1, rng_for())[0]
     assert np.linalg.norm(ctx) == pytest.approx(1.0)
 
 
@@ -63,17 +59,16 @@ def test_gaussian_spec_rejects_non_finite_numbers():
 
 def test_gaussian_contexts_stay_in_unit_ball_and_are_seeded():
     spec = GaussianContextSpec(mean=np.array([0.5, 0.5, 0.5]), std=2.0)
-    stream = GaussianContextStream(spec)
     gen = rng_for(42)
-    a = stream.draw(50, gen)
+    a = spec.draw(50, gen)
     for x in a:
         assert np.linalg.norm(x) <= 1.0 + 1e-12
     assert not np.array_equal(a[0], a[1])
     # a generator from the same seed replays the same draws
-    assert np.array_equal(stream.draw(50, rng_for(42)), a)
+    assert np.array_equal(spec.draw(50, rng_for(42)), a)
     # one draw of 50 rows holds the bits of 50 draws of one row
     gen3 = rng_for(42)
-    assert np.array_equal(np.vstack([stream.draw(1, gen3) for _ in range(50)]), a)
+    assert np.array_equal(np.vstack([spec.draw(1, gen3) for _ in range(50)]), a)
 
 
 def test_noiseless_realization_returns_mean_but_advances_stream():
@@ -83,15 +78,6 @@ def test_noiseless_realization_returns_mean_but_advances_stream():
     after = rng.bit_generator.state["state"]["state"]
     assert val == 0.37
     assert before != after
-
-
-def test_realize_reward_returns_observation_and_true_mean():
-    attrs = np.array([[0.5, 0.0], [0.0, 0.5]])
-    ctx = np.array([1.0, 0.0])
-    obs, mean = realize_reward(attrs, ctx, 0, 0.0, rng_for())
-    assert mean == 0.5 and obs == 0.5
-    obs2, mean2 = realize_reward(attrs, ctx, 1, 0.3, rng_for(3))
-    assert mean2 == 0.0 and obs2 != 0.0
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -203,9 +189,9 @@ def test_horizon_beyond_rows_requires_replacement(tmp_path):
 def test_dataset_to_instance_uses_shuffle_seed(tmp_path):
     path = write_csv(tmp_path, "\n".join("%d.0,%d.5,%d" % (i, i, i % 2) for i in range(8)))
     ds = load_dataset_csv(path, n_classes=2)
-    a = dataset_to_instance(ds, horizon=8, shuffle_seed=3)
-    b = dataset_to_instance(ds, horizon=8, shuffle_seed=3)
-    c = dataset_to_instance(ds, horizon=8, shuffle_seed=4)
+    a = DatasetEnvironment(ds, horizon=8, rng=rng_for(3))
+    b = DatasetEnvironment(ds, horizon=8, rng=rng_for(3))
+    c = DatasetEnvironment(ds, horizon=8, rng=rng_for(4))
     order = lambda env: [env.row_index(t) for t in range(1, 9)]
     assert order(a) == order(b)
     assert order(a) != order(c)
@@ -214,7 +200,7 @@ def test_dataset_to_instance_uses_shuffle_seed(tmp_path):
 def test_linear_environment_round_indexing():
     attrs = np.array([[0.5, 0.0], [0.0, 0.5]])
     spec = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    env = LinearEnvironment(attrs, FixedSequenceStream(spec), 2, rng_for())
+    env = LinearEnvironment(attrs, spec, 2, rng_for())
     assert np.array_equal(env.context(1), [1.0, 0.0])
     assert np.array_equal(env.context(2), [0.0, 1.0])
     assert np.allclose(env.true_means(1), [0.5, 0.0])

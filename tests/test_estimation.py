@@ -143,6 +143,13 @@ def test_width_zero_context_is_zero():
     assert widths.tolist() == [0.0] * 4
 
 
+def test_inv_norm_on_empty_ridge_state_is_euclidean_norm():
+    # lambda = 1 and no observations: the metric is the identity.
+    state = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
+    assert state.inv_norm(np.array([3.0, 4.0])) == 5.0
+    assert state.inv_norm(np.zeros(2)) == 0.0
+
+
 def test_width_never_grows_when_observations_double():
     rng = np.random.default_rng(13)
     for _ in range(30):

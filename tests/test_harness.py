@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from payband.harness import (
     spawn_streams,
     validate_config_data,
 )
-from payband.model import InstanceSpec
+from payband.model import MAX_MAGNITUDE, InstanceSpec
 from payband.policies import POLICY_KINDS, PolicyConfig
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +67,14 @@ def test_bundled_presets_validate_cleanly():
         data = json.loads(path.read_text())
         diags = validate_config_data(data, base_dir=path.parent)
         assert errors_of(diags) == [], (name, diags)
+
+
+def test_repo_root_presets_equal_the_packaged_copies():
+    # Acceptance 8 runs the repo-root copy, acceptance 9 the packaged one.
+    for name in ("fig1", "fig2-like"):
+        packaged = preset_config_path(name)
+        assert (SRC_DIR.parent / "presets" / packaged.name).read_bytes() == \
+            packaged.read_bytes(), name
 
 
 def test_attr_norm_violation_is_reported():
@@ -497,6 +506,28 @@ def one_arm_replay(cfg):
     del cfg["instance"]["true_attrs"]
 
 
+def huge_noise(cfg):
+    cfg["instance"]["noise_std"] = 1e308
+
+
+def huge_sigma_pay(cfg):
+    cfg["policies"] = [{"kind": "perturbation_payments", "sigma_pay": 1e160}]
+
+
+def huge_context_std(cfg):
+    cfg["instance"]["context_source"]["std"] = 1e160
+
+
+def huge_context_mean(cfg):
+    cfg["instance"]["context_source"]["mean"] = [0.0, -1e160]
+
+
+def huge_fixed_context(cfg):
+    cfg["instance"]["context_source"] = {
+        "kind": "fixed_sequence", "contexts": [[1.0, 0.0], [1e200, 1e200]], "cycle": True,
+    }
+
+
 def ols_estimator_for(kind):
     # Widths are norms in the inverse Gram metric; an OLS Gram matrix is
     # singular until every arm has dim independent observations.
@@ -525,6 +556,11 @@ def ols_estimator_for(kind):
     (replay_with_string("has_header"), "context_source.has_header"),
     (replay_with_string("sample_with_replacement"), "context_source.sample_with_replacement"),
     (one_arm_replay, "instance.n_arms"),
+    (huge_noise, "instance.noise_std"),
+    (huge_sigma_pay, "policies[0].sigma_pay"),
+    (huge_context_std, "instance.context_source.std"),
+    (huge_context_mean, "instance.context_source.mean"),
+    (huge_fixed_context, "instance.context_source.contexts[1]"),
     (ols_estimator_for("linucb_alignment"), "policies[0].estimator_mode"),
     (ols_estimator_for("chained_unrestricted"), "policies[0].estimator_mode"),
     (ols_estimator_for("chained_restricted"), "policies[0].estimator_mode"),
@@ -542,6 +578,27 @@ def test_cli_validate_rejects_bad_values(tmp_path, capsys, corrupt, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [
+    {"kind": "gaussian_iid", "mean": [MAX_MAGNITUDE, -MAX_MAGNITUDE], "std": MAX_MAGNITUDE},
+    {"kind": "fixed_sequence", "contexts": [[MAX_MAGNITUDE, -MAX_MAGNITUDE], [0.5, 0.0]],
+     "cycle": True},
+], ids=["gaussian_iid", "fixed_sequence"])
+def test_every_strategy_runs_cleanly_at_the_magnitude_ceiling(tmp_path, source):
+    data = base_config()
+    data["instance"].update(noise_std=MAX_MAGNITUDE, horizon=30, context_source=source)
+    data["policies"] = [{"kind": kind} for kind in POLICY_KINDS if kind != "chained_restricted"]
+    data["policies"][1]["sigma_pay"] = MAX_MAGNITUDE
+    data["policies"].append({"kind": "chained_restricted", "budget": 1.0})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", "--config", str(p)]) == 0
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    for path in (tmp_path / "out").glob("*.csv"):
+        assert "nan" not in path.read_text() and "inf" not in path.read_text(), path.name
+
+
 def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):
     (tmp_path / "toy.csv").write_text("0.1,0.2,0\nnan,0.4,1\n")
     data = base_config()
@@ -553,6 +610,14 @@ def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):
     assert main(["validate", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "context_source.path" in err and "row 2, column 1" in err
+
+
+def test_every_export_resolves():
+    import payband
+    assert [name for name in payband.__all__ if not hasattr(payband, name)] == []
+    namespace = {}
+    exec("from payband import *", namespace)
+    assert set(payband.__all__) <= set(namespace)
 
 
 def test_running_an_experiment_does_not_import_scipy(tmp_path):
@@ -605,6 +670,15 @@ def test_cli_import_prints_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rows: 3" in out
     assert "features: 2" in out
+
+
+def test_cli_import_rejects_fewer_than_two_classes(tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    data.write_text("0.1,0.2,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["import", "--csv", str(data), "--classes", "1"])
+    assert exc.value.code == 2
+    assert "--classes" in capsys.readouterr().err
 
 
 def test_cli_import_bad_file_exits_3(tmp_path, capsys):

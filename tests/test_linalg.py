@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels against an independent Gauss-Jordan oracle."""
+"""Dense linear algebra kernels: factor, substitutions, smallest eigenvalue."""
 
 import numpy as np
 import pytest
@@ -10,28 +10,7 @@ from payband.linalg import (
     cholesky_spd,
     forward_substitute,
     min_eig_sym,
-    quad_norm_inv,
-    solve_spd,
 )
-
-
-def gauss_jordan_inverse(a):
-    """Textbook Gauss-Jordan with partial pivoting. Deliberately shares no
-    code with the package; used as the reference for solve/quad-norm checks."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[pivot, col]) < 1e-14:
-            raise ZeroDivisionError("singular")
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
 
 
 def random_spd(rng, d, jitter=0.1):
@@ -46,40 +25,6 @@ def test_cholesky_reconstructs_matrix():
         low = cholesky_spd(a)
         assert np.allclose(low @ low.T, a, atol=1e-10)
         assert np.allclose(low, np.tril(low))
-
-
-def test_solve_matches_gauss_jordan_on_many_seeded_systems():
-    rng = np.random.default_rng(1)
-    cases = 0
-    for _ in range(150):
-        for d in range(1, 9):
-            a = random_spd(rng, d)
-            b = rng.normal(size=d)
-            x = solve_spd(a, b)
-            x_ref = gauss_jordan_inverse(a) @ b
-            assert np.allclose(x, x_ref, atol=1e-8), (d, cases)
-            cases += 1
-    assert cases >= 1000
-
-
-def test_quad_norm_inv_matches_explicit_inverse():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        d = int(rng.integers(1, 9))
-        a = random_spd(rng, d)
-        x = rng.normal(size=d)
-        want = float(np.sqrt(x @ gauss_jordan_inverse(a) @ x))
-        assert quad_norm_inv(a, x) == pytest.approx(want, abs=1e-9)
-
-
-def test_quad_norm_inv_zero_vector_is_zero():
-    a = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert quad_norm_inv(a, np.zeros(2)) == 0.0
-
-
-def test_identity_quad_norm_is_euclidean_norm():
-    x = np.array([3.0, 4.0])
-    assert quad_norm_inv(np.eye(2), x) == pytest.approx(5.0)
 
 
 def test_triangular_substitution_round_trip():
@@ -103,8 +48,6 @@ def test_singular_matrix_raises():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
     with pytest.raises(SingularMatrixError):
         cholesky_spd(a)
-    with pytest.raises(SingularMatrixError):
-        solve_spd(a, np.ones(2))
 
 
 def test_near_singular_pivot_below_tolerance_raises():

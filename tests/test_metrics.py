@@ -35,12 +35,12 @@ def record(t, regret=0.0, payments=(0.0, 0.0), chosen=0, budget=None):
     )
 
 
-def trace(records, cfg=CFG, seed=0):
+def trace(records, cfg=CFG):
     """A trace whose row i holds the fields of records[i]."""
     def column(name, dtype=float):
         return np.array([getattr(r, name) for r in records], dtype=dtype)
 
-    return RunTrace(policy=cfg, seed=seed, arm=column("chosen_arm", int),
+    return RunTrace(policy=cfg, arm=column("chosen_arm", int),
                     payments=column("payments"), displayed=column("displayed_estimates"),
                     contexts=column("context"), budget=column("budget_remaining", object),
                     true_mean=column("true_mean_reward"), inst_regret=column("inst_regret"),
@@ -54,7 +54,7 @@ def test_trace_requires_equal_column_lengths():
         columns = {c: getattr(tr, c) for c in RunTrace.COLUMNS}
         columns[name] = columns[name][:1]
         with pytest.raises(ValueError, match=name):
-            RunTrace(policy=CFG, seed=0, **columns)
+            RunTrace(policy=CFG, **columns)
 
 
 def test_records_view_rebuilds_each_round_from_the_columns():
@@ -145,8 +145,8 @@ def test_aggregate_two_traces_means_and_stderr():
 def test_aggregate_is_order_invariant():
     rng = np.random.default_rng(1)
     traces = []
-    for s in range(4):
-        traces.append(trace([record(t, regret=float(rng.random())) for t in (1, 2, 3)], seed=s))
+    for _ in range(4):
+        traces.append(trace([record(t, regret=float(rng.random())) for t in (1, 2, 3)]))
     fwd = aggregate(traces)
     rev = aggregate(traces[::-1])
     assert np.allclose(fwd.mean_cum_regret, rev.mean_cum_regret)

@@ -1,4 +1,4 @@
-"""Agent choice rule, projection, regret, and instance validation."""
+"""Agent choice rule, projection, and instance validation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from payband.model import (
     ConfigError,
     InstanceSpec,
     agent_choose,
-    inst_regret,
     unit_ball_projection,
 )
 from payband.environment import (
@@ -73,13 +72,6 @@ def test_projection_shrinks_only_outside_ball():
     inside = np.array([0.3, -0.1])
     assert np.array_equal(unit_ball_projection(inside), inside)
     assert np.array_equal(unit_ball_projection(np.zeros(2)), np.zeros(2))
-
-
-def test_inst_regret_zero_for_best_arm():
-    attrs = np.array([[0.2, 0.0], [0.9, 0.0]])
-    ctx = np.array([1.0, 0.0])
-    assert inst_regret(attrs, ctx, 1) == 0.0
-    assert inst_regret(attrs, ctx, 0) == pytest.approx(0.7)
 
 
 def test_instance_rejects_single_arm():

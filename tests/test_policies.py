@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from payband.environment import FixedSequenceSpec, FixedSequenceStream, LinearEnvironment
+from payband.environment import FixedSequenceSpec, LinearEnvironment
 from payband.estimation import OLS, RIDGE, EstimatorState
 from payband.metrics import RunTrace
 from payband.model import agent_choose
@@ -371,12 +371,11 @@ def test_unrestricted_chained_payment_targets_chain_member():
 
 def make_env(attrs, contexts, horizon, cycle=True, seed=0):
     spec = FixedSequenceSpec(contexts=tuple(contexts), cycle=cycle)
-    return LinearEnvironment(np.asarray(attrs, float), FixedSequenceStream(spec), horizon,
-                             rng_for(seed))
+    return LinearEnvironment(np.asarray(attrs, float), spec, horizon, rng_for(seed))
 
 
 def empty_trace(env, cfg):
-    return RunTrace.allocate(cfg, 0, env.contexts, env.n_arms)
+    return RunTrace.allocate(cfg, env.contexts, env.n_arms)
 
 
 def test_initial_exploration_is_round_robin_with_zero_payments():
@@ -415,6 +414,15 @@ def test_play_round_record_is_replayable():
         assert (outcome.chosen_arm, outcome.payment_paid) == (rec.chosen_arm, rec.payment_paid)
         assert rec.inst_regret >= 0.0
         assert rec.observed_reward == rec.true_mean_reward + noise[rec.t - 1]
+
+
+def test_realize_outcomes_regret_is_gap_to_best_arm():
+    env = make_env([[0.2, 0.0], [0.9, 0.0]], [np.array([1.0, 0.0])], horizon=2)
+    trace, noise = empty_trace(env, PolicyConfig(kind="no_payments")), np.zeros(2)
+    trace.arm[:] = [1, 0]
+    realize_outcomes(env, noise, trace)
+    assert trace.inst_regret[0] == 0.0  # the best arm
+    assert trace.inst_regret[1] == pytest.approx(0.7)  # its gap to the best arm
 
 
 def test_play_round_snapshot_not_aliased_to_live_estimates():
