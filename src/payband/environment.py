@@ -13,7 +13,6 @@ bandit instance with one arm per class.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,8 +155,9 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                      has_header: bool = False) -> BanditDataset:
     """Parse ``f_1,...,f_d,label`` rows into a BanditDataset.
 
-    Errors carry 1-based row and column positions so a broken file can be
-    fixed without guessing.
+    Feature cells must be finite and of magnitude at most
+    ``model.MAX_MAGNITUDE``. Errors carry 1-based row and column positions
+    so a broken file can be fixed without guessing.
     """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
@@ -187,10 +187,9 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                     value = float(cell)
                 except ValueError:
                     value = None
-                if value is None or not math.isfinite(value):
-                    raise DatasetFormatError(
-                        f"row {lineno}, column {col}: {cell!r} is not a finite number"
-                    )
+                if value is None or not abs(value) <= MAX_MAGNITUDE:  # NaN fails too
+                    raise DatasetFormatError(f"row {lineno}, column {col}: {cell!r} is not a "
+                                             f"finite number of magnitude <= {MAX_MAGNITUDE:g}")
                 feats.append(value)
             try:
                 label = int(cells[-1])

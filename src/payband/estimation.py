@@ -42,12 +42,10 @@ class EstimatorState:
 
     ``gram`` always stores the raw sum of outer products; the ridge term
     ``ridge_lambda * I`` is added at refactor time only. ``absorb`` updates
-    the statistics and the cached inverse in place and drops the cached
-    estimate.
+    the statistics and the cached inverse in place.
     """
 
-    __slots__ = ("mode", "ridge_lambda", "dim", "gram", "moment", "count",
-                 "_estimate", "_inverse")
+    __slots__ = ("mode", "ridge_lambda", "dim", "gram", "moment", "count", "_inverse")
 
     def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0) -> None:
         if mode not in (OLS, RIDGE):
@@ -60,7 +58,6 @@ class EstimatorState:
         self.gram = np.zeros((self.dim, self.dim))
         self.moment = np.zeros(self.dim)
         self.count = 0
-        self._estimate = None
         self._inverse = None
 
     def absorb(self, context: np.ndarray, response: float) -> None:
@@ -71,7 +68,6 @@ class EstimatorState:
         self.gram += x[:, None] * x
         self.moment += float(response) * x
         self.count += 1
-        self._estimate = None
         inv = self._inverse
         if inv is not None:
             u = inv @ x
@@ -104,13 +100,9 @@ class EstimatorState:
         deficient; the caller decides whether to keep exploring or display a
         zero-vector fallback.
         """
-        if self._estimate is None:
-            est = self.inverse() @ self.moment
-            norm = math.sqrt(est.dot(est))
-            if norm > 1.0:
-                est = est / norm
-            self._estimate = est
-        return self._estimate
+        est = self.inverse() @ self.moment
+        norm = math.sqrt(est.dot(est))
+        return est / norm if norm > 1.0 else est
 
     def inv_norm(self, context: np.ndarray) -> float:
         """||context|| in the inverse (regularized) Gram metric."""

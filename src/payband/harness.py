@@ -44,9 +44,6 @@ from .environment import (
 from .metrics import AccumulatedCurves, AggregateCurves, RunTrace, aggregate
 from .model import ConfigError, InstanceSpec
 from .policies import (
-    ChainedPolicy,
-    PerturbationPaymentsPolicy,
-    LinUCBAlignmentPolicy,
     Policy,
     PolicyConfig,
     build_policy,
@@ -365,7 +362,8 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
 
     Each stream is drawn for the whole run before the first round: the
     contexts, the reward noise, and what the strategy can draw ahead (see
-    ``Policy.start_run``). Each round then fills its row of the trace.
+    ``Policy.start_run``). Each round then fills its row of the trace, and
+    the strategy's ``diagnostics`` are copied into the trace at the end.
 
     A pre-built (possibly warm-started) policy object can be injected; by
     default a fresh one is constructed from the config.
@@ -376,20 +374,15 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
         policy = build_policy(policy_cfg, env.n_arms, env.dim)
     m = policy_cfg.init_explore_m if policy_cfg.init_explore_m is not None \
         else instance.init_explore_m
-    if isinstance(policy, ChainedPolicy):
-        policy.explore_m = m
     horizon = instance.horizon
     noise = instance.noise_std * noise_rng.standard_normal(horizon)
-    policy.start_run(horizon - m, policy_rng)
+    policy.start_run(m, horizon - m, policy_rng)
     trace = RunTrace.allocate(policy_cfg, env.contexts, env.n_arms)
     initial_exploration(policy, env, noise, trace, m)
     for t in range(m + 1, horizon + 1):
         play_round(policy, env, noise, trace, t, policy_rng)
     realize_outcomes(env, noise, trace)
-    if isinstance(policy, PerturbationPaymentsPolicy):
-        trace.diagnostics["effective_contexts"] = policy.effective_contexts
-    if isinstance(policy, LinUCBAlignmentPolicy):
-        trace.diagnostics["alignment_log"] = policy.alignment_log
+    trace.diagnostics.update(policy.diagnostics)
     return trace
 
 

@@ -42,10 +42,10 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cholesky_spd(a: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def cholesky_spd(a: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with A = L L^T.
 
-    Raises SingularMatrixError if any pivot L_jj^2 falls below ``pivot_tol``
+    Raises SingularMatrixError if any pivot L_jj^2 falls below ``PIVOT_TOL``
     or the matrix is not positive definite at all.
     """
     a = _check_symmetric(_as_square(a))
@@ -54,10 +54,10 @@ def cholesky_spd(a: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is not positive definite (a pivot <= 0)") from None
     diag = low.diagonal()  # positive: LAPACK takes the square root of each pivot
-    if diag.size and float(diag.min()) ** 2 < pivot_tol:
-        j = int(np.argmax(diag ** 2 < pivot_tol))
+    if diag.size and float(diag.min()) ** 2 < PIVOT_TOL:
+        j = int(np.argmax(diag ** 2 < PIVOT_TOL))
         raise SingularMatrixError(
-            f"pivot {diag[j] ** 2:.3e} below tolerance {pivot_tol:.1e} at column {j}"
+            f"pivot {diag[j] ** 2:.3e} below tolerance {PIVOT_TOL:.1e} at column {j}"
         )
     return low
 

@@ -26,8 +26,10 @@ strategies are provided:
                                budget that depletes as payments are offered;
                                at zero budget it degenerates to no_payments.
 
-Strategies only ever see contexts, payments, and realized rewards. Ground
-truth attribute vectors never cross this interface.
+Every strategy is built (``build_policy``), started (``start_run``) with the
+run's exploration length, free-round count and random stream, played round by
+round, and read back through ``diagnostics``. Strategies only ever see contexts,
+payments, and realized rewards; ground truth never crosses this interface.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .estimation import (
     confidence_width,
     inv_norms,
 )
+from .linalg import PIVOT_TOL
 from .model import MAX_MAGNITUDE, ConfigError, agent_choose
 # No round calls realize_from_mean any more (noise is drawn per run), but
 # perfbench/worker.py still looks it up in this module.
@@ -90,6 +93,7 @@ class PolicyConfig:
     ``estimator_mode`` forces "ols" or "ridge" (the ridge override on
     no_payments gives an exact zero-budget reference for the restricted
     chained strategy); strategies with confidence widths require "ridge".
+    Ridge mode needs ``ridge_lambda >= PIVOT_TOL``, an empty arm's pivot.
     """
 
     kind: str
@@ -121,8 +125,8 @@ class PolicyConfig:
                 raise ConfigError("budget", ">= 0", self.budget)
         if self.kind == CHAINED_RESTRICTED and self.budget is None:
             raise ConfigError("budget", "chained_restricted requires a budget", None)
-        if self.resolved_mode() == RIDGE and self.ridge_lambda <= 0:
-            raise ConfigError("ridge_lambda", "> 0 for ridge estimation", self.ridge_lambda)
+        if self.resolved_mode() == RIDGE and self.ridge_lambda < PIVOT_TOL:
+            raise ConfigError("ridge_lambda", f">= {PIVOT_TOL:g} in ridge mode", self.ridge_lambda)
         if self.estimator_mode is not None and self.estimator_mode not in (OLS, RIDGE):
             raise ConfigError("estimator_mode", f"one of {OLS}, {RIDGE}", self.estimator_mode)
         if self.estimator_mode == OLS and _DEFAULT_MODE[self.kind] == RIDGE:
@@ -224,7 +228,12 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 # ---------------------------------------------------------------------------
 
 class Policy:
-    """Base class: per-arm estimator states and the displayed-estimate cache."""
+    """Base class: per-arm estimator states and their displayed estimates.
+
+    ``start_run`` sets ``explore_m``; the rounds call ``absorb_forced`` or
+    ``calc_payments`` and ``update``; ``diagnostics`` then holds what the
+    strategy recorded. ``budget`` is what remains, None when unrestricted.
+    """
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
         self.config = config
@@ -234,7 +243,9 @@ class Policy:
         lam = config.ridge_lambda if mode == RIDGE else 0.0
         self.states = [EstimatorState(dim, mode, lam) for _ in range(n_arms)]
         self._est_matrix = np.zeros((n_arms, dim))
-        self._stale: set[int] = set()
+        self.budget = config.budget
+        self.explore_m = 0
+        self.diagnostics: dict = {}
 
     # -- estimates ---------------------------------------------------------
 
@@ -245,24 +256,22 @@ class Policy:
         zero vector. The returned array is reused between rounds; callers
         who keep it must copy.
         """
-        for arm in self._stale:
-            try:
-                self._est_matrix[arm] = self.states[arm].estimate()
-            except SingularMatrixError:
-                self._est_matrix[arm] = 0.0
-        self._stale.clear()
         return self._est_matrix
 
     def _absorb(self, arm: int, context: np.ndarray, response: float) -> None:
         self.states[arm].absorb(context, response)
-        self._stale.add(arm)
+        try:  # refresh the arm's displayed row at once
+            self._est_matrix[arm] = self.states[arm].estimate()
+        except SingularMatrixError:
+            self._est_matrix[arm] = 0.0
 
     # -- interaction loop hooks -------------------------------------------
 
-    def start_run(self, rounds: int, rng: np.random.Generator) -> None:
-        """Draw from ``rng``, in one call, what the next ``rounds`` free rounds
-        use. Strategies whose per-round draws cannot be known ahead draw
-        nothing here."""
+    def start_run(self, explore_m: int, rounds: int, rng: np.random.Generator) -> None:
+        """Begin a run of ``explore_m`` mandated rounds and then ``rounds`` free
+        ones. Strategies that can know their per-round draws ahead draw them
+        from ``rng`` here, in one call; the others draw nothing."""
+        self.explore_m = explore_m
 
     def calc_payments(self, t: int, context: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
@@ -276,9 +285,6 @@ class Policy:
     def absorb_forced(self, t: int, context: np.ndarray, arm: int, observed: float) -> None:
         """Mandated pull during initial exploration: plain absorb, no payment."""
         self._absorb(arm, context, observed)
-
-    def budget_remaining(self) -> Optional[float]:
-        return None
 
 
 class NoPaymentsPolicy(Policy):
@@ -297,35 +303,31 @@ class PerturbationPaymentsPolicy(Policy):
     response, keeping the absorbed pairs consistent with the perturbed
     linear model. ``start_run`` draws the zetas of all free rounds in one
     (rounds, dim) call, which holds the bits of one (dim,) draw per round;
-    ``effective_contexts`` keeps the perturbed contexts, one row per round
-    played, for diversity diagnostics.
+    ``effective_contexts`` (also in ``diagnostics``) keeps the perturbed
+    contexts, one row per free round, for diversity diagnostics.
     """
 
-    def __init__(self, config, n_arms, dim):
-        super().__init__(config, n_arms, dim)
-        self._zeta = np.empty((0, dim))
-        self._last_zeta: Optional[np.ndarray] = None
-        self._played = 0
-        self.effective_contexts = np.empty((0, dim))
+    _zeta = np.empty((0, 0))  # no round has a zeta before start_run
 
-    def start_run(self, rounds, rng):
+    def start_run(self, explore_m, rounds, rng):
+        super().start_run(explore_m, rounds, rng)
         self._zeta = self.config.sigma_pay * rng.standard_normal((rounds, self.dim))
-        self._played = 0
-        self.effective_contexts = np.empty((rounds, self.dim))
+        self.effective_contexts = self.diagnostics["effective_contexts"] = \
+            np.empty_like(self._zeta)
+
+    def _row(self, t: int) -> int:
+        """Row of free round t in the zetas ``start_run`` drew."""
+        i = t - self.explore_m - 1
+        if not 0 <= i < len(self._zeta):
+            raise RuntimeError(f"no perturbation drawn for round {t}; call start_run first")
+        return i
 
     def calc_payments(self, t, context, rng):
-        if self._played >= len(self._zeta):
-            raise RuntimeError("no perturbation drawn for this round; call start_run first")
-        zeta = self._last_zeta = self._zeta[self._played]
-        return perturbation_payment(self.displayed_estimates(), zeta)
+        return perturbation_payment(self.displayed_estimates(), self._zeta[self._row(t)])
 
     def update(self, t, context, chosen, observed, payments):
-        if self._last_zeta is None:
-            raise RuntimeError("update called before calc_payments in the same round")
-        zeta, self._last_zeta = self._last_zeta, None
-        perturbed = self.effective_contexts[self._played]
-        np.add(context, zeta, out=perturbed)
-        self._played += 1
+        i = self._row(t)
+        perturbed = np.add(context, self._zeta[i], out=self.effective_contexts[i])
         self._absorb(chosen, perturbed, observed + float(payments[chosen]))
 
 
@@ -335,12 +337,13 @@ class LinUCBAlignmentPolicy(Policy):
     When the LinUCB pick differs from the greedy arm, that arm receives a
     payment equal to the estimated utility gap; the tie rule in agent_choose
     then lands the agent exactly on the LinUCB pick. Rounds where the two
-    agree need no payment. The (greedy, base) pairs are logged per round.
+    agree need no payment. The (t, greedy, base) triples are logged per
+    round in ``alignment_log``, which ``diagnostics`` shares.
     """
 
     def __init__(self, config, n_arms, dim):
         super().__init__(config, n_arms, dim)
-        self.alignment_log: list[tuple[int, int, int]] = []
+        self.alignment_log = self.diagnostics["alignment_log"] = []
 
     def calc_payments(self, t, context, rng):
         est = self.displayed_estimates()
@@ -361,14 +364,6 @@ class ChainedPolicy(Policy):
     amount and the budget is decremented by each offer; once it reaches zero
     the strategy stops paying entirely.
     """
-
-    def __init__(self, config, n_arms, dim):
-        super().__init__(config, n_arms, dim)
-        self.budget = config.budget  # None means unrestricted
-        self.explore_m = 0  # effective initial exploration length, set by the loop
-
-    def budget_remaining(self) -> Optional[float]:
-        return self.budget
 
     def calc_payments(self, t, context, rng):
         if self.budget is not None and self.budget <= 0:
@@ -422,7 +417,7 @@ def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace,
     """
     arms = np.arange(m) % env.n_arms
     trace.arm[:m] = arms
-    trace.budget[:m] = policy.budget_remaining()
+    trace.budget[:m] = policy.budget
     observed = env.means[np.arange(m), arms] + noise[:m]
     for i, arm in enumerate(arms.tolist()):
         trace.displayed[i] = policy.displayed_estimates()
@@ -441,7 +436,7 @@ def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int,
     trace.payments[i] = payments
     trace.displayed[i] = shown
     policy.update(t, theta, chosen, float(env.means[i, chosen] + noise[i]), payments)
-    trace.budget[i] = policy.budget_remaining()
+    trace.budget[i] = policy.budget
     return RoundOutcome(chosen, float(payments[chosen]))
 
 

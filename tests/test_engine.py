@@ -18,7 +18,6 @@ from payband.harness import child_seed_sequence, run_experiment, run_single, spa
 from payband.metrics import RunTrace
 from payband.model import InstanceSpec, agent_choose, unit_ball_projection, unit_ball_rows
 from payband.policies import (
-    ChainedPolicy,
     PERTURBATION,
     PolicyConfig,
     build_policy,
@@ -85,8 +84,7 @@ def reference_run(inst, cfg, seed):
             return x, inst.true_attrs @ x
 
     policy = build_policy(cfg, inst.n_arms, inst.dim)
-    if isinstance(policy, ChainedPolicy):
-        policy.explore_m = inst.init_explore_m
+    policy.explore_m = inst.init_explore_m
     rows, effective = [], []
     for t in range(1, inst.horizon + 1):
         x, means = round_inputs(t - 1)
@@ -110,7 +108,7 @@ def reference_run(inst, cfg, seed):
             else:
                 policy.update(t, x, arm, observed, pay)
         rows.append({"arm": arm, "payments": pay, "displayed": shown, "contexts": x,
-                     "budget": policy.budget_remaining(), "true_mean": float(means[arm]),
+                     "budget": policy.budget, "true_mean": float(means[arm]),
                      "inst_regret": float(means.max() - means[arm]),
                      "paid": float(pay[arm]), "observed": observed})
     return rows, effective, policy

@@ -92,7 +92,7 @@ def test_absorb_updates_in_place_and_clears_cached_estimate():
     assert np.allclose(state.regularized_gram(), [[2.0, 0.0], [0.0, 1.0]])
     contexts, responses = [np.array([1.0, 0.0])], [1.0]
     for _ in range(5):
-        state.estimate()  # fills the cache the next absorb must drop
+        state.estimate()  # caches the inverse the next absorb must keep current
         c, y = rng.normal(size=2), float(rng.normal())
         state.absorb(c, y)
         contexts.append(c)

@@ -26,6 +26,7 @@ from payband.harness import (
     spawn_streams,
     validate_config_data,
 )
+from payband.linalg import PIVOT_TOL
 from payband.model import MAX_MAGNITUDE, InstanceSpec
 from payband.policies import POLICY_KINDS, PolicyConfig
 
@@ -213,6 +214,18 @@ def test_run_single_is_deterministic_per_seed():
     assert any(
         ra.observed_reward != rc.observed_reward for ra, rc in zip(a.records, c.records)
     )
+
+
+def test_run_single_copies_each_strategys_diagnostics():
+    inst = small_instance()
+    free = inst.horizon - inst.init_explore_m
+    want = {"perturbation_payments": {"effective_contexts"},
+            "linucb_alignment": {"alignment_log"}}
+    for kind in POLICY_KINDS:
+        cfg = PolicyConfig(kind=kind, budget=1.0 if kind == "chained_restricted" else None)
+        trace = run_single(inst, cfg, child_seed_sequence(3, 0, 0))
+        assert set(trace.diagnostics) == want.get(kind, set()), kind
+        assert all(len(value) == free for value in trace.diagnostics.values()), kind
 
 
 def test_run_single_respects_policy_level_exploration_override():
@@ -528,6 +541,14 @@ def huge_fixed_context(cfg):
     }
 
 
+def tiny_ridge_lambda_for(kind):
+    # An arm with no observations has ridge pivots equal to lambda.
+    def corrupt(cfg):
+        cfg["policies"] = [{"kind": kind, "ridge_lambda": 1e-13}]
+    corrupt.__name__ = f"tiny_ridge_lambda_{kind}"
+    return corrupt
+
+
 def ols_estimator_for(kind):
     # Widths are norms in the inverse Gram metric; an OLS Gram matrix is
     # singular until every arm has dim independent observations.
@@ -564,6 +585,8 @@ def ols_estimator_for(kind):
     (ols_estimator_for("linucb_alignment"), "policies[0].estimator_mode"),
     (ols_estimator_for("chained_unrestricted"), "policies[0].estimator_mode"),
     (ols_estimator_for("chained_restricted"), "policies[0].estimator_mode"),
+    (tiny_ridge_lambda_for("linucb_alignment"), "policies[0].ridge_lambda"),
+    (tiny_ridge_lambda_for("chained_unrestricted"), "policies[0].ridge_lambda"),
 ])
 def test_cli_validate_rejects_bad_values(tmp_path, capsys, corrupt, field):
     data = base_config()
@@ -582,8 +605,11 @@ def test_cli_validate_rejects_bad_values(tmp_path, capsys, corrupt, field):
     {"kind": "gaussian_iid", "mean": [MAX_MAGNITUDE, -MAX_MAGNITUDE], "std": MAX_MAGNITUDE},
     {"kind": "fixed_sequence", "contexts": [[MAX_MAGNITUDE, -MAX_MAGNITUDE], [0.5, 0.0]],
      "cycle": True},
-], ids=["gaussian_iid", "fixed_sequence"])
+    {"kind": "dataset_replay", "path": "ceiling.csv", "sample_with_replacement": True},
+], ids=["gaussian_iid", "fixed_sequence", "dataset_replay"])
 def test_every_strategy_runs_cleanly_at_the_magnitude_ceiling(tmp_path, source):
+    big = repr(MAX_MAGNITUDE)
+    (tmp_path / "ceiling.csv").write_text(f"{big},-{big},0\n-{big},{big},1\n0.5,0.0,1\n")
     data = base_config()
     data["instance"].update(noise_std=MAX_MAGNITUDE, horizon=30, context_source=source)
     data["policies"] = [{"kind": kind} for kind in POLICY_KINDS if kind != "chained_restricted"]
@@ -600,16 +626,30 @@ def test_every_strategy_runs_cleanly_at_the_magnitude_ceiling(tmp_path, source):
 
 
 def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):
-    (tmp_path / "toy.csv").write_text("0.1,0.2,0\nnan,0.4,1\n")
     data = base_config()
     data["instance"].update(horizon=2, init_explore_m=2)
     data["instance"]["context_source"] = {"kind": "dataset_replay", "path": "toy.csv"}
     del data["instance"]["true_attrs"]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(data))
-    assert main(["validate", "--config", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert "context_source.path" in err and "row 2, column 1" in err
+    for cell in ("nan", "1e200", "-1e200"):  # the last two pass float() but not the ceiling
+        (tmp_path / "toy.csv").write_text(f"0.1,0.2,0\n{cell},0.4,1\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "context_source.path" in err and "row 2, column 1" in err, cell
+
+
+def test_width_strategies_run_at_the_ridge_lambda_floor(tmp_path):
+    data = json.loads(preset_config_path("fig1").read_text())
+    data["instance"].update(init_explore_m=0, horizon=100)
+    data["n_runs"] = 2
+    data["policies"] = [{"kind": "linucb_alignment", "ridge_lambda": PIVOT_TOL},
+                        {"kind": "chained_unrestricted", "ridge_lambda": PIVOT_TOL},
+                        {"kind": "chained_restricted", "budget": 1.0, "ridge_lambda": PIVOT_TOL}]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_every_export_resolves():

@@ -5,6 +5,7 @@ import pytest
 
 from payband.environment import FixedSequenceSpec, LinearEnvironment
 from payband.estimation import OLS, RIDGE, EstimatorState
+from payband.linalg import PIVOT_TOL
 from payband.metrics import RunTrace
 from payband.model import agent_choose
 from payband.policies import (
@@ -54,6 +55,10 @@ def test_config_parameter_ranges():
     with pytest.raises(ValueError):
         PolicyConfig(kind="chained_unrestricted", ridge_lambda=0.0)
     with pytest.raises(ValueError):
+        PolicyConfig(kind="linucb_alignment", ridge_lambda=0.1 * PIVOT_TOL)
+    PolicyConfig(kind="linucb_alignment", ridge_lambda=PIVOT_TOL)
+    PolicyConfig(kind="no_payments", ridge_lambda=0.1 * PIVOT_TOL)  # OLS: lambda unused
+    with pytest.raises(ValueError):
         PolicyConfig(kind="no_payments", estimator_mode="bayes")
 
 
@@ -91,7 +96,7 @@ def test_perturbation_update_folds_payment_into_response():
         pol.absorb_forced(0, np.array(x), 1, y)
         ref.absorb(np.array(x), y)
     ctx = np.array([1.0, 0.0])
-    pol.start_run(1, rng_for(16))
+    pol.start_run(0, 1, rng_for(16))
     pay = pol.calc_payments(1, ctx, rng_for(17))
     zeta = rng_for(16).standard_normal(2)  # the draw start_run made
     assert pay[1] != 0.0
@@ -311,17 +316,35 @@ def test_displayed_estimates_array_is_reused():
     assert pol.displayed_estimates() is pol.displayed_estimates()
 
 
-def test_perturbation_update_requires_prior_calc():
+def test_absorb_refreshes_the_arms_displayed_row():
+    pol = build_policy(PolicyConfig(kind="linucb_alignment"), 2, 2)
+    shown = pol.displayed_estimates()
+    pol.absorb_forced(1, np.array([0.6, 0.8]), 1, 0.5)
+    assert np.array_equal(shown[1], pol.states[1].estimate())  # no display call in between
+    assert shown[1].any() and not shown[0].any()
+
+
+def test_perturbation_rounds_require_start_run():
     pol = build_policy(PolicyConfig(kind="perturbation_payments"), 2, 2)
+    ctx = np.array([1.0, 0.0])
     with pytest.raises(RuntimeError):
-        pol.update(1, np.array([1.0, 0.0]), 0, 0.5, np.zeros(2))
+        pol.calc_payments(1, ctx, rng_for(0))
+    with pytest.raises(RuntimeError):
+        pol.update(1, ctx, 0, 0.5, np.zeros(2))
+    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
+    for t in (3, 5):
+        with pytest.raises(RuntimeError):
+            pol.calc_payments(t, ctx, rng_for(0))
+    pay = pol.calc_payments(4, ctx, rng_for(0))
+    pol.update(4, ctx, 0, 0.5, pay)
+    assert pol.states[0].count == 1
 
 
 def test_perturbation_history_keeps_perturbed_pairs():
     pol = build_policy(PolicyConfig(kind="perturbation_payments", sigma_pay=1.0), 2, 2)
     ctx = np.array([1.0, 0.0])
     rng = rng_for(4)
-    pol.start_run(1, rng)
+    pol.start_run(0, 1, rng)
     pay = pol.calc_payments(1, ctx, rng)
     pol.update(1, ctx, 0, observed=0.5, payments=pay)
     state = pol.states[0]
@@ -351,8 +374,8 @@ def test_restricted_budget_never_goes_negative():
     rng = rng_for(6)
     for t in range(1, 60):
         pol.calc_payments(t, np.array([1.0, 0.0]), rng)
-        assert pol.budget_remaining() >= 0.0
-    assert pol.budget_remaining() == 0.0  # 0.4 cannot survive 59 offers here
+        assert pol.budget >= 0.0
+    assert pol.budget == 0.0  # 0.4 cannot survive 59 offers here
 
 
 def test_unrestricted_chained_payment_targets_chain_member():
@@ -362,7 +385,7 @@ def test_unrestricted_chained_payment_targets_chain_member():
         pol.absorb_forced(0, np.array([1.0, 0.0]), arm, val)
         pol.absorb_forced(0, np.array([0.0, 1.0]), arm, 0.0)
     pay = pol.calc_payments(1, np.array([1.0, 0.0]), rng_for(7))
-    assert pol.budget_remaining() is None
+    assert pol.budget is None
     assert np.count_nonzero(pay) <= 1
     assert pay.min() >= 0.0
 
@@ -405,7 +428,7 @@ def test_play_round_record_is_replayable():
     trace, policy_rng = empty_trace(env, cfg), rng_for(11)
     noise = 0.1 * rng_for(10).standard_normal(2)
     initial_exploration(pol, env, noise, trace, 0)
-    pol.start_run(2, policy_rng)
+    pol.start_run(0, 2, policy_rng)
     outcomes = [play_round(pol, env, noise, trace, t, policy_rng) for t in (1, 2)]
     realize_outcomes(env, noise, trace)
     for rec, outcome in zip(trace.records, outcomes, strict=True):
