@@ -9,8 +9,10 @@ used by the chained payment strategies.
 
 A state caches A = G^-1 for its (regularized) Gram matrix G: the estimate is
 A moment, ||x|| in the G^-1 metric is sqrt(x^T A x), and the widths of all N
-arms are one (N, d, d) @ x product. ``absorb`` keeps A current with the
-Sherman-Morrison update A -= v v^T, v = A x / sqrt(s), s = 1 + x^T A x.
+arms are one (N, d, d) @ x product. ``stacked_states`` builds a strategy's N
+states with their inverses stored as the rows of one (N, d, d) array, so that
+product reads the cached inverses in place. ``absorb`` keeps A current with
+the Sherman-Morrison update A -= v v^T, v = A x / sqrt(s), s = 1 + x^T A x.
 Because s = det G' / det G, an observation with s > 2 drops A instead and
 the next use refactors G anew (Cholesky, then A = W^T W for
 W = L^-1); this is the determinant-doubling rule of rarely switching OFUL
@@ -18,6 +20,13 @@ W = L^-1); this is the determinant-doubling rule of rarely switching OFUL
 It bounds the drift of the updated inverse. Adding x x^T never lowers a
 Cholesky pivot, so an OLS arm that once passed ``PIVOT_TOL`` stays
 identifiable and needs no re-check between refactors.
+
+Only a refactor reads G, so ``absorb`` does not form x x^T: it copies x into
+a buffer of ``GRAM_ROWS`` rows, and G is summed when it is read (``gram``)
+or the buffer is full. The fold adds the buffered outer products to G one at
+a time, in absorb order, with ``np.add.accumulate``, so G keeps the bits of
+absorbing each x x^T with ``+=``. ``np.add.reduce`` would sum them pairwise
+and round differently.
 """
 
 from __future__ import annotations
@@ -36,16 +45,20 @@ RIDGE = "ridge"
 # cached inverse, so the next use refactors G anew.
 REFACTOR_RATIO = 2.0
 
+# Contexts an arm buffers before it folds their outer products into G.
+GRAM_ROWS = 32
+
 
 class EstimatorState:
     """Mutable accumulator for one arm's regression statistics.
 
-    ``gram`` always stores the raw sum of outer products; the ridge term
+    ``gram`` is the raw sum of outer products; the ridge term
     ``ridge_lambda * I`` is added at refactor time only. ``absorb`` updates
     the statistics and the cached inverse in place.
     """
 
-    __slots__ = ("mode", "ridge_lambda", "dim", "gram", "moment", "count", "_inverse")
+    __slots__ = ("mode", "ridge_lambda", "dim", "moment", "count",
+                 "_gram", "_rows", "_buffered", "_inverse", "_current")
 
     def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0) -> None:
         if mode not in (OLS, RIDGE):
@@ -55,28 +68,48 @@ class EstimatorState:
         self.mode = mode
         self.ridge_lambda = float(ridge_lambda)
         self.dim = int(dim)
-        self.gram = np.zeros((self.dim, self.dim))
         self.moment = np.zeros(self.dim)
         self.count = 0
-        self._inverse = None
+        self._gram = np.zeros((self.dim, self.dim))
+        self._rows = np.empty((GRAM_ROWS, self.dim))  # absorbed, not yet in _gram
+        self._buffered = 0
+        self._inverse = np.zeros((self.dim, self.dim))  # G^-1 while _current
+        self._current = False
 
     def absorb(self, context: np.ndarray, response: float) -> None:
         """Add one (context, response) pair to the statistics."""
         x = np.asarray(context, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"context shape {x.shape} does not match dim {self.dim}")
-        self.gram += x[:, None] * x
+        self._rows[self._buffered] = x
+        self._buffered += 1
+        if self._buffered == GRAM_ROWS:
+            self._fold()
         self.moment += float(response) * x
         self.count += 1
-        inv = self._inverse
-        if inv is not None:
+        if self._current:
+            inv = self._inverse
             u = inv @ x
             s = 1.0 + x.dot(u)
             if s <= REFACTOR_RATIO:
                 v = u / math.sqrt(s)
                 inv -= v[:, None] * v  # v_i v_j == v_j v_i: stays exactly symmetric
             else:  # also a NaN ratio: the refactor's checks then reject it
-                self._inverse = None
+                self._current = False
+
+    def _fold(self) -> None:
+        """Add the buffered rows' outer products to G in absorb order."""
+        rows = self._rows[:self._buffered]
+        terms = np.concatenate([self._gram[None], rows[:, :, None] * rows[:, None, :]])
+        self._gram[...] = np.add.accumulate(terms, axis=0)[-1]
+        self._buffered = 0
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Sum of x x^T over the absorbed contexts."""
+        if self._buffered:
+            self._fold()
+        return self._gram
 
     def regularized_gram(self) -> np.ndarray:
         if self.mode == RIDGE:
@@ -86,11 +119,14 @@ class EstimatorState:
     def inverse(self) -> np.ndarray:
         """A = G^-1 for the (regularized) Gram matrix G, kept current by
         ``absorb``. With none cached, G is factored anew; OLS mode
-        then raises SingularMatrixError while the arm is not identifiable."""
-        if self._inverse is None:
+        then raises SingularMatrixError while the arm is not identifiable.
+        The array is updated in place (for ``stacked_states``, a row of the
+        stack)."""
+        if not self._current:
             low = cholesky_spd(self.regularized_gram())
             w = forward_substitute(low, np.eye(self.dim))
-            self._inverse = w.T @ w
+            self._inverse[...] = w.T @ w
+            self._current = True
         return self._inverse
 
     def estimate(self) -> np.ndarray:
@@ -110,33 +146,46 @@ class EstimatorState:
         return math.sqrt(max(float(x.dot(self.inverse() @ x)), 0.0))
 
 
-def inv_norms(states: list[EstimatorState], context: np.ndarray) -> np.ndarray:
-    """||context|| in each state's inverse Gram metric, from one (N, d, d) @ x product."""
+def stacked_states(n: int, dim: int, mode: str, ridge_lambda: float
+                   ) -> tuple[list[EstimatorState], np.ndarray]:
+    """``n`` fresh states and the (n, dim, dim) array whose row i is state i's
+    cached inverse. A row is valid from its state's ``inverse()`` call until
+    an ``absorb`` drops it."""
+    states = [EstimatorState(dim, mode, ridge_lambda) for _ in range(n)]
+    inverses = np.zeros((n, dim, dim))
+    for state, row in zip(states, inverses):
+        state._inverse = row
+    return states, inverses
+
+
+def inv_norms(inverses: np.ndarray, context: np.ndarray) -> np.ndarray:
+    """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one product."""
     x = np.asarray(context, float)
-    inv = np.array([state.inverse() for state in states])
-    return np.sqrt(np.maximum((inv @ x) @ x, 0.0))
+    return np.sqrt(np.maximum((inverses @ x) @ x, 0.0))
 
 
-def confidence_width(states: list[EstimatorState], context: np.ndarray, delta: float,
-                     explore_m: int, t: int) -> np.ndarray:
-    """Ellipsoidal confidence widths of all arms at round t, one per state.
+def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndarray,
+                     delta: float, explore_m: int, t: int) -> np.ndarray:
+    """Ellipsoidal confidence widths of all arms at round t, one per inverse.
 
-    width_i = ||context||_{(G_i + lam I)^-1} * (m * sqrt(d * ln((1 + t/lam)/delta)) + sqrt(lam))
+    width_i = ||context||_{A_i} * (m * sqrt(d * ln((1 + t/lam)/delta)) + sqrt(lam))
 
-    Requires ridge-mode states sharing one lam > 0, and delta in (0, 1).
-    Zero context gives width 0; more data never increases an arm's width for
-    a fixed context.
+    ``inverses`` is the (N, d, d) stack of A_i = (G_i + lam I)^-1, current
+    for ridge-mode states sharing one lam = ``ridge_lambda`` > 0, as
+    ``stacked_states`` keeps them; delta is in (0, 1). Zero context gives
+    width 0; more data never increases an arm's width for a fixed context.
     """
-    lam = states[0].ridge_lambda
-    if any(state.mode != RIDGE or state.ridge_lambda != lam for state in states):
-        raise ValueError("confidence widths require ridge-mode estimators sharing one lambda")
+    lam = ridge_lambda
+    if not lam > 0:
+        raise ValueError(f"confidence widths require ridge_lambda > 0, got {lam}")
     if not (0 < delta < 1):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    scale = explore_m * math.sqrt(states[0].dim * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
-    return inv_norms(states, context) * scale
+    d = inverses.shape[-1]
+    scale = explore_m * math.sqrt(d * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
+    return inv_norms(inverses, context) * scale
 
 
 __all__ = [
-    "OLS", "RIDGE", "EstimatorState", "confidence_width", "inv_norms",
+    "OLS", "RIDGE", "EstimatorState", "confidence_width", "inv_norms", "stacked_states",
     "SingularMatrixError", "back_substitute", "cholesky_spd", "forward_substitute",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import csv
 import importlib.resources
 import itertools
 import json
@@ -449,16 +448,16 @@ def _fmt(value) -> str:
 
 @contextlib.contextmanager
 def _atomic_csv(path: Union[str, Path]):
-    """A csv writer whose rows replace ``path`` only once all are written.
+    """A text file whose lines replace ``path`` only once all are written.
 
-    Rows go to a temporary file in the same directory, which is renamed onto
+    Lines go to a temporary file in the same directory, which is renamed onto
     ``path`` at the end, so a failed write leaves no partial file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            yield csv.writer(fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -473,6 +472,16 @@ def _reprs(values) -> Iterator[str]:
     return map(float.__repr__, np.asarray(values, dtype=float))
 
 
+def _csv_line(n_cells: int) -> str:
+    """A ``str.format`` template for one CSV line of ``n_cells`` formatted cells.
+
+    The lines are what ``csv.writer`` writes for these cells: comma
+    separated, ended by ``\\r\\n``, nothing quoted (no cell holds a comma,
+    quote or line break).
+    """
+    return ",".join(["{}"] * n_cells) + "\r\n"
+
+
 def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
                     curves: list[AccumulatedCurves]) -> None:
     """One row per (run, round), runs concatenated in order.
@@ -480,11 +489,12 @@ def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
     ``curves`` are the runs' accumulated curves, in the same order, as
     ``aggregate`` returns them in ``runs``.
     """
-    with _atomic_csv(path) as writer:
-        writer.writerow(TRACE_COLUMNS)
+    line = _csv_line(len(TRACE_COLUMNS)).format
+    with _atomic_csv(path) as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for run_index, (trace, run) in enumerate(zip(traces, curves, strict=True)):
-            writer.writerows(zip(
-                range(1, trace.horizon + 1), itertools.repeat(run_index),
+            fh.writelines(map(
+                line, range(1, trace.horizon + 1), itertools.repeat(run_index),
                 trace.arm.tolist(),
                 _reprs(trace.inst_regret), _reprs(run.cum_regret),
                 _reprs(trace.paid), _reprs(run.cum_payment),
@@ -506,9 +516,10 @@ def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
                agg.mean_cum_payment, agg.stderr_cum_payment,
                agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
                *agg.mean_per_arm_payment]
-    with _atomic_csv(path) as writer:
-        writer.writerow(header)
-        writer.writerows(zip(range(1, horizon + 1), *map(_reprs, columns)))
+    with _atomic_csv(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(_csv_line(len(header)).format, range(1, horizon + 1),
+                          *map(_reprs, columns)))
 
 
 # ---------------------------------------------------------------------------

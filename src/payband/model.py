@@ -59,13 +59,14 @@ def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarra
     then toward the lowest arm index. Adding a constant to every payment entry
     does not change the outcome. All three arguments are float arrays.
     """
-    utilities = estimates @ context + payments
-    tied = (utilities >= utilities.max() - TIE_TOLERANCE).nonzero()[0]
+    utilities = (estimates @ context + payments).tolist()
+    floor = max(utilities) - TIE_TOLERANCE
+    tied = [i for i, u in enumerate(utilities) if u >= floor]
     if len(tied) == 1:
-        return int(tied[0])
-    # argmax returns the first maximum, so equal payments fall back to the
+        return tied[0]
+    # max returns the first maximum, so equal payments fall back to the
     # lowest index among the tied arms.
-    return int(tied[payments[tied].argmax()])
+    return max(tied, key=payments.tolist().__getitem__)
 
 
 class ConfigError(ValueError):

@@ -43,10 +43,10 @@ import numpy as np
 from .estimation import (
     OLS,
     RIDGE,
-    EstimatorState,
     SingularMatrixError,
     confidence_width,
     inv_norms,
+    stacked_states,
 )
 from .linalg import PIVOT_TOL
 from .model import MAX_MAGNITUDE, ConfigError, agent_choose
@@ -162,16 +162,17 @@ def alignment_payment(scores: np.ndarray, greedy: int, base: int) -> np.ndarray:
     return pay
 
 
-def linucb_choose(states: list[EstimatorState], estimates: np.ndarray,
+def linucb_choose(inverses: np.ndarray, estimates: np.ndarray,
                   context: np.ndarray, alpha: float) -> int:
     """Disjoint-model LinUCB pick: argmax of estimate . context + alpha * width.
 
     The widths are the context norms in the arms' inverse regularized Gram
-    metrics, all from one product. Ties break toward the lowest arm index.
+    metrics, the (N, d, d) stack ``inverses``, all from one product. Ties
+    break toward the lowest arm index.
     """
     context = np.asarray(context, float)
     scores = np.asarray(estimates, float) @ context
-    return int(np.argmax(scores + alpha * inv_norms(states, context)))
+    return int(np.argmax(scores + alpha * inv_norms(inverses, context)))
 
 
 def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) -> list[int]:
@@ -233,6 +234,8 @@ class Policy:
     ``start_run`` sets ``explore_m``; the rounds call ``absorb_forced`` or
     ``calc_payments`` and ``update``; ``diagnostics`` then holds what the
     strategy recorded. ``budget`` is what remains, None when unrestricted.
+    The arms' cached inverses are the rows of ``inverses`` (see
+    ``stacked_states``).
     """
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
@@ -241,7 +244,8 @@ class Policy:
         self.dim = dim
         mode = config.resolved_mode()
         lam = config.ridge_lambda if mode == RIDGE else 0.0
-        self.states = [EstimatorState(dim, mode, lam) for _ in range(n_arms)]
+        self.states, self.inverses = stacked_states(n_arms, dim, mode, lam)
+        self._unfactored = set(range(n_arms))  # arms whose inverse is not current
         self._est_matrix = np.zeros((n_arms, dim))
         self.budget = config.budget
         self.explore_m = 0
@@ -258,12 +262,23 @@ class Policy:
         """
         return self._est_matrix
 
+    def current_inverses(self) -> np.ndarray:
+        """``inverses`` with every row current: an arm that has not absorbed
+        yet, or whose refactor failed, is factored here."""
+        for arm in self._unfactored:
+            self.states[arm].inverse()
+        self._unfactored.clear()
+        return self.inverses
+
     def _absorb(self, arm: int, context: np.ndarray, response: float) -> None:
-        self.states[arm].absorb(context, response)
-        try:  # refresh the arm's displayed row at once
-            self._est_matrix[arm] = self.states[arm].estimate()
+        state = self.states[arm]
+        state.absorb(context, response)
+        try:  # refresh the arm's displayed row at once, which refactors if needed
+            self._est_matrix[arm] = state.estimate()
+            self._unfactored.discard(arm)
         except SingularMatrixError:
             self._est_matrix[arm] = 0.0
+            self._unfactored.add(arm)
 
     # -- interaction loop hooks -------------------------------------------
 
@@ -349,7 +364,7 @@ class LinUCBAlignmentPolicy(Policy):
         est = self.displayed_estimates()
         scores = est @ np.asarray(context, float)
         greedy = int(np.argmax(scores))
-        base = linucb_choose(self.states, est, context, self.config.linucb_alpha)
+        base = linucb_choose(self.current_inverses(), est, context, self.config.linucb_alpha)
         self.alignment_log.append((t, greedy, base))
         return alignment_payment(scores, greedy, base)
 
@@ -371,7 +386,8 @@ class ChainedPolicy(Policy):
         est = self.displayed_estimates()
         scores = est @ np.asarray(context, float)
         anchor = int(np.argmax(scores))
-        widths = confidence_width(self.states, context, self.config.delta, self.explore_m, t)
+        widths = confidence_width(self.current_inverses(), self.states[0].ridge_lambda, context,
+                                  self.config.delta, self.explore_m, t)
         members = build_chain(scores, widths, anchor)
         pay, _, _, new_budget = chained_payment(members, scores, anchor, rng, self.budget)
         self.budget = new_budget

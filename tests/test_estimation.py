@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from payband import estimation
-from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width, inv_norms
+from payband.estimation import (
+    OLS,
+    RIDGE,
+    EstimatorState,
+    confidence_width,
+    inv_norms,
+    stacked_states,
+)
 from payband.linalg import SingularMatrixError
 
 
@@ -24,6 +31,11 @@ def absorb_all(state, contexts, responses):
     for c, y in zip(contexts, responses):
         state.absorb(c, y)
     return state
+
+
+def inverses_of(states):
+    """The states' current inverses as one (N, d, d) stack."""
+    return np.array([state.inverse() for state in states])
 
 
 def test_noiseless_recovery_after_d_independent_observations():
@@ -126,7 +138,8 @@ def test_repeated_context_never_identifies_ols():
 
 def test_width_hand_value_on_empty_state():
     states = [EstimatorState(1, mode=RIDGE, ridge_lambda=1.0) for _ in range(3)]
-    widths = confidence_width(states, np.array([1.0]), delta=0.5, explore_m=1, t=1)
+    widths = confidence_width(inverses_of(states), 1.0, np.array([1.0]), delta=0.5,
+                              explore_m=1, t=1)
     want = 1.0 * (math.sqrt(math.log(4.0)) + 1.0)
     assert widths.shape == (3,)
     for w in widths:
@@ -139,7 +152,8 @@ def test_width_zero_context_is_zero():
     states = [EstimatorState(3, mode=RIDGE, ridge_lambda=1.0) for _ in range(4)]
     for k, state in enumerate(states):
         absorb_all(state, rng.normal(size=(k, 3)), rng.normal(size=k))
-    widths = confidence_width(states, np.zeros(3), delta=0.1, explore_m=4, t=10)
+    widths = confidence_width(inverses_of(states), 1.0, np.zeros(3), delta=0.1,
+                              explore_m=4, t=10)
     assert widths.tolist() == [0.0] * 4
 
 
@@ -166,24 +180,25 @@ def test_width_never_grows_when_observations_double():
         assert (once.count, twice.count) == (6, 12)
         probe = rng.normal(size=d)
         t = int(rng.integers(1, 50))
-        w1, w2 = confidence_width([once, twice], probe, 0.1, 2, t)
+        w1, w2 = confidence_width(inverses_of([once, twice]), 1.0, probe, 0.1, 2, t)
         assert w2 <= w1 + 1e-12
 
 
 def test_width_requires_ridge_mode():
-    ridge = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
-    for states in ([EstimatorState(2, mode=OLS)], [ridge, EstimatorState(2, mode=OLS)]):
-        with pytest.raises(ValueError):
-            confidence_width(states, np.ones(2), 0.1, 2, 5)
-    with pytest.raises(ValueError):  # one scale for all arms needs one lambda
-        confidence_width([ridge, EstimatorState(2, RIDGE, 2.0)], np.ones(2), 0.1, 2, 5)
+    # One lambda scales every arm's width; OLS mode (lambda 0) has no width.
+    inverses = inverses_of([EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)])
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="ridge_lambda"):
+            confidence_width(inverses, lam, np.ones(2), 0.1, 2, 5)
+    with pytest.raises(ValueError, match="ridge"):
+        EstimatorState(2, mode=RIDGE, ridge_lambda=0.0)
 
 
 def test_width_rejects_bad_delta():
-    states = [EstimatorState(2, mode=RIDGE, ridge_lambda=1.0) for _ in range(2)]
+    inverses = inverses_of([EstimatorState(2, mode=RIDGE, ridge_lambda=1.0) for _ in range(2)])
     for delta in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            confidence_width(states, np.ones(2), delta, 2, 5)
+            confidence_width(inverses, 1.0, np.ones(2), delta, 2, 5)
 
 
 @pytest.mark.parametrize("d", [1, 4, 14])
@@ -191,7 +206,7 @@ def test_width_rejects_bad_delta():
 def test_batched_widths_match_per_arm_inverse_oracle(n_arms, d):
     rng = np.random.default_rng(100 * n_arms + d)
     lam, delta, m = 0.7, 0.1, 3
-    states = [EstimatorState(d, mode=RIDGE, ridge_lambda=lam) for _ in range(n_arms)]
+    states, inverses = stacked_states(n_arms, d, RIDGE, lam)
     grams = [lam * np.eye(d) for _ in range(n_arms)]
     for t in range(1, 200):
         arm = int(rng.integers(n_arms))
@@ -201,9 +216,11 @@ def test_batched_widths_match_per_arm_inverse_oracle(n_arms, d):
         probe = rng.normal(size=d)
         scale = m * math.sqrt(d * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
         want = [math.sqrt(probe @ np.linalg.inv(g) @ probe) * scale for g in grams]
-        got = confidence_width(states, probe, delta, m, t)
+        for state in states:  # brings each stacked row current in place
+            state.inverse()
+        got = confidence_width(inverses, lam, probe, delta, m, t)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
-        assert np.allclose(inv_norms(states, probe), [s.inv_norm(probe) for s in states],
+        assert np.allclose(inv_norms(inverses, probe), [s.inv_norm(probe) for s in states],
                            rtol=1e-12, atol=0.0)
 
 
@@ -344,3 +361,36 @@ def test_cached_inverse_stays_exactly_symmetric(mode, lam):
         if state.count >= 5:
             inv = state.inverse()
             assert np.array_equal(inv, inv.T)
+
+
+@pytest.mark.parametrize("d", [1, 4, 14, 64])
+def test_buffered_gram_equals_sequential_sum(d):
+    # The fold must keep the bits of adding each x x^T in absorb order, with
+    # reads of ``gram`` in mid-buffer and runs below, at and past the buffer.
+    rng = np.random.default_rng(40 + d)
+    rows = estimation.GRAM_ROWS
+    for count in (1, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 5):
+        for reads in ((), (1,), (rows // 2, rows + 3), tuple(range(0, count, 7))):
+            state = EstimatorState(d, mode=RIDGE, ridge_lambda=1.0)
+            want = np.zeros((d, d))
+            scale = 10.0 ** rng.uniform(-3, 3, size=count)
+            for k, x in enumerate(rng.normal(size=(count, d)) * scale[:, None], start=1):
+                state.absorb(x, 0.0)
+                want += x[:, None] * x
+                if k in reads:
+                    assert np.array_equal(state.gram, want)
+            assert np.array_equal(state.gram, want)
+            assert np.array_equal(state.gram, want)  # a second read adds nothing
+
+
+def test_stacked_states_share_one_inverse_array():
+    states, inverses = stacked_states(3, 2, RIDGE, 0.5)
+    assert inverses.shape == (3, 2, 2)
+    for arm, state in enumerate(states):
+        state.absorb(np.array([1.0, arm]), 1.0)
+        assert np.shares_memory(state.inverse(), inverses[arm])
+        assert np.allclose(inverses[arm], np.linalg.inv(state.regularized_gram()),
+                           rtol=1e-12, atol=1e-15)
+    state.absorb(np.array([0.3, 0.4]), 0.0)  # a rank-1 update, in place
+    assert np.allclose(inverses[2], np.linalg.inv(state.regularized_gram()),
+                       rtol=1e-12, atol=1e-15)

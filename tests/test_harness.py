@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import io
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from payband.harness import (
     validate_config_data,
 )
 from payband.linalg import PIVOT_TOL
+from payband.metrics import RunTrace
 from payband.model import MAX_MAGNITUDE, InstanceSpec
 from payband.policies import POLICY_KINDS, PolicyConfig
 
@@ -366,37 +368,113 @@ def test_dataset_is_read_once_per_experiment(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# Cells whose text a writer could get wrong: a signed zero, exponent forms on
+# both sides, the smallest subnormal.
+AWKWARD_FLOATS = [-0.0, 1e-05, 1e+16, 5e-324]
+
+
+def csv_module_lines(rows):
+    """The text ``csv.writer`` writes for rows of already formatted cells."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def cell(value):
+    """A cell as the csv-module writers formatted it: repr of a float, the
+    digits of an int, nothing for a missing budget."""
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else repr(float(value))
+
+
+def awkward_traces():
+    traces = []
+    for budget in (None, 5):
+        cfg = PolicyConfig(kind="chained_restricted", budget=budget) if budget is not None \
+            else PolicyConfig(kind="no_payments")
+        tr = RunTrace.allocate(cfg, np.zeros((len(AWKWARD_FLOATS), 2)), 3)
+        tr.arm[:] = [2, 0, 1, 2]
+        tr.inst_regret[:] = AWKWARD_FLOATS
+        tr.paid[:] = AWKWARD_FLOATS[::-1]
+        tr.budget[:] = [budget, budget, 4.5 if budget else None, -0.0 if budget else None]
+        traces.append(tr)
+    return traces
+
+
+def test_trace_csv_bytes_equal_the_csv_modules(tmp_path):
+    traces = awkward_traces()
+    agg = harness.aggregate(traces[:1]), harness.aggregate(traces[1:])
+    curves = [agg[0].runs[0], agg[1].runs[0]]
+    for run in curves:
+        run.cum_regret[:] = AWKWARD_FLOATS[1:] + AWKWARD_FLOATS[:1]
+    rows = [TRACE_COLUMNS]
+    for r, (tr, run) in enumerate(zip(traces, curves)):
+        for i in range(tr.horizon):
+            rows.append([i + 1, r, int(tr.arm[i])] + [cell(v) for v in (
+                tr.inst_regret[i], run.cum_regret[i], tr.paid[i], run.cum_payment[i],
+                run.cum_payment_abs[i], tr.budget[i])])
+    harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
+    text = (tmp_path / "trace.csv").read_bytes().decode()
+    assert text == csv_module_lines(rows)
+    assert ",5\r\n" in text and ",\r\n" in text and "5e-324" in text
+
+
+def test_aggregate_csv_bytes_equal_the_csv_modules(tmp_path):
+    agg = harness.aggregate(awkward_traces()[:1])
+    columns = [agg.mean_cum_regret, agg.stderr_cum_regret, agg.mean_cum_payment,
+               agg.stderr_cum_payment, agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
+               *agg.mean_per_arm_payment]
+    for k, column in enumerate(columns):
+        column[:] = np.roll(AWKWARD_FLOATS, k)
+    harness.write_aggregate_csv(tmp_path / "agg.csv", agg)
+    lines = (tmp_path / "agg.csv").read_bytes().decode()
+    header = lines.split("\r\n", 1)[0].split(",")
+    assert header[-1] == "mean_cum_payment_arm2"
+    rows = [header] + [[t + 1] + [cell(c[t]) for c in columns]
+                       for t in range(len(AWKWARD_FLOATS))]
+    assert lines == csv_module_lines(rows)
+
+
 @pytest.mark.parametrize("write", ["write_trace_csv", "write_aggregate_csv"])
-def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, write):
+def test_csv_write_failing_after_the_header_leaves_no_file(tmp_path, monkeypatch, write):
     config = run_config(tmp_path)
     traces = [run_single(config.instance, config.policies[0],
                          child_seed_sequence(3, 0, r)) for r in range(2)]
     agg = harness.aggregate(traces)
     args = {"write_trace_csv": (traces, agg.runs), "write_aggregate_csv": (agg,)}[write]
-    real_writer = csv.writer
+    written = []
 
-    class FailingWriter:
-        """Writes rows until the fifth, then fails as a full disk would."""
+    class FullDisk:
+        """A text file that takes the header and four rows, then fails as a
+        full disk would."""
 
-        def __init__(self, fh):
-            self.writer = real_writer(fh)
-            self.rows = 0
+        def __init__(self, *open_args, **open_kwargs):
+            self.fh = open(*open_args, **open_kwargs)
 
-        def writerow(self, row):
-            self.rows += 1
-            if self.rows == 5:  # part-way through the rows
-                raise OSError("disk full")
-            self.writer.writerow(row)
+        def __enter__(self):
+            return self
 
-        def writerows(self, rows):
-            for row in rows:
-                self.writerow(row)
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
 
-    monkeypatch.setattr(harness.csv, "writer", FailingWriter)
+        def write(self, text):
+            written.append(text)
+            return self.fh.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                if len(written) == 5:  # part-way through the rows
+                    raise OSError("disk full")
+                self.write(line)
+
+    monkeypatch.setattr(harness, "open", FullDisk, raising=False)
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(OSError, match="disk full"):
         getattr(harness, write)(out / "curves.csv", *args)
+    assert written[0].startswith("t,") and len(written) == 5
     assert list(out.iterdir()) == []
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from payband.model import (
+    TIE_TOLERANCE,
     ConfigError,
     InstanceSpec,
     agent_choose,
@@ -62,6 +63,42 @@ def test_negative_payment_can_deter():
     est = np.array([[0.5, 0.0], [0.4, 0.0]])
     ctx = np.array([1.0, 0.0])
     assert agent_choose(est, ctx, np.array([-0.2, 0.0])) == 1
+
+
+def numpy_agent_choose(estimates, context, payments):
+    """The tie rule as numpy array operations, the form agent_choose had
+    before it worked on Python floats."""
+    utilities = estimates @ context + payments
+    tied = (utilities >= utilities.max() - TIE_TOLERANCE).nonzero()[0]
+    if len(tied) == 1:
+        return int(tied[0])
+    return int(tied[payments[tied].argmax()])
+
+
+def test_agent_choose_equals_the_numpy_rule():
+    rng = np.random.default_rng(70)
+    ties = 0
+    for _ in range(3000):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        est = rng.normal(size=(n, d))
+        ctx = rng.normal(size=d)
+        pay = rng.normal(size=n) * rng.integers(0, 2)  # half the cases unpaid
+        shape = int(rng.integers(4))
+        if shape == 1:  # pay arms the gap to the top, give or take the dead band
+            scores = est @ ctx
+            pay = scores.max() - scores + rng.choice([-2, -1, -0.5, 0, 0.5, 1, 2],
+                                                      size=n) * TIE_TOLERANCE
+        elif shape == 2:  # every utility equal, payments equal or not
+            est[:] = est[0]
+            pay = np.zeros(n) if rng.integers(2) else rng.choice([0.0, 0.25], size=n)
+        elif shape == 3:  # equal payments on arms with equal estimates
+            est[rng.integers(n, size=n)] = est[0]
+            pay = np.full(n, float(rng.normal()))
+        got = agent_choose(est, ctx, pay)
+        assert type(got) is int and got == numpy_agent_choose(est, ctx, pay), (est, ctx, pay)
+        utilities = est @ ctx + pay
+        ties += np.count_nonzero(utilities >= utilities.max() - TIE_TOLERANCE) > 1
+    assert ties > 1000  # the tie-breaks were exercised, not only clear winners
 
 
 def test_projection_shrinks_only_outside_ball():

@@ -141,10 +141,32 @@ def test_linucb_prefers_less_explored_arm_on_equal_scores():
     s_fresh = EstimatorState(2, RIDGE, lam)
     est = np.zeros((2, 2))  # equal point scores
     ctx = np.array([1.0, 0.0])
-    pick = linucb_choose([s_seen, s_fresh], est, ctx, alpha=1.0)
+    inverses = np.array([s_seen.inverse(), s_fresh.inverse()])
+    pick = linucb_choose(inverses, est, ctx, alpha=1.0)
     assert pick == 1
     # with zero alpha the bonus vanishes and ties go to the lowest index
-    assert linucb_choose([s_seen, s_fresh], est, ctx, alpha=0.0) == 0
+    assert linucb_choose(inverses, est, ctx, alpha=0.0) == 0
+
+
+@pytest.mark.parametrize("kind", ["linucb_alignment", "chained_unrestricted"])
+def test_stacked_inverses_equal_factoring_every_arm_every_round(kind):
+    # The rule the stack replaced: each width round called every arm's
+    # inverse(), so an arm that had not absorbed was factored then, and its
+    # first absorb updated that inverse rather than refactoring. With no
+    # exploration the rounds reach arms before they absorb.
+    rng = rng_for(21)
+    n, d, lam = 4, 3, 0.3
+    pol = build_policy(PolicyConfig(kind=kind, ridge_lambda=lam), n, d)
+    pol.start_run(0, 60, rng)
+    ref = [EstimatorState(d, RIDGE, lam) for _ in range(n)]
+    for t in range(1, 61):
+        x = rng.normal(size=d)
+        pay = pol.calc_payments(t, x, rng)
+        assert np.array_equal(pol.inverses, [state.inverse() for state in ref])
+        arm, y = int(rng.integers(min(n, 1 + t // 10))), float(rng.normal())
+        pol.update(t, x, arm, y, pay)
+        ref[arm].absorb(x, y)
+        assert np.array_equal(pol.displayed_estimates()[arm], ref[arm].estimate())
 
 
 # -- chaining ----------------------------------------------------------------
