@@ -9,9 +9,9 @@ used by the chained payment strategies.
 
 A state caches A = G^-1 for its (regularized) Gram matrix G: the estimate is
 A moment, ||x|| in the G^-1 metric is sqrt(x^T A x), and the widths of all N
-arms are one (N, d, d) @ x product. ``stacked_states`` builds a strategy's N
-states with their inverses stored as the rows of one (N, d, d) array, so that
-product reads the cached inverses in place. ``absorb`` keeps A current with
+arms are one (N, d, d) @ x product. A state built on a row of a caller's
+(N, d, d) array keeps A in that row, so the product reads the cached
+inverses in place. While ``current``, ``absorb`` keeps A up to date with
 the Sherman-Morrison update A -= v v^T, v = A x / sqrt(s), s = 1 + x^T A x.
 Because s = det G' / det G, an observation with s > 2 drops A instead and
 the next use refactors G anew (Cholesky, then A = W^T W for
@@ -54,13 +54,17 @@ class EstimatorState:
 
     ``gram`` is the raw sum of outer products; the ridge term
     ``ridge_lambda * I`` is added at refactor time only. ``absorb`` updates
-    the statistics and the cached inverse in place.
+    the statistics and the cached inverse in place. The inverse is kept in
+    the (dim, dim) array passed as ``inverse`` (say, a row of an
+    (N, dim, dim) stack) or in a fresh one; ``current``, read-only to
+    callers, is True while that array holds G^-1.
     """
 
-    __slots__ = ("mode", "ridge_lambda", "dim", "moment", "count",
-                 "_gram", "_rows", "_buffered", "_inverse", "_current")
+    __slots__ = ("mode", "ridge_lambda", "dim", "moment", "count", "current",
+                 "_gram", "_rows", "_buffered", "_inverse")
 
-    def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0) -> None:
+    def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0,
+                 inverse: np.ndarray | None = None) -> None:
         if mode not in (OLS, RIDGE):
             raise ValueError(f"unknown estimator mode {mode!r}")
         if mode == RIDGE and ridge_lambda <= 0:
@@ -73,8 +77,12 @@ class EstimatorState:
         self._gram = np.zeros((self.dim, self.dim))
         self._rows = np.empty((GRAM_ROWS, self.dim))  # absorbed, not yet in _gram
         self._buffered = 0
-        self._inverse = np.zeros((self.dim, self.dim))  # G^-1 while _current
-        self._current = False
+        if inverse is None:
+            inverse = np.zeros((self.dim, self.dim))
+        elif inverse.shape != (self.dim, self.dim):
+            raise ValueError(f"inverse shape {inverse.shape} does not match dim {self.dim}")
+        self._inverse = inverse  # G^-1 while current
+        self.current = False
 
     def absorb(self, context: np.ndarray, response: float) -> None:
         """Add one (context, response) pair to the statistics."""
@@ -87,7 +95,7 @@ class EstimatorState:
             self._fold()
         self.moment += float(response) * x
         self.count += 1
-        if self._current:
+        if self.current:
             inv = self._inverse
             u = inv @ x
             s = 1.0 + x.dot(u)
@@ -95,7 +103,7 @@ class EstimatorState:
                 v = u / math.sqrt(s)
                 inv -= v[:, None] * v  # v_i v_j == v_j v_i: stays exactly symmetric
             else:  # also a NaN ratio: the refactor's checks then reject it
-                self._current = False
+                self.current = False
 
     def _fold(self) -> None:
         """Add the buffered rows' outer products to G in absorb order."""
@@ -120,13 +128,12 @@ class EstimatorState:
         """A = G^-1 for the (regularized) Gram matrix G, kept current by
         ``absorb``. With none cached, G is factored anew; OLS mode
         then raises SingularMatrixError while the arm is not identifiable.
-        The array is updated in place (for ``stacked_states``, a row of the
-        stack)."""
-        if not self._current:
+        The array is the one the state was built on, updated in place."""
+        if not self.current:
             low = cholesky_spd(self.regularized_gram())
             w = forward_substitute(low, np.eye(self.dim))
             self._inverse[...] = w.T @ w
-            self._current = True
+            self.current = True
         return self._inverse
 
     def estimate(self) -> np.ndarray:
@@ -146,18 +153,6 @@ class EstimatorState:
         return math.sqrt(max(float(x.dot(self.inverse() @ x)), 0.0))
 
 
-def stacked_states(n: int, dim: int, mode: str, ridge_lambda: float
-                   ) -> tuple[list[EstimatorState], np.ndarray]:
-    """``n`` fresh states and the (n, dim, dim) array whose row i is state i's
-    cached inverse. A row is valid from its state's ``inverse()`` call until
-    an ``absorb`` drops it."""
-    states = [EstimatorState(dim, mode, ridge_lambda) for _ in range(n)]
-    inverses = np.zeros((n, dim, dim))
-    for state, row in zip(states, inverses):
-        state._inverse = row
-    return states, inverses
-
-
 def inv_norms(inverses: np.ndarray, context: np.ndarray) -> np.ndarray:
     """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one product."""
     x = np.asarray(context, float)
@@ -170,10 +165,11 @@ def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndar
 
     width_i = ||context||_{A_i} * (m * sqrt(d * ln((1 + t/lam)/delta)) + sqrt(lam))
 
-    ``inverses`` is the (N, d, d) stack of A_i = (G_i + lam I)^-1, current
-    for ridge-mode states sharing one lam = ``ridge_lambda`` > 0, as
-    ``stacked_states`` keeps them; delta is in (0, 1). Zero context gives
-    width 0; more data never increases an arm's width for a fixed context.
+    ``inverses`` is the (N, d, d) stack of current A_i = (G_i + lam I)^-1
+    of ridge-mode states sharing one lam = ``ridge_lambda`` > 0, as
+    ``Policy.current_inverses`` returns it; delta is in (0, 1). Zero context
+    gives width 0; more data never increases an arm's width for a fixed
+    context.
     """
     lam = ridge_lambda
     if not lam > 0:
@@ -186,6 +182,6 @@ def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndar
 
 
 __all__ = [
-    "OLS", "RIDGE", "EstimatorState", "confidence_width", "inv_norms", "stacked_states",
+    "OLS", "RIDGE", "EstimatorState", "confidence_width", "inv_norms",
     "SingularMatrixError", "back_substitute", "cholesky_spd", "forward_substitute",
 ]

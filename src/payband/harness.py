@@ -259,8 +259,9 @@ def _load(data, base_dir: Optional[Path], master_seed_override: Optional[int]
 
 
 def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Diagnostic]:
-    """Check a parsed JSON config against the schema. Empty list means valid."""
-    return _load(data, base_dir, None)[1]
+    """Check a parsed JSON config against the schema, with PAYBAND_SEED
+    applied as ``load_config_data`` applies it. Empty list means valid."""
+    return load_config_data(data, base_dir)[1]
 
 
 def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:

@@ -134,6 +134,9 @@ class InstanceSpec:
                                   f"<= dataset rows ({rows}) unless sample_with_replacement",
                                   self.horizon)
         else:
+            if self.true_attrs is None:
+                raise ConfigError("true_attrs",
+                                  "required unless context_source is dataset_replay", None)
             fixed = isinstance(source, FixedSequenceSpec)
             if source.dim != self.dim:
                 raise ConfigError("context_source." + ("contexts" if fixed else "mean"),

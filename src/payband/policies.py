@@ -43,10 +43,10 @@ import numpy as np
 from .estimation import (
     OLS,
     RIDGE,
+    EstimatorState,
     SingularMatrixError,
     confidence_width,
     inv_norms,
-    stacked_states,
 )
 from .linalg import PIVOT_TOL
 from .model import MAX_MAGNITUDE, ConfigError, agent_choose
@@ -162,16 +162,15 @@ def alignment_payment(scores: np.ndarray, greedy: int, base: int) -> np.ndarray:
     return pay
 
 
-def linucb_choose(inverses: np.ndarray, estimates: np.ndarray,
+def linucb_choose(inverses: np.ndarray, scores: np.ndarray,
                   context: np.ndarray, alpha: float) -> int:
-    """Disjoint-model LinUCB pick: argmax of estimate . context + alpha * width.
+    """Disjoint-model LinUCB pick: argmax of score + alpha * width.
 
-    The widths are the context norms in the arms' inverse regularized Gram
+    ``scores`` (N,) are the estimated utilities estimate_i . context. The
+    widths are the context norms in the arms' inverse regularized Gram
     metrics, the (N, d, d) stack ``inverses``, all from one product. Ties
     break toward the lowest arm index.
     """
-    context = np.asarray(context, float)
-    scores = np.asarray(estimates, float) @ context
     return int(np.argmax(scores + alpha * inv_norms(inverses, context)))
 
 
@@ -234,8 +233,8 @@ class Policy:
     ``start_run`` sets ``explore_m``; the rounds call ``absorb_forced`` or
     ``calc_payments`` and ``update``; ``diagnostics`` then holds what the
     strategy recorded. ``budget`` is what remains, None when unrestricted.
-    The arms' cached inverses are the rows of ``inverses`` (see
-    ``stacked_states``).
+    Arm i's state is built on row i of ``inverses`` and keeps its cached
+    inverse there, so one (N, d, d) product reads every arm's.
     """
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
@@ -244,8 +243,8 @@ class Policy:
         self.dim = dim
         mode = config.resolved_mode()
         lam = config.ridge_lambda if mode == RIDGE else 0.0
-        self.states, self.inverses = stacked_states(n_arms, dim, mode, lam)
-        self._unfactored = set(range(n_arms))  # arms whose inverse is not current
+        self.inverses = np.zeros((n_arms, dim, dim))
+        self.states = [EstimatorState(dim, mode, lam, row) for row in self.inverses]
         self._est_matrix = np.zeros((n_arms, dim))
         self.budget = config.budget
         self.explore_m = 0
@@ -263,11 +262,11 @@ class Policy:
         return self._est_matrix
 
     def current_inverses(self) -> np.ndarray:
-        """``inverses`` with every row current: an arm that has not absorbed
-        yet, or whose refactor failed, is factored here."""
-        for arm in self._unfactored:
-            self.states[arm].inverse()
-        self._unfactored.clear()
+        """``inverses`` with every row current: each state whose ``current``
+        is False (no absorb yet, or a failed refactor) is factored here."""
+        for state in self.states:
+            if not state.current:
+                state.inverse()
         return self.inverses
 
     def _absorb(self, arm: int, context: np.ndarray, response: float) -> None:
@@ -275,10 +274,8 @@ class Policy:
         state.absorb(context, response)
         try:  # refresh the arm's displayed row at once, which refactors if needed
             self._est_matrix[arm] = state.estimate()
-            self._unfactored.discard(arm)
         except SingularMatrixError:
             self._est_matrix[arm] = 0.0
-            self._unfactored.add(arm)
 
     # -- interaction loop hooks -------------------------------------------
 
@@ -361,10 +358,9 @@ class LinUCBAlignmentPolicy(Policy):
         self.alignment_log = self.diagnostics["alignment_log"] = []
 
     def calc_payments(self, t, context, rng):
-        est = self.displayed_estimates()
-        scores = est @ np.asarray(context, float)
+        scores = self.displayed_estimates() @ np.asarray(context, float)
         greedy = int(np.argmax(scores))
-        base = linucb_choose(self.current_inverses(), est, context, self.config.linucb_alpha)
+        base = linucb_choose(self.current_inverses(), scores, context, self.config.linucb_alpha)
         self.alignment_log.append((t, greedy, base))
         return alignment_payment(scores, greedy, base)
 
@@ -383,10 +379,9 @@ class ChainedPolicy(Policy):
     def calc_payments(self, t, context, rng):
         if self.budget is not None and self.budget <= 0:
             return np.zeros(self.n_arms)
-        est = self.displayed_estimates()
-        scores = est @ np.asarray(context, float)
+        scores = self.displayed_estimates() @ np.asarray(context, float)
         anchor = int(np.argmax(scores))
-        widths = confidence_width(self.current_inverses(), self.states[0].ridge_lambda, context,
+        widths = confidence_width(self.current_inverses(), self.config.ridge_lambda, context,
                                   self.config.delta, self.explore_m, t)
         members = build_chain(scores, widths, anchor)
         pay, _, _, new_budget = chained_payment(members, scores, anchor, rng, self.budget)

@@ -149,6 +149,7 @@ def test_bulk_projection_equals_one_at_a_time(dim):
 
 
 def test_packaged_presets_equal_the_repo_copies():
+    # Acceptance 8 runs the repo-root copy, acceptance 9 the packaged one.
     packaged = harness.preset_config_path("fig1").parent
     names = sorted(p.name for p in (REPO_ROOT / "presets").glob("*.json"))
     assert names == sorted(p.name for p in packaged.glob("*.json")) == [

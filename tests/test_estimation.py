@@ -12,7 +12,6 @@ from payband.estimation import (
     EstimatorState,
     confidence_width,
     inv_norms,
-    stacked_states,
 )
 from payband.linalg import SingularMatrixError
 
@@ -206,7 +205,8 @@ def test_width_rejects_bad_delta():
 def test_batched_widths_match_per_arm_inverse_oracle(n_arms, d):
     rng = np.random.default_rng(100 * n_arms + d)
     lam, delta, m = 0.7, 0.1, 3
-    states, inverses = stacked_states(n_arms, d, RIDGE, lam)
+    inverses = np.zeros((n_arms, d, d))
+    states = [EstimatorState(d, RIDGE, lam, row) for row in inverses]
     grams = [lam * np.eye(d) for _ in range(n_arms)]
     for t in range(1, 200):
         arm = int(rng.integers(n_arms))
@@ -383,14 +383,25 @@ def test_buffered_gram_equals_sequential_sum(d):
             assert np.array_equal(state.gram, want)  # a second read adds nothing
 
 
-def test_stacked_states_share_one_inverse_array():
-    states, inverses = stacked_states(3, 2, RIDGE, 0.5)
-    assert inverses.shape == (3, 2, 2)
-    for arm, state in enumerate(states):
-        state.absorb(np.array([1.0, arm]), 1.0)
-        assert np.shares_memory(state.inverse(), inverses[arm])
-        assert np.allclose(inverses[arm], np.linalg.inv(state.regularized_gram()),
+def test_state_keeps_its_inverse_in_the_callers_row():
+    stack = np.zeros((3, 2, 2))
+    states = [EstimatorState(2, RIDGE, 0.5, row) for row in stack]
+    state = states[2]
+
+    def in_row_and_exact():
+        assert np.shares_memory(state.inverse(), stack[2]) and state.current
+        assert np.allclose(stack[2], np.linalg.inv(state.regularized_gram()),
                            rtol=1e-12, atol=1e-15)
-    state.absorb(np.array([0.3, 0.4]), 0.0)  # a rank-1 update, in place
-    assert np.allclose(inverses[2], np.linalg.inv(state.regularized_gram()),
-                       rtol=1e-12, atol=1e-15)
+
+    assert not state.current  # nothing factored yet
+    state.absorb(np.array([1.0, 2.0]), 1.0)
+    in_row_and_exact()  # the first factor
+    state.absorb(np.array([0.3, 0.4]), 0.0)
+    assert state.current  # a rank-1 update, in place
+    in_row_and_exact()
+    state.absorb(np.array([10.0, -10.0]), 0.0)
+    assert not state.current  # det G more than doubled: dropped
+    in_row_and_exact()  # the refactor
+    assert not stack[:2].any() and not states[0].current  # the other rows untouched
+    with pytest.raises(ValueError, match="inverse shape"):
+        EstimatorState(2, RIDGE, 0.5, np.zeros((3, 3)))

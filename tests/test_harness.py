@@ -72,12 +72,13 @@ def test_bundled_presets_validate_cleanly():
         assert errors_of(diags) == [], (name, diags)
 
 
-def test_repo_root_presets_equal_the_packaged_copies():
-    # Acceptance 8 runs the repo-root copy, acceptance 9 the packaged one.
-    for name in ("fig1", "fig2-like"):
-        packaged = preset_config_path(name)
-        assert (SRC_DIR.parent / "presets" / packaged.name).read_bytes() == \
-            packaged.read_bytes(), name
+def test_validator_applies_the_env_seed_as_the_cli_does(monkeypatch, capsys):
+    path = preset_config_path("fig1")
+    monkeypatch.setenv(SEED_ENV_VAR, "-5")
+    diags = validate_config_data(json.loads(path.read_text()), base_dir=path.parent)
+    assert fields_of(errors_of(diags)) == {SEED_ENV_VAR}
+    assert main(["validate", "--config", str(path)]) == 2
+    assert SEED_ENV_VAR in capsys.readouterr().err
 
 
 def test_attr_norm_violation_is_reported():

@@ -140,19 +140,30 @@ def test_instance_rejects_shape_mismatch():
 
 
 def test_instance_allows_none_attrs_for_replay_style_instances():
-    spec = InstanceSpec(2, 2, 10, None, 0.0, SOURCE, 0, 0)
+    rows = BanditDataset(np.zeros((10, 2)), np.arange(10) % 2, n_classes=2)
+    spec = InstanceSpec(2, 2, 10, None, 0.0, DatasetReplaySpec(rows), 0, 0)
     assert spec.true_attrs is None
+
+
+def test_instance_requires_attrs_unless_replay():
+    # Without them a linear environment cannot be built, so the spec refuses.
+    for source in (SOURCE, GaussianContextSpec(mean=np.zeros(2), std=1.0)):
+        with pytest.raises(ConfigError) as exc:
+            InstanceSpec(2, 2, 10, None, 0.0, source, 0, 0)
+        assert (exc.value.field, exc.value.constraint, exc.value.actual) == (
+            "true_attrs", "required unless context_source is dataset_replay", None)
 
 
 def test_instance_checks_its_context_source():
     def field_of(source, horizon=10):
+        attrs = None if isinstance(source, DatasetReplaySpec) else np.zeros((2, 2))
         with pytest.raises(ConfigError) as exc:
-            InstanceSpec(2, 2, horizon, None, 0.0, source, 0, 0)
+            InstanceSpec(2, 2, horizon, attrs, 0.0, source, 0, 0)
         return exc.value.field
 
     short = FixedSequenceSpec(contexts=(np.array([1.0, 0.0]),) * 3)
     assert field_of(short) == "context_source.contexts"
-    InstanceSpec(2, 2, 3, None, 0.0, short, 0, 0)
+    InstanceSpec(2, 2, 3, np.zeros((2, 2)), 0.0, short, 0, 0)
     assert field_of(GaussianContextSpec(mean=np.zeros(3), std=1.0)) == "context_source.mean"
     rows = BanditDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), n_classes=2)
     assert field_of(DatasetReplaySpec(rows)) == "horizon"

@@ -139,13 +139,13 @@ def test_linucb_prefers_less_explored_arm_on_equal_scores():
     for _ in range(20):
         s_seen.absorb(np.array([1.0, 0.0]), 0.0)
     s_fresh = EstimatorState(2, RIDGE, lam)
-    est = np.zeros((2, 2))  # equal point scores
+    scores = np.zeros(2)  # equal point scores
     ctx = np.array([1.0, 0.0])
     inverses = np.array([s_seen.inverse(), s_fresh.inverse()])
-    pick = linucb_choose(inverses, est, ctx, alpha=1.0)
+    pick = linucb_choose(inverses, scores, ctx, alpha=1.0)
     assert pick == 1
     # with zero alpha the bonus vanishes and ties go to the lowest index
-    assert linucb_choose(inverses, est, ctx, alpha=0.0) == 0
+    assert linucb_choose(inverses, scores, ctx, alpha=0.0) == 0
 
 
 @pytest.mark.parametrize("kind", ["linucb_alignment", "chained_unrestricted"])
