@@ -24,6 +24,7 @@ import importlib.resources
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,12 +44,14 @@ from .environment import (
 from .metrics import AccumulatedCurves, AggregateCurves, RunTrace, aggregate
 from .model import ConfigError, InstanceSpec
 from .policies import (
+    RIDGE,
     Policy,
     PolicyConfig,
     build_policy,
     initial_exploration,
     play_round,
     realize_outcomes,
+    ridge_lambda_floor,
 )
 
 SEED_ENV_VAR = "PAYBAND_SEED"
@@ -95,10 +98,15 @@ class ExperimentConfig:
         self.check_n_runs(self.n_runs)
         if not self.policies:
             raise ConfigError("policies", "nonempty list", [])
+        floor = ridge_lambda_floor(self.instance.dim, self.instance.horizon)
         for i, policy in enumerate(self.policies):
             if policy.init_explore_m is not None:
                 self.instance.check_explore_m(f"policies[{i}].init_explore_m",
                                               policy.init_explore_m)
+            if policy.resolved_mode() == RIDGE and policy.ridge_lambda < floor:
+                raise ConfigError(f"policies[{i}].ridge_lambda",
+                                  f">= {floor:.3g} in ridge mode at dim {self.instance.dim} "
+                                  f"and horizon {self.instance.horizon}", policy.ridge_lambda)
 
     @staticmethod
     def check_n_runs(n_runs: int) -> None:
@@ -392,14 +400,45 @@ def _run_one(args) -> tuple[int, int, RunTrace]:
     return policy_index, run_index, run_single(instance, policy_cfg, seed)
 
 
+def _traces(tasks: list, workers: int) -> Iterator[RunTrace]:
+    """Each task's trace, in task order, from ``workers`` processes.
+
+    ``itemgetter`` drops each result as it passes it on; a loop variable
+    would keep the last trace alive while the next run is computed.
+    """
+    third = operator.itemgetter(2)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from map(third, pool.map(_run_one, tasks))
+    else:
+        yield from map(third, map(_run_one, tasks))
+
+
+def _write_strategy(out: Path, policy_index: int, policy_cfg: PolicyConfig,
+                    traces: list[RunTrace], emit_full_trace: bool) -> dict:
+    """Write one strategy's CSVs from its runs; its manifest entry."""
+    label = f"p{policy_index}_{policy_cfg.kind}"
+    agg_path = out / f"{label}_aggregate.csv"
+    agg = aggregate(traces)
+    write_aggregate_csv(agg_path, agg)
+    entry = {"label": label, "kind": policy_cfg.kind, "aggregate": str(agg_path)}
+    if emit_full_trace:
+        trace_path = out / f"{label}_trace.csv"
+        write_trace_csv(trace_path, traces, agg.runs)
+        entry["trace"] = str(trace_path)
+    return entry
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    out_dir: Optional[Union[str, Path]] = None) -> dict:
     """Run every (strategy, run) pair and write per-strategy CSV files.
 
     ``jobs`` (>= 1) caps the worker processes; no more are started than
-    there are tasks or CPUs. Results are written in (policy, run) order
+    there are tasks or CPUs. Results arrive in (policy, run) order
     regardless of worker completion order, so output bytes do not depend
-    on ``jobs``.
+    on ``jobs``. Each strategy's CSVs are written as soon as its runs are
+    in, and its traces are dropped then, so one strategy's runs are held
+    at a time.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -408,31 +447,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     tasks = [(config.instance, pcfg, pi, ri)
              for pi, pcfg in enumerate(config.policies)
              for ri in range(config.n_runs)]
-    results: dict[tuple[int, int], RunTrace] = {}
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for pi, ri, trace in pool.map(_run_one, tasks):
-                results[(pi, ri)] = trace
-    else:
-        for task in tasks:
-            pi, ri, trace = _run_one(task)
-            results[(pi, ri)] = trace
-
-    manifest: dict = {"out_dir": str(out), "policies": []}
-    for pi, pcfg in enumerate(config.policies):
-        traces = [results[(pi, ri)] for ri in range(config.n_runs)]
-        label = f"p{pi}_{pcfg.kind}"
-        agg_path = out / f"{label}_aggregate.csv"
-        agg = aggregate(traces)
-        write_aggregate_csv(agg_path, agg)
-        entry = {"label": label, "kind": pcfg.kind, "aggregate": str(agg_path)}
-        if config.emit_full_trace:
-            trace_path = out / f"{label}_trace.csv"
-            write_trace_csv(trace_path, traces, agg.runs)
-            entry["trace"] = str(trace_path)
-        manifest["policies"].append(entry)
-    return manifest
+    with contextlib.closing(_traces(tasks, workers)) as traces:
+        entries = [_write_strategy(out, pi, pcfg,
+                                   list(itertools.islice(traces, config.n_runs)),
+                                   config.emit_full_trace)
+                   for pi, pcfg in enumerate(config.policies)]
+    return {"out_dir": str(out), "policies": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +489,26 @@ def _atomic_csv(path: Union[str, Path]):
 def _reprs(values) -> Iterator[str]:
     """``_fmt`` of each value in a column of floats, produced as rows are written.
 
-    np.float64 subclasses float, so ``float.__repr__`` prints it as Python does.
+    Each run of bit-equal neighbours is formatted once and its text repeated
+    for the rest of the run: a shortest round-trip ``repr`` costs about a
+    microsecond, and most cells of these curves repeat the cell above them
+    (zero payments, cumulative sums that step, payments once a budget is
+    spent, a single run's stderr). Runs are found on the int64 bit patterns,
+    so 0.0 and -0.0, or NaNs with different payloads, stay apart, and every
+    cell gets exactly the text ``float.__repr__`` gives it. The texts are
+    made lazily, as lines are pulled; np.float64 subclasses float, so it
+    prints as Python does.
+
+    Neighbours differ where their bit patterns' difference is nonzero (the
+    subtraction wraps, so only equal patterns give zero). ``!=`` would say
+    the same, but no other step runs numpy's int64 comparison, and paging
+    its code in raised the benchmark's peak RSS by about 0.1 MB.
     """
-    return map(float.__repr__, np.asarray(values, dtype=float))
+    a = np.asarray(values, dtype=float)
+    bits = a.view(np.int64)
+    bounds = np.concatenate(([0], np.flatnonzero(bits[1:] - bits[:-1]) + 1, [a.size]))
+    return itertools.chain.from_iterable(map(
+        itertools.repeat, map(float.__repr__, a[bounds[:-1]]), bounds[1:] - bounds[:-1]))
 
 
 def _csv_line(n_cells: int) -> str:

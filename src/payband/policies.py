@@ -84,6 +84,19 @@ _DEFAULT_MODE = {
 }
 
 
+def ridge_lambda_floor(dim: int, horizon: int) -> float:
+    """The least ``ridge_lambda`` a ridge arm may use over ``horizon`` rounds.
+
+    An empty arm's pivots are lambda, so lambda must pass ``PIVOT_TOL``. The
+    Gram matrix then sums up to ``horizon`` outer products of unit-ball
+    contexts, and rounding in that sum can move its least eigenvalue by up
+    to about ``dim * horizon**2 * 2**-52``; on rank-deficient contexts that
+    is all that keeps the pivots of G + lambda*I positive, so lambda must
+    cover it too.
+    """
+    return max(PIVOT_TOL, dim * horizon ** 2 * 2.0 ** -52)
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Declarative configuration for one strategy.
@@ -93,7 +106,8 @@ class PolicyConfig:
     ``estimator_mode`` forces "ols" or "ridge" (the ridge override on
     no_payments gives an exact zero-budget reference for the restricted
     chained strategy); strategies with confidence widths require "ridge".
-    Ridge mode needs ``ridge_lambda >= PIVOT_TOL``, an empty arm's pivot.
+    Ridge mode needs ``ridge_lambda >= PIVOT_TOL``, an empty arm's pivot;
+    ``ExperimentConfig`` checks it against ``ridge_lambda_floor`` too.
     """
 
     kind: str

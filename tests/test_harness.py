@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from payband.harness import (
 from payband.linalg import PIVOT_TOL
 from payband.metrics import RunTrace
 from payband.model import MAX_MAGNITUDE, InstanceSpec
-from payband.policies import POLICY_KINDS, PolicyConfig
+from payband.policies import POLICY_KINDS, PolicyConfig, ridge_lambda_floor
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -437,6 +438,57 @@ def test_aggregate_csv_bytes_equal_the_csv_modules(tmp_path):
     assert lines == csv_module_lines(rows)
 
 
+# A column with long runs, runs of one, adjacent signed zeros, NaNs with two
+# payloads, both infinities and subnormals: the writers format each run of
+# bit-equal cells once, so every run boundary must still get its own text.
+OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+RUNNY = np.array([0.0] * 300 + [-0.0, 0.0, -0.0, -0.0] + [1.5] + [np.nan] * 3 + [OTHER_NAN]
+                 + [np.inf, np.inf, -np.inf] + [5e-324, 5e-324, 1.1125369292536007e-308]
+                 + [0.1] * 4 + [0.30000000000000004, 0.1 + 0.2, 0.3] + [2.0 ** 60] * 2)
+
+
+def reprs_oracle(column):
+    """Each cell's own ``float.__repr__``, formatted one by one."""
+    return [float.__repr__(float(v)) for v in column]
+
+
+@pytest.mark.parametrize("horizon", [len(RUNNY), 1])
+def test_trace_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, horizon):
+    traces = [RunTrace.allocate(PolicyConfig(kind="chained_restricted", budget=5),
+                                np.zeros((horizon, 2)), 3) for _ in range(2)]
+    curves = harness.aggregate(traces).runs
+    columns = []
+    for r, (tr, run) in enumerate(zip(traces, curves)):
+        tr.budget[:] = [5 if i % 3 else 5.0 for i in range(horizon)]  # equal, printed apart
+        cols = [tr.inst_regret, run.cum_regret, tr.paid, run.cum_payment, run.cum_payment_abs]
+        for k, column in enumerate(cols):
+            column[:] = np.roll(RUNNY, 3 * k + r)[:horizon]
+        columns.append([reprs_oracle(c) for c in cols])
+    lines = [",".join(TRACE_COLUMNS) + "\r\n"]
+    for r, tr in enumerate(traces):
+        for i in range(horizon):
+            lines.append(",".join([str(i + 1), str(r), str(int(tr.arm[i]))]
+                                  + [c[i] for c in columns[r]] + [cell(tr.budget[i])]) + "\r\n")
+    harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
+    assert (tmp_path / "trace.csv").read_bytes().decode() == "".join(lines)
+
+
+@pytest.mark.parametrize("horizon", [len(RUNNY), 1])
+def test_aggregate_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, horizon):
+    trace = RunTrace.allocate(PolicyConfig(kind="no_payments"), np.zeros((horizon, 2)), 3)
+    agg = harness.aggregate([trace])
+    columns = [agg.mean_cum_regret, agg.stderr_cum_regret, agg.mean_cum_payment,
+               agg.stderr_cum_payment, agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
+               *agg.mean_per_arm_payment]
+    for k, column in enumerate(columns):
+        column[:] = np.roll(RUNNY, 5 * k)[:horizon]
+    texts = [reprs_oracle(c) for c in columns]
+    harness.write_aggregate_csv(tmp_path / "agg.csv", agg)
+    header, *rows = (tmp_path / "agg.csv").read_bytes().decode().split("\r\n")
+    assert header.split(",")[-1] == "mean_cum_payment_arm2"
+    assert rows == [",".join([str(t + 1)] + [c[t] for c in texts]) for t in range(horizon)] + [""]
+
+
 @pytest.mark.parametrize("write", ["write_trace_csv", "write_aggregate_csv"])
 def test_csv_write_failing_after_the_header_leaves_no_file(tmp_path, monkeypatch, write):
     config = run_config(tmp_path)
@@ -515,6 +567,30 @@ def test_parallel_run_byte_identical_to_serial(tmp_path):
             a = (tmp_path / "serial" / (entry + suffix)).read_bytes()
             b = (tmp_path / "parallel" / (entry + suffix)).read_bytes()
             assert a == b, entry + suffix
+
+
+def test_each_strategys_traces_are_released_once_its_csvs_are_written(tmp_path, monkeypatch):
+    config = run_config(tmp_path)
+    config = harness.ExperimentConfig(config.instance, config.policies + config.policies[:1],
+                                      config.n_runs)
+    refs = []  # (policy index, weak reference to one of its traces)
+    alive = []  # (policy index being written, policy indices of live traces)
+    real_run_single, real_write = harness.run_single, harness.write_aggregate_csv
+
+    def tracked(instance, policy_cfg, seed, policy=None):
+        trace = real_run_single(instance, policy_cfg, seed, policy)
+        refs.append((seed.spawn_key[0], weakref.ref(trace)))
+        return trace
+
+    def checked(path, agg):
+        written = int(Path(path).name[1:].split("_", 1)[0])
+        alive.append((written, [pi for pi, ref in refs if ref() is not None]))
+        real_write(path, agg)
+
+    monkeypatch.setattr(harness, "run_single", tracked)
+    monkeypatch.setattr(harness, "write_aggregate_csv", checked)
+    run_experiment(config, out_dir=tmp_path / "out")
+    assert alive == [(0, [0, 0]), (1, [1, 1]), (2, [2, 2])]
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -722,13 +798,53 @@ def test_width_strategies_run_at_the_ridge_lambda_floor(tmp_path):
     data = json.loads(preset_config_path("fig1").read_text())
     data["instance"].update(init_explore_m=0, horizon=100)
     data["n_runs"] = 2
-    data["policies"] = [{"kind": "linucb_alignment", "ridge_lambda": PIVOT_TOL},
-                        {"kind": "chained_unrestricted", "ridge_lambda": PIVOT_TOL},
-                        {"kind": "chained_restricted", "budget": 1.0, "ridge_lambda": PIVOT_TOL}]
+    floor = ridge_lambda_floor(4, 100)
+    data["policies"] = [{"kind": "linucb_alignment", "ridge_lambda": floor},
+                        {"kind": "chained_unrestricted", "ridge_lambda": floor},
+                        {"kind": "chained_restricted", "budget": 1.0, "ridge_lambda": floor}]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(data))
     assert main(["validate", "--config", str(p)]) == 0
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
+def rank_deficient_config(ridge_lambda):
+    """Two unit contexts cycled for 20,000 rounds in d=7: every arm's Gram
+    matrix has rank 2, so lambda alone keeps five pivots of G + lambda*I
+    positive while the rounding in G grows with the rounds."""
+    rng = np.random.default_rng(11)
+    draws = [rng.standard_normal(7) for _ in range(5)]
+    contexts = [(v / np.linalg.norm(v)).tolist() for v in draws[:2]]
+    attrs = [(v / np.linalg.norm(v) / 1.5).tolist() for v in draws[2:]]
+    return {
+        "instance": {"n_arms": 3, "dim": 7, "horizon": 20000, "master_seed": 0,
+                     "noise_std": 0.1, "init_explore_m": 0,
+                     "context_source": {"kind": "fixed_sequence", "contexts": contexts,
+                                        "cycle": True},
+                     "true_attrs": attrs},
+        "policies": [{"kind": "chained_unrestricted", "ridge_lambda": ridge_lambda}],
+        "n_runs": 1,
+        "emit_full_trace": False,
+    }
+
+
+def test_ridge_lambda_below_the_rounding_floor_fails_validation(tmp_path, capsys):
+    # At 1e-12 and 1e-10 this run died mid-way with SingularMatrixError (exit 3).
+    assert ridge_lambda_floor(7, 20000) == pytest.approx(6.2172e-7, rel=1e-4)
+    for lam in (PIVOT_TOL, 1e-10, 6.2e-7):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(rank_deficient_config(lam)))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "policies[0].ridge_lambda" in capsys.readouterr().err
+
+
+def test_ridge_lambda_at_the_rounding_floor_runs_to_the_end(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(rank_deficient_config(ridge_lambda_floor(7, 20000))))
+    config, diags = load_config_file(p)
+    assert errors_of(diags) == []
+    trace = run_single(config.instance, config.policies[0], 5)
+    assert trace.horizon == 20000 and np.isfinite(trace.inst_regret).all()
 
 
 def test_every_export_resolves():
