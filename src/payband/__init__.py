@@ -7,7 +7,7 @@ cumulative regret and payments across several payment strategies.
 """
 
 from .linalg import SingularMatrixError, min_eig_sym
-from .model import InstanceSpec, RoundRecord, agent_choose, unit_ball_projection
+from .model import InstanceSpec, RoundRecord, agent_choose
 from .estimation import EstimatorState, confidence_width
 from .environment import (
     BanditDataset,
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SingularMatrixError", "min_eig_sym",
-    "InstanceSpec", "RoundRecord", "agent_choose", "unit_ball_projection",
+    "InstanceSpec", "RoundRecord", "agent_choose",
     "EstimatorState", "confidence_width",
     "BanditDataset", "DatasetReplaySpec", "ExhaustedSequenceError", "load_dataset_csv",
     "FixedSequenceSpec", "GaussianContextSpec", "covariate_diversity_report",

@@ -248,10 +248,11 @@ class LinearEnvironment:
 class DatasetEnvironment:
     """Replay a dataset: context = feature row, reward = 1{arm == label}.
 
-    Rows arrive in a seed-dependent shuffled order; without replacement each
-    row is visited at most once per pass through the dataset. Like
-    ``LinearEnvironment`` it holds the whole run's ``contexts`` (the rows,
-    unit-ball projected) and one-hot ``means``.
+    Rows arrive in a seed-dependent shuffled order, ``order`` (horizon,) of
+    dataset row indices; without replacement each row is visited at most
+    once per pass through the dataset. Like ``LinearEnvironment`` it holds
+    the whole run's ``contexts`` (the rows, unit-ball projected) and one-hot
+    ``means``.
     """
 
     def __init__(self, dataset: BanditDataset, horizon: int,
@@ -265,15 +266,12 @@ class DatasetEnvironment:
         self.n_arms = dataset.n_classes
         self.dim = dataset.dim
         if sample_with_replacement:
-            self._order = rng.integers(0, n, size=horizon)
+            self.order = rng.integers(0, n, size=horizon)
         else:
-            self._order = rng.permutation(n)[:horizon]
-        self.contexts = unit_ball_rows(dataset.features[self._order])
+            self.order = rng.permutation(n)[:horizon]
+        self.contexts = unit_ball_rows(dataset.features[self.order])
         self.means = np.zeros((horizon, self.n_arms))
-        self.means[np.arange(horizon), dataset.labels[self._order]] = 1.0
-
-    def row_index(self, t: int) -> int:
-        return int(self._order[t - 1])
+        self.means[np.arange(horizon), dataset.labels[self.order]] = 1.0
 
     def context(self, t: int) -> np.ndarray:
         return self.contexts[t - 1]

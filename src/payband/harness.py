@@ -126,7 +126,10 @@ def _warn(field: str, constraint: str, actual) -> Diagnostic:
 
 def _is_finite_number(v) -> bool:
     # Python's json accepts NaN and Infinity, so a number can still be bad.
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond float64's range
+        return False
 
 
 # The JSON value types a config field can have.
@@ -316,12 +319,14 @@ def load_config_file(path: Union[str, Path],
                      ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
     """Read a JSON config file, then validate and parse it (load_config_data).
 
-    Relative dataset paths resolve against the file's directory.
+    Relative dataset paths resolve against the file's directory. Bytes
+    that are not UTF-8 JSON, JSON nested too deep to parse and integer
+    literals too long to convert are reported like a missing file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         return None, [_err(str(path), "readable JSON file", str(exc))]
     return load_config_data(data, path.parent, master_seed_override)
 

@@ -21,6 +21,10 @@ TIE_TOLERANCE = 1e-12
 
 MAX_DIM = 64
 
+# Largest horizon: every round index is then exact as a float64, and the
+# ridge_lambda floor, which grows with horizon**2, stays finite.
+MAX_HORIZON = 2 ** 53
+
 # Largest magnitude accepted for a config value that scales contexts,
 # rewards or payments. Those values are squared (unit-ball projection, Gram
 # matrices, standard errors) and summed over rounds, so 1e100 keeps the
@@ -29,21 +33,14 @@ MAX_DIM = 64
 MAX_MAGNITUDE = 1e100
 
 
-def unit_ball_projection(v: np.ndarray) -> np.ndarray:
-    """Scale v down to unit Euclidean norm when it exceeds the unit ball."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm > 1.0:
-        return v / norm
-    return v
-
-
 def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
-    """``unit_ball_projection`` of each row of an (n, d) array, as a new array.
+    """Each row of an (n, d) array scaled down to unit Euclidean norm when it
+    exceeds the unit ball, as a new array.
 
     Each row's squared norm comes from a stacked (1, d) @ (d, 1) product,
     which gives the bits of the ``x.dot(x)`` inside ``np.linalg.norm``, so the
-    rows equal the one-at-a-time projection exactly.
+    rows equal projecting one row at a time, ``v / np.linalg.norm(v)``,
+    exactly.
     """
     rows = np.array(rows, dtype=float)
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
@@ -114,8 +111,8 @@ class InstanceSpec:
             raise ConfigError("n_arms", "integer >= 2", self.n_arms)
         if not (1 <= self.dim <= MAX_DIM):
             raise ConfigError("dim", f"integer in [1, {MAX_DIM}]", self.dim)
-        if self.horizon < 1:
-            raise ConfigError("horizon", "integer >= 1", self.horizon)
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError("horizon", "integer in [1, 2**53]", self.horizon)
         if self.master_seed < 0:
             raise ConfigError("master_seed", "integer >= 0", self.master_seed)
         if not 0 <= self.noise_std <= MAX_MAGNITUDE:

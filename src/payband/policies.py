@@ -44,7 +44,6 @@ from .estimation import (
     OLS,
     RIDGE,
     EstimatorState,
-    SingularMatrixError,
     confidence_width,
     inv_norms,
 )
@@ -242,13 +241,12 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 # ---------------------------------------------------------------------------
 
 class Policy:
-    """Base class: per-arm estimator states and their displayed estimates.
+    """Base class: a strategy's arm bank and the round hooks that feed it.
 
-    ``start_run`` sets ``explore_m``; the rounds call ``absorb_forced`` or
-    ``calc_payments`` and ``update``; ``diagnostics`` then holds what the
-    strategy recorded. ``budget`` is what remains, None when unrestricted.
-    Arm i's state is built on row i of ``inverses`` and keeps its cached
-    inverse there, so one (N, d, d) product reads every arm's.
+    ``bank`` is one ``EstimatorState`` for all N arms. ``start_run`` sets
+    ``explore_m``; the rounds call ``absorb_forced`` or ``calc_payments``
+    and ``update``; ``diagnostics`` then holds what the strategy recorded.
+    ``budget`` is what remains, None when unrestricted.
     """
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
@@ -257,39 +255,19 @@ class Policy:
         self.dim = dim
         mode = config.resolved_mode()
         lam = config.ridge_lambda if mode == RIDGE else 0.0
-        self.inverses = np.zeros((n_arms, dim, dim))
-        self.states = [EstimatorState(dim, mode, lam, row) for row in self.inverses]
-        self._est_matrix = np.zeros((n_arms, dim))
+        self.bank = EstimatorState(dim, mode, lam, n_arms)
         self.budget = config.budget
         self.explore_m = 0
         self.diagnostics: dict = {}
 
-    # -- estimates ---------------------------------------------------------
-
     def displayed_estimates(self) -> np.ndarray:
-        """(n_arms, dim) matrix of displayed estimates.
+        """(n_arms, dim) matrix of displayed estimates, the bank's ``shown``.
 
         Arms whose least-squares system is still rank deficient display the
-        zero vector. The returned array is reused between rounds; callers
-        who keep it must copy.
+        zero vector. Each absorb rewrites its arm's row in place; callers
+        who keep the array must copy.
         """
-        return self._est_matrix
-
-    def current_inverses(self) -> np.ndarray:
-        """``inverses`` with every row current: each state whose ``current``
-        is False (no absorb yet, or a failed refactor) is factored here."""
-        for state in self.states:
-            if not state.current:
-                state.inverse()
-        return self.inverses
-
-    def _absorb(self, arm: int, context: np.ndarray, response: float) -> None:
-        state = self.states[arm]
-        state.absorb(context, response)
-        try:  # refresh the arm's displayed row at once, which refactors if needed
-            self._est_matrix[arm] = state.estimate()
-        except SingularMatrixError:
-            self._est_matrix[arm] = 0.0
+        return self.bank.shown
 
     # -- interaction loop hooks -------------------------------------------
 
@@ -306,11 +284,11 @@ class Policy:
     def update(self, t: int, context: np.ndarray, chosen: int, observed: float,
                payments: np.ndarray) -> None:
         """Absorb the round's observation (overridden by the perturbation strategy)."""
-        self._absorb(chosen, context, observed)
+        self.bank.absorb(context, observed, chosen)
 
     def absorb_forced(self, t: int, context: np.ndarray, arm: int, observed: float) -> None:
         """Mandated pull during initial exploration: plain absorb, no payment."""
-        self._absorb(arm, context, observed)
+        self.bank.absorb(context, observed, arm)
 
 
 class NoPaymentsPolicy(Policy):
@@ -354,7 +332,7 @@ class PerturbationPaymentsPolicy(Policy):
     def update(self, t, context, chosen, observed, payments):
         i = self._row(t)
         perturbed = np.add(context, self._zeta[i], out=self.effective_contexts[i])
-        self._absorb(chosen, perturbed, observed + float(payments[chosen]))
+        self.bank.absorb(perturbed, observed + float(payments[chosen]), chosen)
 
 
 class LinUCBAlignmentPolicy(Policy):
@@ -374,7 +352,8 @@ class LinUCBAlignmentPolicy(Policy):
     def calc_payments(self, t, context, rng):
         scores = self.displayed_estimates() @ np.asarray(context, float)
         greedy = int(np.argmax(scores))
-        base = linucb_choose(self.current_inverses(), scores, context, self.config.linucb_alpha)
+        base = linucb_choose(self.bank.current_inverses(), scores, context,
+                             self.config.linucb_alpha)
         self.alignment_log.append((t, greedy, base))
         return alignment_payment(scores, greedy, base)
 
@@ -395,8 +374,8 @@ class ChainedPolicy(Policy):
             return np.zeros(self.n_arms)
         scores = self.displayed_estimates() @ np.asarray(context, float)
         anchor = int(np.argmax(scores))
-        widths = confidence_width(self.current_inverses(), self.config.ridge_lambda, context,
-                                  self.config.delta, self.explore_m, t)
+        widths = confidence_width(self.bank.current_inverses(), self.config.ridge_lambda,
+                                  context, self.config.delta, self.explore_m, t)
         members = build_chain(scores, widths, anchor)
         pay, _, _, new_budget = chained_payment(members, scores, anchor, rng, self.budget)
         self.budget = new_budget

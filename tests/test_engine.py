@@ -16,7 +16,7 @@ from payband.environment import (
 )
 from payband.harness import child_seed_sequence, run_experiment, run_single, spawn_streams
 from payband.metrics import RunTrace
-from payband.model import InstanceSpec, agent_choose, unit_ball_projection, unit_ball_rows
+from payband.model import InstanceSpec, agent_choose, unit_ball_rows
 from payband.policies import (
     PERTURBATION,
     PolicyConfig,
@@ -35,6 +35,14 @@ POLICIES = [
     PolicyConfig(kind="chained_restricted", budget=0.5),
     PolicyConfig(kind="chained_restricted", budget=1),  # an integer budget stays one
 ]
+
+
+def unit_ball_projection(v):
+    """One context scaled down to unit norm when it exceeds the unit ball:
+    the one-at-a-time oracle for ``unit_ball_rows``."""
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 1.0 else v
 
 
 def instance(source):

@@ -158,11 +158,11 @@ def test_dataset_environment_replays_rows_without_replacement(tmp_path):
     path = write_csv(tmp_path, "\n".join("%d.0,%d.5,%d" % (i, i, i % 2) for i in range(6)))
     ds = load_dataset_csv(path, n_classes=2)
     env = DatasetEnvironment(ds, horizon=6, rng=rng_for(1))
-    seen = [env.row_index(t) for t in range(1, 7)]
+    seen = env.order.tolist()
     assert sorted(seen) == list(range(6))
     # same seed, same order; contexts are the rows, unit-ball projected
     env2 = DatasetEnvironment(ds, horizon=6, rng=rng_for(1))
-    assert seen == [env2.row_index(t) for t in range(1, 7)]
+    assert seen == env2.order.tolist()
     for t in range(1, 7):
         assert np.linalg.norm(env.context(t)) <= 1.0 + 1e-12
 
@@ -173,7 +173,7 @@ def test_dataset_environment_one_hot_true_means(tmp_path):
     env = DatasetEnvironment(ds, horizon=2, rng=rng_for(0))
     for t in (1, 2):
         means = env.true_means(t)
-        label = ds.labels[env.row_index(t)]
+        label = ds.labels[env.order[t - 1]]
         assert means[label] == 1.0 and means.sum() == 1.0
 
 
@@ -183,7 +183,7 @@ def test_horizon_beyond_rows_requires_replacement(tmp_path):
     with pytest.raises(ValueError, match="replacement"):
         DatasetEnvironment(ds, horizon=5, rng=rng_for(0))
     env = DatasetEnvironment(ds, horizon=5, rng=rng_for(0), sample_with_replacement=True)
-    assert len([env.row_index(t) for t in range(1, 6)]) == 5
+    assert env.order.shape == (5,) and set(env.order.tolist()) <= {0, 1}
 
 
 def test_dataset_to_instance_uses_shuffle_seed(tmp_path):
@@ -192,9 +192,8 @@ def test_dataset_to_instance_uses_shuffle_seed(tmp_path):
     a = DatasetEnvironment(ds, horizon=8, rng=rng_for(3))
     b = DatasetEnvironment(ds, horizon=8, rng=rng_for(3))
     c = DatasetEnvironment(ds, horizon=8, rng=rng_for(4))
-    order = lambda env: [env.row_index(t) for t in range(1, 9)]
-    assert order(a) == order(b)
-    assert order(a) != order(c)
+    assert np.array_equal(a.order, b.order)
+    assert not np.array_equal(a.order, c.order)
 
 
 def test_linear_environment_round_indexing():

@@ -97,9 +97,9 @@ def test_absorb_updates_in_place_and_clears_cached_estimate():
     rng = np.random.default_rng(14)
     state = EstimatorState(2, mode=RIDGE, ridge_lambda=1.0)
     assert state.absorb(np.array([1.0, 0.0]), 1.0) is None
-    assert state.count == 1
+    assert state.count == [1]
     # gram accumulates the raw outer product; regularization only at solve time
-    assert np.allclose(state.gram, [[1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(state.gram, [[[1.0, 0.0], [0.0, 0.0]]])
     assert np.allclose(state.regularized_gram(), [[2.0, 0.0], [0.0, 1.0]])
     contexts, responses = [np.array([1.0, 0.0])], [1.0]
     for _ in range(5):
@@ -112,8 +112,8 @@ def test_absorb_updates_in_place_and_clears_cached_estimate():
         if np.linalg.norm(want) > 1.0:
             want = want / np.linalg.norm(want)
         assert np.allclose(state.estimate(), want, atol=1e-9)
-    assert state.count == 6
-    assert np.allclose(state.moment, np.vstack(contexts).T @ np.asarray(responses))
+    assert state.count == [6]
+    assert np.allclose(state.moment[0], np.vstack(contexts).T @ np.asarray(responses))
 
 
 def test_ols_raises_before_identifiability():
@@ -176,7 +176,7 @@ def test_width_never_grows_when_observations_double():
             EstimatorState(d, mode=RIDGE, ridge_lambda=1.0),
             np.vstack([contexts, contexts]), np.concatenate([responses, responses]),
         )
-        assert (once.count, twice.count) == (6, 12)
+        assert (once.count, twice.count) == ([6], [12])
         probe = rng.normal(size=d)
         t = int(rng.integers(1, 50))
         w1, w2 = confidence_width(inverses_of([once, twice]), 1.0, probe, 0.1, 2, t)
@@ -205,22 +205,22 @@ def test_width_rejects_bad_delta():
 def test_batched_widths_match_per_arm_inverse_oracle(n_arms, d):
     rng = np.random.default_rng(100 * n_arms + d)
     lam, delta, m = 0.7, 0.1, 3
-    inverses = np.zeros((n_arms, d, d))
-    states = [EstimatorState(d, RIDGE, lam, row) for row in inverses]
+    bank = EstimatorState(d, RIDGE, lam, n_arms)
     grams = [lam * np.eye(d) for _ in range(n_arms)]
     for t in range(1, 200):
         arm = int(rng.integers(n_arms))
         x = rng.normal(size=d)
-        states[arm].absorb(x, float(rng.normal()))
+        bank.absorb(x, float(rng.normal()), arm)
         grams[arm] += np.outer(x, x)
         probe = rng.normal(size=d)
         scale = m * math.sqrt(d * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
         want = [math.sqrt(probe @ np.linalg.inv(g) @ probe) * scale for g in grams]
-        for state in states:  # brings each stacked row current in place
-            state.inverse()
+        inverses = bank.current_inverses()  # factors the arms not absorbed yet
+        assert inverses is bank.inverses and all(bank.current)
         got = confidence_width(inverses, lam, probe, delta, m, t)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
-        assert np.allclose(inv_norms(inverses, probe), [s.inv_norm(probe) for s in states],
+        assert np.allclose(inv_norms(inverses, probe),
+                           [bank.inv_norm(probe, a) for a in range(n_arms)],
                            rtol=1e-12, atol=0.0)
 
 
@@ -249,7 +249,7 @@ def test_long_histories_match_normal_equation_solve(mode, d):
         for probe in rng.normal(size=(3, d)):
             want_norm = math.sqrt(probe @ np.linalg.solve(gram, probe))
             assert abs(state.inv_norm(probe) - want_norm) <= 1e-9
-    assert state.count == n
+    assert state.count == [n]
 
 
 def longdouble_solve(gram, rhs):
@@ -303,7 +303,7 @@ def test_updated_inverse_matches_extended_precision_oracle(mode, d):
             xl = x.astype(np.longdouble)
             gram += np.outer(xl, xl)
             moment += xl * np.longdouble(y)
-            if state.count < d and mode == OLS:
+            if state.count[0] < d and mode == OLS:
                 continue
             probe = rng.normal(size=d)
             sol = longdouble_solve(gram, np.column_stack([moment, probe]))
@@ -358,7 +358,7 @@ def test_cached_inverse_stays_exactly_symmetric(mode, lam):
     state = EstimatorState(5, mode=mode, ridge_lambda=lam)
     for x in unit_ball_contexts(rng, 300, 5):
         state.absorb(x, float(rng.normal()))
-        if state.count >= 5:
+        if state.count[0] >= 5:
             inv = state.inverse()
             assert np.array_equal(inv, inv.T)
 
@@ -378,30 +378,64 @@ def test_buffered_gram_equals_sequential_sum(d):
                 state.absorb(x, 0.0)
                 want += x[:, None] * x
                 if k in reads:
-                    assert np.array_equal(state.gram, want)
-            assert np.array_equal(state.gram, want)
-            assert np.array_equal(state.gram, want)  # a second read adds nothing
+                    assert np.array_equal(state.gram[0], want)
+            assert np.array_equal(state.gram[0], want)
+            assert np.array_equal(state.gram[0], want)  # a second read adds nothing
 
 
-def test_state_keeps_its_inverse_in_the_callers_row():
-    stack = np.zeros((3, 2, 2))
-    states = [EstimatorState(2, RIDGE, 0.5, row) for row in stack]
-    state = states[2]
+def test_bank_keeps_each_arms_inverse_in_its_row(monkeypatch):
+    factors = []
+    factor = estimation.cholesky_spd
+    monkeypatch.setattr(estimation, "cholesky_spd", lambda a: factors.append(1) or factor(a))
+    bank = EstimatorState(2, RIDGE, 0.5, n_arms=3)
 
     def in_row_and_exact():
-        assert np.shares_memory(state.inverse(), stack[2]) and state.current
-        assert np.allclose(stack[2], np.linalg.inv(state.regularized_gram()),
+        assert np.shares_memory(bank.inverse(2), bank.inverses[2]) and bank.current[2]
+        assert np.allclose(bank.inverses[2], np.linalg.inv(bank.regularized_gram(2)),
                            rtol=1e-12, atol=1e-15)
 
-    assert not state.current  # nothing factored yet
-    state.absorb(np.array([1.0, 2.0]), 1.0)
-    in_row_and_exact()  # the first factor
-    state.absorb(np.array([0.3, 0.4]), 0.0)
-    assert state.current  # a rank-1 update, in place
+    assert bank.current == [False] * 3  # nothing factored yet
+    bank.absorb(np.array([1.0, 2.0]), 1.0, 2)
     in_row_and_exact()
-    state.absorb(np.array([10.0, -10.0]), 0.0)
-    assert not state.current  # det G more than doubled: dropped
-    in_row_and_exact()  # the refactor
-    assert not stack[:2].any() and not states[0].current  # the other rows untouched
-    with pytest.raises(ValueError, match="inverse shape"):
-        EstimatorState(2, RIDGE, 0.5, np.zeros((3, 3)))
+    assert len(factors) == 1  # the first factor, made by the absorb's display refresh
+    bank.absorb(np.array([0.3, 0.4]), 0.0, 2)
+    in_row_and_exact()
+    assert len(factors) == 1  # a rank-1 update, in place
+    bank.absorb(np.array([10.0, -10.0]), 0.0, 2)
+    in_row_and_exact()
+    assert len(factors) == 2  # det G more than doubled: dropped, then refactored
+    assert np.array_equal(bank.shown[2], bank.estimate(2)) and bank.count == [0, 0, 3]
+    # the other arms' rows untouched
+    assert not (bank.inverses[:2].any() or bank.moment[:2].any() or bank.shown[:2].any())
+    assert not bank.gram[:2].any() and bank.current[:2] == [False, False]
+
+
+@pytest.mark.parametrize("mode,lam", [(OLS, 0.0), (RIDGE, 0.05)])
+@pytest.mark.parametrize("n_arms,d", [(2, 14), (8, 4)])
+def test_bank_rows_equal_separate_single_arm_banks(n_arms, d, mode, lam):
+    # One bank fed a seeded interleaving of (arm, x, y) against N one-arm
+    # banks, each fed its arm's pairs in the same absorb/estimate order: every
+    # row must match bit for bit after every step, so rows never interact.
+    # Scales from 1e-3 to 10 make refactors; runs past GRAM_ROWS make folds.
+    rng = np.random.default_rng(50 + 10 * n_arms + d)
+    bank = EstimatorState(d, mode, lam, n_arms)
+    singles = [EstimatorState(d, mode, lam) for _ in range(n_arms)]
+    for step in range(3 * estimation.GRAM_ROWS * n_arms):
+        arm = int(rng.integers(n_arms))
+        x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1)
+        y = float(rng.normal())
+        bank.absorb(x, y, arm)
+        singles[arm].absorb(x, y)
+        if mode == RIDGE and step % 5 == 0:
+            bank.current_inverses()
+            for single in singles:
+                single.current_inverses()
+        if step % 7 == 0:  # a mid-buffer read of G
+            assert np.array_equal(bank.gram[arm], singles[arm].gram[0])
+        for a, single in enumerate(singles):
+            assert bank.count[a] == single.count[0] and bank.current[a] == single.current[0]
+            assert np.array_equal(bank.moment[a], single.moment[0])
+            assert np.array_equal(bank.inverses[a], single.inverses[0])
+            assert np.array_equal(bank.shown[a], single.shown[0])
+    assert np.array_equal(bank.gram, np.concatenate([s.gram for s in singles]))
+    assert min(bank.count) > estimation.GRAM_ROWS

@@ -282,11 +282,48 @@ def test_negative_env_seed_is_rejected_before_any_run(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-def test_malformed_json_reports_a_diagnostic(tmp_path):
+def test_malformed_json_reports_a_diagnostic(tmp_path, capsys):
     p = tmp_path / "broken.json"
-    p.write_text("{ nope")
-    config, diags = load_config_file(p)
-    assert config is None and diags
+    for content in (b"{ nope",
+                    b"\xff\xfe{\x00}\x00",  # not UTF-8
+                    b"[" * 200_000 + b"]" * 200_000,  # deeper than the parser recurses
+                    b'{"n_runs": 1' + b"0" * 5000 + b"}"):  # more digits than int() reads
+        p.write_bytes(content)
+        config, diags = load_config_file(p)
+        assert config is None and [d.constraint for d in diags] == ["readable JSON file"]
+        assert main(["validate", "--config", str(p)]) == 2
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "readable JSON file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+BEYOND_FLOAT64 = 10 ** 400
+
+
+@pytest.mark.parametrize("field", [
+    "instance.noise_std", "policies[0].sigma_pay", "instance.context_source.mean",
+    "instance.true_attrs[1]", "instance.horizon",
+])
+def test_integer_literals_beyond_float64_fail_validation(tmp_path, capsys, field):
+    data = base_config()
+    inst = data["instance"]
+    if field == "instance.noise_std":
+        inst["noise_std"] = BEYOND_FLOAT64
+    elif field == "policies[0].sigma_pay":
+        data["policies"] = [{"kind": "perturbation_payments", "sigma_pay": BEYOND_FLOAT64}]
+    elif field == "instance.context_source.mean":
+        inst["context_source"]["mean"] = [BEYOND_FLOAT64, 0]
+    elif field == "instance.true_attrs[1]":
+        inst["true_attrs"][1] = [0, BEYOND_FLOAT64]
+    else:  # with a ridge strategy, whose lambda floor grows with horizon**2
+        inst["horizon"] = BEYOND_FLOAT64
+        data["policies"].append({"kind": "chained_unrestricted"})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(p)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 # -- the run engine and CSV output -------------------------------------------

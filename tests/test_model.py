@@ -8,7 +8,7 @@ from payband.model import (
     ConfigError,
     InstanceSpec,
     agent_choose,
-    unit_ball_projection,
+    unit_ball_rows,
 )
 from payband.environment import (
     BanditDataset,
@@ -102,13 +102,11 @@ def test_agent_choose_equals_the_numpy_rule():
 
 
 def test_projection_shrinks_only_outside_ball():
-    v = np.array([3.0, 4.0])
-    p = unit_ball_projection(v)
-    assert np.linalg.norm(p) == pytest.approx(1.0)
-    assert np.allclose(p, v / 5.0)
-    inside = np.array([0.3, -0.1])
-    assert np.array_equal(unit_ball_projection(inside), inside)
-    assert np.array_equal(unit_ball_projection(np.zeros(2)), np.zeros(2))
+    rows = np.array([[3.0, 4.0], [0.3, -0.1], [0.0, 0.0]])
+    p = unit_ball_rows(rows)
+    assert np.linalg.norm(p[0]) == pytest.approx(1.0)
+    assert np.allclose(p[0], rows[0] / 5.0)
+    assert np.array_equal(p[1:], rows[1:])  # inside the ball, the zero vector too
 
 
 def test_instance_rejects_single_arm():

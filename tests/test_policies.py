@@ -102,9 +102,9 @@ def test_perturbation_update_folds_payment_into_response():
     assert pay[1] != 0.0
     pol.update(1, ctx, 1, observed=0.4, payments=pay)
     ref.absorb(ctx + zeta, 0.4 + pay[1])
-    assert np.array_equal(pol.states[1].gram, ref.gram)
-    assert np.array_equal(pol.states[1].moment, ref.moment)
-    assert pol.states[0].count == 0
+    assert np.array_equal(pol.bank.gram[1], ref.gram[0])
+    assert np.array_equal(pol.bank.moment[1], ref.moment[0])
+    assert pol.bank.count == [0, 3]
 
 
 # -- alignment payments ------------------------------------------------------
@@ -162,7 +162,7 @@ def test_stacked_inverses_equal_factoring_every_arm_every_round(kind):
     for t in range(1, 61):
         x = rng.normal(size=d)
         pay = pol.calc_payments(t, x, rng)
-        assert np.array_equal(pol.inverses, [state.inverse() for state in ref])
+        assert np.array_equal(pol.bank.inverses, [state.inverse() for state in ref])
         arm, y = int(rng.integers(min(n, 1 + t // 10))), float(rng.normal())
         pol.update(t, x, arm, y, pay)
         ref[arm].absorb(x, y)
@@ -317,8 +317,8 @@ def test_build_policy_classes_and_modes():
     for kind, budget in (("chained_unrestricted", None), ("chained_restricted", 2.0)):
         pol = build_policy(PolicyConfig(kind=kind, budget=budget), n, d)
         assert isinstance(pol, ChainedPolicy)
-        assert pol.states[0].mode == RIDGE
-    assert build_policy(PolicyConfig(kind="no_payments"), n, d).states[0].mode == OLS
+        assert pol.bank.mode == RIDGE
+    assert build_policy(PolicyConfig(kind="no_payments"), n, d).bank.mode == OLS
 
 
 def test_displayed_estimates_zero_before_identifiability():
@@ -333,16 +333,21 @@ def test_displayed_estimates_zero_before_identifiability():
     assert np.array_equal(est[1], [0.0, 0.0])
 
 
-def test_displayed_estimates_array_is_reused():
-    pol = build_policy(PolicyConfig(kind="no_payments"), 2, 2)
-    assert pol.displayed_estimates() is pol.displayed_estimates()
+def test_displayed_estimates_are_the_banks_shown_rows():
+    pol = build_policy(PolicyConfig(kind="no_payments"), 3, 2)
+    shown = pol.displayed_estimates()
+    assert shown is pol.bank.shown and shown.shape == (3, 2)
+    pol.absorb_forced(1, np.array([1.0, 0.0]), 2, 0.4)
+    pol.absorb_forced(2, np.array([0.0, 1.0]), 2, -0.2)
+    assert pol.displayed_estimates() is shown  # rewritten in place, row by row
+    assert np.array_equal(shown[2], pol.bank.estimate(2)) and not shown[:2].any()
 
 
 def test_absorb_refreshes_the_arms_displayed_row():
     pol = build_policy(PolicyConfig(kind="linucb_alignment"), 2, 2)
     shown = pol.displayed_estimates()
     pol.absorb_forced(1, np.array([0.6, 0.8]), 1, 0.5)
-    assert np.array_equal(shown[1], pol.states[1].estimate())  # no display call in between
+    assert np.array_equal(shown[1], pol.bank.estimate(1))  # no display call in between
     assert shown[1].any() and not shown[0].any()
 
 
@@ -359,7 +364,7 @@ def test_perturbation_rounds_require_start_run():
             pol.calc_payments(t, ctx, rng_for(0))
     pay = pol.calc_payments(4, ctx, rng_for(0))
     pol.update(4, ctx, 0, 0.5, pay)
-    assert pol.states[0].count == 1
+    assert pol.bank.count == [1, 0]
 
 
 def test_perturbation_history_keeps_perturbed_pairs():
@@ -369,12 +374,11 @@ def test_perturbation_history_keeps_perturbed_pairs():
     pol.start_run(0, 1, rng)
     pay = pol.calc_payments(1, ctx, rng)
     pol.update(1, ctx, 0, observed=0.5, payments=pay)
-    state = pol.states[0]
-    assert state.count == 1 and pol.states[1].count == 0
+    assert pol.bank.count == [1, 0]
     (stored,) = pol.effective_contexts
     assert not np.array_equal(stored, ctx)  # the zeta went in
-    assert np.array_equal(state.gram, np.outer(stored, stored))
-    assert np.array_equal(state.moment, (0.5 + pay[0]) * stored)
+    assert np.array_equal(pol.bank.gram[0], np.outer(stored, stored))
+    assert np.array_equal(pol.bank.moment[0], (0.5 + pay[0]) * stored)
 
 
 def test_zero_budget_restricted_pays_nothing_and_skips_rng():
@@ -437,9 +441,9 @@ def test_initial_exploration_is_round_robin_with_zero_payments():
     for r in records:
         assert np.array_equal(r.payments, np.zeros(3))
         assert r.payment_paid == 0.0
-    assert [s.count for s in pol.states] == [3, 2, 2]
-    assert np.array_equal(pol.states[0].gram, 3 * np.outer([1.0, 0.0], [1.0, 0.0]))
-    assert np.array_equal(pol.states[2].moment, [0.6, 0.0])
+    assert pol.bank.count == [3, 2, 2]
+    assert np.array_equal(pol.bank.gram[0], 3 * np.outer([1.0, 0.0], [1.0, 0.0]))
+    assert np.array_equal(pol.bank.moment[2], [0.6, 0.0])
 
 
 def test_play_round_record_is_replayable():
