@@ -40,15 +40,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment config")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("--config", required=True, help="path to a JSON config")
     run_p.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="maximum worker processes (>= 1)")
     run_p.add_argument("--out", default=None, help="output directory override")
 
     val_p = sub.add_parser("validate", help="validate an experiment config")
+    val_p.set_defaults(handler=_cmd_validate)
     val_p.add_argument("--config", required=True, help="path to a JSON config")
 
     imp_p = sub.add_parser("import", help="parse and summarize a dataset CSV")
+    imp_p.set_defaults(handler=_cmd_import)
     imp_p.add_argument("--csv", required=True, help="path to the dataset CSV")
     imp_p.add_argument("--classes", required=True, type=_int_at_least(2),
                        help="number of classes (>= 2)")
@@ -58,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip the first row as a header")
 
     pre_p = sub.add_parser("preset", help="run a bundled experiment")
-    pre_p.add_argument("name", choices=list(harness.PRESET_NAMES))
+    pre_p.set_defaults(handler=_cmd_preset)
+    pre_p.add_argument("name", choices=list(harness.PRESETS))
     pre_p.add_argument("--dataset", default=None,
                        help="substitute a real dataset CSV (fig2-like only)")
     pre_p.add_argument("--out", default=None, help="output directory override")
@@ -112,11 +116,7 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    try:
-        config_path = harness.preset_config_path(args.name)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return harness.EXIT_CONFIG_INVALID
+    config_path = harness.preset_config_path(args.name)
     if args.dataset is None:
         return _run(*harness.load_config_file(config_path), args)
     if args.name != "fig2-like":
@@ -129,13 +129,7 @@ def _cmd_preset(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "validate": _cmd_validate,
-        "import": _cmd_import,
-        "preset": _cmd_preset,
-    }[args.command]
-    return handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

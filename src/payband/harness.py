@@ -583,13 +583,10 @@ def import_dataset(path: str, n_classes: int, standardize: bool = False,
     return dataset
 
 
-PRESET_NAMES = ("fig1", "fig2-like")
+PRESETS = {"fig1": "fig1.json", "fig2-like": "fig2_like.json"}
 
 
 def preset_config_path(name: str) -> Path:
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    filename = "fig1.json" if name == "fig1" else "fig2_like.json"
-    resource = importlib.resources.files("payband.presets") / filename
-    with importlib.resources.as_file(resource) as concrete:
-        return Path(concrete)
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
+    return resolve_dataset_path(f"pkg:{PRESETS[name]}")

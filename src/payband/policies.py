@@ -62,27 +62,6 @@ LINUCB_ALIGNMENT = "linucb_alignment"
 CHAINED_UNRESTRICTED = "chained_unrestricted"
 CHAINED_RESTRICTED = "chained_restricted"
 
-POLICY_KINDS = (
-    NO_PAYMENTS,
-    PERTURBATION,
-    LINUCB_ALIGNMENT,
-    CHAINED_UNRESTRICTED,
-    CHAINED_RESTRICTED,
-)
-
-# Default estimator mode per strategy. The passive baseline and the
-# perturbation strategy use plain least squares with a zero-vector display
-# before identifiability; everything that needs confidence geometry uses
-# ridge regression, which keeps every Gram matrix positive definite.
-_DEFAULT_MODE = {
-    NO_PAYMENTS: OLS,
-    PERTURBATION: OLS,
-    LINUCB_ALIGNMENT: RIDGE,
-    CHAINED_UNRESTRICTED: RIDGE,
-    CHAINED_RESTRICTED: RIDGE,
-}
-
-
 def ridge_lambda_floor(dim: int, horizon: int) -> float:
     """The least ``ridge_lambda`` a ridge arm may use over ``horizon`` rounds.
 
@@ -119,7 +98,7 @@ class PolicyConfig:
     estimator_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in _POLICY_CLASSES:
             raise ConfigError("kind", f"one of {', '.join(POLICY_KINDS)}", self.kind)
         for name in ("sigma_pay", "ridge_lambda", "delta", "linucb_alpha", "budget"):
             value = getattr(self, name)
@@ -142,12 +121,12 @@ class PolicyConfig:
             raise ConfigError("ridge_lambda", f">= {PIVOT_TOL:g} in ridge mode", self.ridge_lambda)
         if self.estimator_mode is not None and self.estimator_mode not in (OLS, RIDGE):
             raise ConfigError("estimator_mode", f"one of {OLS}, {RIDGE}", self.estimator_mode)
-        if self.estimator_mode == OLS and _DEFAULT_MODE[self.kind] == RIDGE:
+        if self.estimator_mode == OLS and _POLICY_CLASSES[self.kind].mode == RIDGE:
             raise ConfigError("estimator_mode",
                               f"{RIDGE}: {self.kind} needs confidence widths", OLS)
 
     def resolved_mode(self) -> str:
-        return self.estimator_mode or _DEFAULT_MODE[self.kind]
+        return self.estimator_mode or _POLICY_CLASSES[self.kind].mode
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +226,15 @@ class Policy:
     ``explore_m``; the rounds call ``absorb_forced`` or ``calc_payments``
     and ``update``; ``diagnostics`` then holds what the strategy recorded.
     ``budget`` is what remains, None when unrestricted.
+
+    ``mode`` is the strategy's default estimator. The passive baseline and
+    the perturbation strategy use plain least squares with a zero-vector
+    display before identifiability; everything that needs confidence
+    geometry uses ridge regression, which keeps every Gram matrix positive
+    definite.
     """
+
+    mode = OLS
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
         self.config = config
@@ -345,6 +332,8 @@ class LinUCBAlignmentPolicy(Policy):
     round in ``alignment_log``, which ``diagnostics`` shares.
     """
 
+    mode = RIDGE
+
     def __init__(self, config, n_arms, dim):
         super().__init__(config, n_arms, dim)
         self.alignment_log = self.diagnostics["alignment_log"] = []
@@ -369,6 +358,8 @@ class ChainedPolicy(Policy):
     the strategy stops paying entirely.
     """
 
+    mode = RIDGE
+
     def calc_payments(self, t, context, rng):
         if self.budget is not None and self.budget <= 0:
             return np.zeros(self.n_arms)
@@ -389,6 +380,8 @@ _POLICY_CLASSES = {
     CHAINED_UNRESTRICTED: ChainedPolicy,
     CHAINED_RESTRICTED: ChainedPolicy,
 }
+
+POLICY_KINDS = tuple(_POLICY_CLASSES)
 
 
 def build_policy(config: PolicyConfig, n_arms: int, dim: int) -> Policy:
