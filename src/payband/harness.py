@@ -42,7 +42,7 @@ from .environment import (
     load_dataset_csv,
 )
 from .metrics import AccumulatedCurves, AggregateCurves, RunTrace, aggregate
-from .model import ConfigError, InstanceSpec
+from .model import MAX_CELLS, ConfigError, InstanceSpec
 from .policies import (
     RIDGE,
     Policy,
@@ -96,6 +96,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.check_n_runs(self.n_runs)
+        cells = self.instance.run_cells()
+        if self.n_runs * cells > MAX_CELLS:
+            raise ConfigError("n_runs", f"<= {MAX_CELLS // cells} at {cells} float64 cells "
+                              "per run, so a strategy's runs hold at most 2**28", self.n_runs)
         if not self.policies:
             raise ConfigError("policies", "nonempty list", [])
         floor = ridge_lambda_floor(self.instance.dim, self.instance.horizon)
@@ -166,6 +170,22 @@ def _vectors(obj: dict, key: str) -> list:
     return [_typed(v, "vector", f"{key}[{i}]") for i, v in enumerate(_read(obj, key, "list"))]
 
 
+def _known_fields(obj: dict, fields) -> dict:
+    """``obj`` unchanged if it has no key outside ``fields``."""
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ConfigError("", f"only the fields {', '.join(fields)}", unknown)
+    return obj
+
+
+_TOP_FIELDS = ("instance", "policies", "n_runs", "output_dir", "emit_full_trace")
+_INSTANCE_INTS = ("n_arms", "dim", "horizon", "init_explore_m", "master_seed")
+_INSTANCE_FIELDS = _INSTANCE_INTS + ("noise_std", "context_source", "true_attrs")
+_SOURCE_FIELDS = {
+    "fixed_sequence": ("kind", "contexts", "cycle"),
+    "gaussian_iid": ("kind", "mean", "std"),
+    "dataset_replay": ("kind", "path", "standardize", "has_header", "sample_with_replacement"),
+}
 _POLICY_FIELDS = {"kind": "string", "sigma_pay": "finite number",
                   "ridge_lambda": "finite number", "delta": "finite number",
                   "linucb_alpha": "finite number", "budget": "finite number",
@@ -173,16 +193,16 @@ _POLICY_FIELDS = {"kind": "string", "sigma_pay": "finite number",
 
 
 def _policy(p) -> PolicyConfig:
-    _typed(p, "object", "")
-    unknown = sorted(set(p) - set(_POLICY_FIELDS))
-    if unknown:
-        raise ConfigError("", f"only the fields {', '.join(_POLICY_FIELDS)}", unknown)
+    _known_fields(_typed(p, "object", ""), _POLICY_FIELDS)
     _read(p, "kind", "string")
     return PolicyConfig(**{k: _read(p, k, kind) for k, kind in _POLICY_FIELDS.items() if k in p})
 
 
 def _context_source(src: dict, n_arms: Optional[int], base_dir: Optional[Path]):
     kind = _read(src, "kind", "string")
+    if kind not in _SOURCE_FIELDS:
+        raise ConfigError("kind", f"one of {' | '.join(_SOURCE_FIELDS)}", kind)
+    _known_fields(src, _SOURCE_FIELDS[kind])
     if kind == "fixed_sequence":
         return FixedSequenceSpec(contexts=tuple(_vectors(src, "contexts")),
                                  cycle=_read(src, "cycle", "boolean", False))
@@ -203,7 +223,6 @@ def _context_source(src: dict, n_arms: Optional[int], base_dir: Optional[Path]):
         except (OSError, ValueError) as exc:
             raise ConfigError("path", "existing, parseable dataset CSV", str(exc)) from None
         return DatasetReplaySpec(dataset, with_replacement)
-    raise ConfigError("kind", "one of fixed_sequence | gaussian_iid | dataset_replay", kind)
 
 
 def _load(data, base_dir: Optional[Path], master_seed_override: Optional[int]
@@ -213,7 +232,7 @@ def _load(data, base_dir: Optional[Path], master_seed_override: Optional[int]
     Range and cross-field rules are checked by the constructors of the spec
     objects. Each section (instance fields, context source, true_attrs, each
     policy, n_runs) reports its first error, so independent mistakes are all
-    reported together.
+    reported together. A key no reader knows is an error on its object.
     """
     if not isinstance(data, dict):
         return None, [_err("<root>", "must be a JSON object", type(data).__name__)]
@@ -223,13 +242,15 @@ def _load(data, base_dir: Optional[Path], master_seed_override: Optional[int]
         try:
             return build()
         except ConfigError as exc:
-            diags.append(_err(".".join(filter(None, (section, exc.field))),
+            diags.append(_err(".".join(filter(None, (section, exc.field))) or "<root>",
                               exc.constraint, exc.actual))
             return None
 
+    attempt("", lambda: _known_fields(data, _TOP_FIELDS))
     inst = attempt("", lambda: _read(data, "instance", "object")) or {}
+    attempt("instance", lambda: _known_fields(inst, _INSTANCE_FIELDS))
     ints = {key: attempt("instance", lambda key=key: _read(inst, key, "integer"))
-            for key in ("n_arms", "dim", "horizon", "init_explore_m", "master_seed")}
+            for key in _INSTANCE_INTS}
     noise_std = attempt("instance", lambda: _read(inst, "noise_std", "finite number"))
     src = attempt("instance", lambda: _read(inst, "context_source", "object"))
     source = attrs = None

@@ -21,9 +21,13 @@ TIE_TOLERANCE = 1e-12
 
 MAX_DIM = 64
 
-# Largest horizon: every round index is then exact as a float64, and the
+# Most float64 cells (2 GiB) the runs of one strategy may hold: a run
+# counts horizon * n_arms * (dim + 1) cells (payments and displayed
+# estimates) plus RUN_CELLS, so that many tiny runs are bounded too. It keeps
+# the horizon below 2**26, so round indices are exact floats and the
 # ridge_lambda floor, which grows with horizon**2, stays finite.
-MAX_HORIZON = 2 ** 53
+MAX_CELLS = 2 ** 28
+RUN_CELLS = 4096
 
 # Largest magnitude accepted for a config value that scales contexts,
 # rewards or payments. Those values are squared (unit-ball projection, Gram
@@ -111,8 +115,13 @@ class InstanceSpec:
             raise ConfigError("n_arms", "integer >= 2", self.n_arms)
         if not (1 <= self.dim <= MAX_DIM):
             raise ConfigError("dim", f"integer in [1, {MAX_DIM}]", self.dim)
-        if not 1 <= self.horizon <= MAX_HORIZON:
-            raise ConfigError("horizon", "integer in [1, 2**53]", self.horizon)
+        if self.horizon < 1:
+            raise ConfigError("horizon", "integer >= 1", self.horizon)
+        if self.run_cells() > MAX_CELLS:
+            longest = (MAX_CELLS - RUN_CELLS) // (self.n_arms * (self.dim + 1))
+            raise ConfigError("horizon", f"<= {longest} at n_arms {self.n_arms} and dim "
+                              f"{self.dim}, so a run holds at most 2**28 float64 cells",
+                              self.horizon)
         if self.master_seed < 0:
             raise ConfigError("master_seed", "integer >= 0", self.master_seed)
         if not 0 <= self.noise_std <= MAX_MAGNITUDE:
@@ -158,6 +167,10 @@ class InstanceSpec:
                 raise ConfigError(f"true_attrs[{bad}]", "Euclidean norm <= 1",
                                   round(float(norms[bad]), 6))
             object.__setattr__(self, "true_attrs", attrs)
+
+    def run_cells(self) -> int:
+        """The float64 cells one run counts against ``MAX_CELLS``."""
+        return self.horizon * self.n_arms * (self.dim + 1) + RUN_CELLS
 
     def check_explore_m(self, field: str, m: int) -> None:
         """Rounds of mandated round-robin exploration, for the instance or a

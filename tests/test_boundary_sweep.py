@@ -44,7 +44,12 @@ def instance(**fields):
 
 
 def source(**fields):
-    return lambda cfg: cfg["instance"]["context_source"].update(fields)
+    """Set fields of a ``gaussian_iid`` source; a fixed sequence has none of them."""
+    def apply(cfg):
+        src = cfg["instance"]["context_source"]
+        if src["kind"] == "gaussian_iid":
+            src.update(fields)
+    return apply
 
 
 def fixed_contexts(value):

@@ -30,7 +30,7 @@ from payband.harness import (
 )
 from payband.linalg import PIVOT_TOL
 from payband.metrics import RunTrace
-from payband.model import MAX_MAGNITUDE, InstanceSpec
+from payband.model import MAX_CELLS, MAX_MAGNITUDE, RUN_CELLS, InstanceSpec
 from payband.policies import POLICY_KINDS, PolicyConfig, ridge_lambda_floor
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -793,6 +793,81 @@ def test_cli_validate_rejects_bad_values(tmp_path, capsys, corrupt, field):
     assert not out.exists()
 
 
+def replay_source(cfg):
+    cfg["instance"]["context_source"] = {"kind": "dataset_replay", "path": "pkg:fig2_synth.csv"}
+    del cfg["instance"]["true_attrs"]
+
+
+def fixed_source(cfg):
+    cfg["instance"]["context_source"] = {"kind": "fixed_sequence", "contexts": [[1.0, 0.0]],
+                                         "cycle": True}
+
+
+@pytest.mark.parametrize("where, source, key", [
+    ("<root>", None, "n_run"),
+    ("instance", None, "noize_std"),
+    ("instance.context_source", None, "stdev"),
+    ("instance.context_source", fixed_source, "std"),
+    ("instance.context_source", replay_source, "standardise"),
+    ("policies[0]", None, "sigma"),
+])
+def test_cli_rejects_an_unknown_key_in_every_object(tmp_path, capsys, where, source, key):
+    data = base_config()
+    if source is not None:
+        source(data)
+    obj = {"<root>": data, "instance": data["instance"],
+           "instance.context_source": data["instance"]["context_source"],
+           "policies[0]": data["policies"][0]}[where]
+    obj[key] = 1
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"[error] {where}: only the fields" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def fig2_like_config(**instance):
+    data = json.loads(preset_config_path("fig2-like").read_text())
+    data["instance"].update(instance)
+    return data
+
+
+def replay_with_replacement_and_no_ridge(horizon):
+    data = fig2_like_config(horizon=horizon)
+    data["instance"]["context_source"]["sample_with_replacement"] = True
+    data["policies"] = data["policies"][:2]
+    return data
+
+
+@pytest.mark.parametrize("data, field", [
+    ({**base_config(), "n_runs": 10 ** 400}, "n_runs"),
+    (replay_with_replacement_and_no_ridge(10 ** 12), "instance.horizon"),
+    (fig2_like_config(n_arms=10 ** 9), "instance.horizon"),
+], ids=["n_runs", "horizon", "n_arms"])
+def test_cli_rejects_runs_beyond_the_cell_bound(tmp_path, capsys, data, field):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(p)]) == 2
+        assert f"[error] {field}: <=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_cell_bound_admits_a_run_that_fills_it():
+    data = base_config()
+    longest = (MAX_CELLS - RUN_CELLS) // (2 * (2 + 1))
+    data["instance"]["horizon"] = longest
+    data["n_runs"] = 1
+    assert validate_config_data(data) == []
+    data["n_runs"] = 2
+    assert fields_of(validate_config_data(data)) == {"n_runs"}
+    data["n_runs"] = 1
+    data["instance"]["horizon"] = longest + 1
+    assert fields_of(validate_config_data(data)) == {"instance.horizon"}
+
+
 @pytest.mark.parametrize("source", [
     {"kind": "gaussian_iid", "mean": [MAX_MAGNITUDE, -MAX_MAGNITUDE], "std": MAX_MAGNITUDE},
     {"kind": "fixed_sequence", "contexts": [[MAX_MAGNITUDE, -MAX_MAGNITUDE], [0.5, 0.0]],
@@ -890,6 +965,14 @@ def test_every_export_resolves():
     namespace = {}
     exec("from payband import *", namespace)
     assert set(payband.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (SRC_DIR.parent / "README.md").read_text()
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    assert np.isfinite(namespace["curves"].mean_cum_regret[-1])
 
 
 def test_running_an_experiment_does_not_import_scipy(tmp_path):
