@@ -83,6 +83,7 @@ class GaussianContextSpec:
         if m.ndim != 1 or not np.all(np.abs(m) <= MAX_MAGNITUDE):
             raise ConfigError("mean", f"vector of numbers of magnitude <= {MAX_MAGNITUDE:g}",
                               self.mean)
+        object.__setattr__(self, "std", float(self.std))
         if not 0 <= self.std <= MAX_MAGNITUDE:
             raise ConfigError("std", f"number in [0, {MAX_MAGNITUDE:g}]", self.std)
         object.__setattr__(self, "mean", m)
@@ -153,7 +154,7 @@ def standardize_features(features: np.ndarray) -> np.ndarray:
 
 def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                      has_header: bool = False) -> BanditDataset:
-    """Parse ``f_1,...,f_d,label`` rows into a BanditDataset.
+    """Parse the ``f_1,...,f_d,label`` rows of a UTF-8 CSV file into a BanditDataset.
 
     Feature cells must be finite and of magnitude at most
     ``model.MAX_MAGNITUDE``. Errors carry 1-based row and column positions
@@ -164,7 +165,7 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
     rows: list[list[float]] = []
     labels: list[int] = []
     width: Optional[int] = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
             if lineno == 1 and has_header:

@@ -1,7 +1,8 @@
 """Experiment harness: config handling, seeding, runs, and CSV output.
 
 A JSON config describes one instance, a list of payment strategies, and a
-run count. Every (strategy, run) pair gets its own child seed derived as
+run count; reading it reports every bad field of every object in it, all
+together. Every (strategy, run) pair gets its own child seed derived as
 
     SeedSequence(master_seed, spawn_key=(policy_index, run_index))
 
@@ -26,7 +27,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -95,7 +96,8 @@ class ExperimentConfig:
     emit_full_trace: bool = True
 
     def __post_init__(self) -> None:
-        self.check_n_runs(self.n_runs)
+        if self.n_runs < 1:
+            raise ConfigError("n_runs", "integer >= 1", self.n_runs)
         cells = self.instance.run_cells()
         if self.n_runs * cells > MAX_CELLS:
             raise ConfigError("n_runs", f"<= {MAX_CELLS // cells} at {cells} float64 cells "
@@ -112,21 +114,6 @@ class ExperimentConfig:
                                   f">= {floor:.3g} in ridge mode at dim {self.instance.dim} "
                                   f"and horizon {self.instance.horizon}", policy.ridge_lambda)
 
-    @staticmethod
-    def check_n_runs(n_runs: int) -> None:
-        """Also called by the config loader on its own, so a bad run count is
-        reported together with errors that keep the config from being built."""
-        if n_runs < 1:
-            raise ConfigError("n_runs", "integer >= 1", n_runs)
-
-
-def _err(field: str, constraint: str, actual) -> Diagnostic:
-    return Diagnostic(field, constraint, repr(actual), "error")
-
-
-def _warn(field: str, constraint: str, actual) -> Diagnostic:
-    return Diagnostic(field, constraint, repr(actual), "warning")
-
 
 def _is_finite_number(v) -> bool:
     # Python's json accepts NaN and Infinity, so a number can still be bad.
@@ -136,9 +123,11 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-# The JSON value types a config field can have.
+# The JSON value types a config field can have. The run count's lower bound
+# is part of its type, so a bad count is reported even when the instance is.
 _JSON_TYPES = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "integer >= 1": lambda v: _JSON_TYPES["integer"](v) and v >= 1,
     "finite number": _is_finite_number,
     "boolean": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
@@ -147,147 +136,46 @@ _JSON_TYPES = {
     "object": lambda v: isinstance(v, dict),
 }
 
-_REQUIRED = object()
-
 
 def _typed(value, kind: str, field: str):
-    """``value`` unchanged if it is a JSON value of type ``kind``."""
-    if not _JSON_TYPES[kind](value):
+    """``value`` unchanged if it is a JSON value of type ``kind``. A list of
+    vectors is reported on its first entry that is not a vector."""
+    if kind == "list of vectors":
+        for i, row in enumerate(_typed(value, "list", field)):
+            _typed(row, "vector", f"{field}[{i}]")
+    elif not _JSON_TYPES[kind](value):
         raise ConfigError(field, kind, value)
     return value
 
 
-def _read(obj: dict, key: str, kind: str, default=_REQUIRED):
-    """``obj[key]`` as a JSON value of type ``kind``; ``default`` when absent."""
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(key, f"required {kind}", None)
-        return default
-    return _typed(obj[key], kind, key)
-
-
-def _vectors(obj: dict, key: str) -> list:
-    return [_typed(v, "vector", f"{key}[{i}]") for i, v in enumerate(_read(obj, key, "list"))]
-
-
-def _known_fields(obj: dict, fields) -> dict:
-    """``obj`` unchanged if it has no key outside ``fields``."""
-    unknown = sorted(set(obj) - set(fields))
-    if unknown:
-        raise ConfigError("", f"only the fields {', '.join(fields)}", unknown)
-    return obj
-
-
-_TOP_FIELDS = ("instance", "policies", "n_runs", "output_dir", "emit_full_trace")
-_INSTANCE_INTS = ("n_arms", "dim", "horizon", "init_explore_m", "master_seed")
-_INSTANCE_FIELDS = _INSTANCE_INTS + ("noise_std", "context_source", "true_attrs")
-_SOURCE_FIELDS = {
-    "fixed_sequence": ("kind", "contexts", "cycle"),
-    "gaussian_iid": ("kind", "mean", "std"),
-    "dataset_replay": ("kind", "path", "standardize", "has_header", "sample_with_replacement"),
-}
+# Each config object's fields and their JSON types. The class the object
+# builds gives an omitted field its default; a field it gives none is
+# required (``_required``).
+_TOP_FIELDS = {"instance": "object", "policies": "list", "n_runs": "integer >= 1",
+               "output_dir": "string", "emit_full_trace": "boolean"}
+_INSTANCE_FIELDS = {"n_arms": "integer", "dim": "integer", "horizon": "integer",
+                    "init_explore_m": "integer", "master_seed": "integer",
+                    "noise_std": "finite number", "context_source": "object",
+                    "true_attrs": "list of vectors"}
 _POLICY_FIELDS = {"kind": "string", "sigma_pay": "finite number",
                   "ridge_lambda": "finite number", "delta": "finite number",
                   "linucb_alpha": "finite number", "budget": "finite number",
                   "init_explore_m": "integer", "estimator_mode": "string"}
+# Each kind of context source: the class it builds and its fields.
+_SOURCES = {
+    "fixed_sequence": (FixedSequenceSpec, {"kind": "string", "contexts": "list of vectors",
+                                           "cycle": "boolean"}),
+    "gaussian_iid": (GaussianContextSpec, {"kind": "string", "mean": "vector",
+                                           "std": "finite number"}),
+    "dataset_replay": (DatasetReplaySpec, {"kind": "string", "path": "string",
+                                           "standardize": "boolean", "has_header": "boolean",
+                                           "sample_with_replacement": "boolean"}),
+}
 
 
-def _policy(p) -> PolicyConfig:
-    _known_fields(_typed(p, "object", ""), _POLICY_FIELDS)
-    _read(p, "kind", "string")
-    return PolicyConfig(**{k: _read(p, k, kind) for k, kind in _POLICY_FIELDS.items() if k in p})
-
-
-def _context_source(src: dict, n_arms: Optional[int], base_dir: Optional[Path]):
-    kind = _read(src, "kind", "string")
-    if kind not in _SOURCE_FIELDS:
-        raise ConfigError("kind", f"one of {' | '.join(_SOURCE_FIELDS)}", kind)
-    _known_fields(src, _SOURCE_FIELDS[kind])
-    if kind == "fixed_sequence":
-        return FixedSequenceSpec(contexts=tuple(_vectors(src, "contexts")),
-                                 cycle=_read(src, "cycle", "boolean", False))
-    if kind == "gaussian_iid":
-        return GaussianContextSpec(mean=_read(src, "mean", "vector"),
-                                   std=float(_read(src, "std", "finite number")))
-    if kind == "dataset_replay":
-        path = _read(src, "path", "string")
-        standardize = _read(src, "standardize", "boolean", False)
-        has_header = _read(src, "has_header", "boolean", False)
-        with_replacement = _read(src, "sample_with_replacement", "boolean", False)
-        if n_arms is None or n_arms < 2:
-            return None  # labels are read against n_arms, reported bad elsewhere
-        try:
-            dataset = load_dataset_csv(str(resolve_dataset_path(path, base_dir)),
-                                       n_classes=n_arms, standardize=standardize,
-                                       has_header=has_header)
-        except (OSError, ValueError) as exc:
-            raise ConfigError("path", "existing, parseable dataset CSV", str(exc)) from None
-        return DatasetReplaySpec(dataset, with_replacement)
-
-
-def _load(data, base_dir: Optional[Path], master_seed_override: Optional[int]
-          ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
-    """Type-check config data and build the config in one pass.
-
-    Range and cross-field rules are checked by the constructors of the spec
-    objects. Each section (instance fields, context source, true_attrs, each
-    policy, n_runs) reports its first error, so independent mistakes are all
-    reported together. A key no reader knows is an error on its object.
-    """
-    if not isinstance(data, dict):
-        return None, [_err("<root>", "must be a JSON object", type(data).__name__)]
-    diags: list[Diagnostic] = []
-
-    def attempt(section: str, build):
-        try:
-            return build()
-        except ConfigError as exc:
-            diags.append(_err(".".join(filter(None, (section, exc.field))) or "<root>",
-                              exc.constraint, exc.actual))
-            return None
-
-    attempt("", lambda: _known_fields(data, _TOP_FIELDS))
-    inst = attempt("", lambda: _read(data, "instance", "object")) or {}
-    attempt("instance", lambda: _known_fields(inst, _INSTANCE_FIELDS))
-    ints = {key: attempt("instance", lambda key=key: _read(inst, key, "integer"))
-            for key in _INSTANCE_INTS}
-    noise_std = attempt("instance", lambda: _read(inst, "noise_std", "finite number"))
-    src = attempt("instance", lambda: _read(inst, "context_source", "object"))
-    source = attrs = None
-    if src is not None:
-        source = attempt("instance.context_source",
-                         lambda: _context_source(src, ints["n_arms"], base_dir))
-    replay = src is not None and src.get("kind") == "dataset_replay"
-    if not replay:
-        attrs = attempt("instance", lambda: _vectors(inst, "true_attrs"))
-    instance = None
-    if not diags:  # every instance field and the context source read cleanly
-        if master_seed_override is not None:
-            ints["master_seed"] = master_seed_override
-        instance = attempt("instance", lambda: InstanceSpec(
-            true_attrs=attrs, noise_std=float(noise_std), context_source=source, **ints))
-    if instance is not None:
-        n_arms, dim, m = instance.n_arms, instance.dim, instance.init_explore_m
-        if m < n_arms * dim:
-            diags.append(_warn("instance.init_explore_m",
-                               f">= n_arms * dim = {n_arms * dim} recommended", m))
-        if replay and "true_attrs" in inst:
-            diags.append(_warn("instance.true_attrs",
-                               "ignored for dataset_replay (labels define rewards)", "set"))
-
-    policy_data = attempt("", lambda: _read(data, "policies", "list")) or []
-    policies = [attempt(f"policies[{i}]", lambda p=p: _policy(p))
-                for i, p in enumerate(policy_data)]
-    n_runs = attempt("", lambda: _read(data, "n_runs", "integer"))
-    if n_runs is not None:
-        attempt("", lambda: ExperimentConfig.check_n_runs(n_runs))
-    output_dir = attempt("", lambda: _read(data, "output_dir", "string", "out"))
-    emit_full_trace = attempt("", lambda: _read(data, "emit_full_trace", "boolean", True))
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    config = attempt("", lambda: ExperimentConfig(instance, tuple(policies), n_runs,
-                                                  output_dir, emit_full_trace))
-    return config, diags
+def _required(cls) -> set:
+    """The fields ``cls`` gives no default."""
+    return {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
 
 
 def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Diagnostic]:
@@ -316,11 +204,16 @@ def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
 def load_config_data(data: dict, base_dir: Optional[Path] = None,
                      master_seed_override: Optional[int] = None
                      ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
-    """Validate and parse config data already read from JSON.
+    """Validate config data already read from JSON and build the config.
 
-    Returns (config, diagnostics); config is None when errors were found.
-    The PAYBAND_SEED environment variable, when set, overrides the master
-    seed unless an explicit override is already supplied; it must be an
+    Returns (config, diagnostics); config is None when errors were found. Each
+    object (top level, ``instance``, its ``context_source``, each policy) is
+    read against its field table: every unknown key, missing required field
+    and mistyped field of every object is reported, all together. An object's
+    class builds it once all its fields read cleanly, so an omitted field
+    takes the class's default and the class checks ranges and cross-field
+    rules. The PAYBAND_SEED environment variable, when set, overrides the
+    master seed unless an explicit override is already supplied; it must be an
     integer >= 0.
     """
     if master_seed_override is None:
@@ -331,8 +224,95 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None,
             except ValueError:
                 pass
             if master_seed_override is None or master_seed_override < 0:
-                return None, [_err(SEED_ENV_VAR, "integer >= 0", env_seed)]
-    return _load(data, base_dir, master_seed_override)
+                return None, [Diagnostic(SEED_ENV_VAR, "integer >= 0", repr(env_seed))]
+    if not isinstance(data, dict):
+        return None, [Diagnostic("<root>", "must be a JSON object", repr(type(data).__name__))]
+    diags: list[Diagnostic] = []
+
+    def report(where: str, exc: ConfigError) -> None:
+        diags.append(Diagnostic(".".join(filter(None, (where, exc.field))) or "<root>",
+                                exc.constraint, repr(exc.actual)))
+
+    def read(obj, table: dict, required: set, where: str) -> dict:
+        """The fields of ``obj`` that have their ``table`` type; reports each mistake."""
+        if not isinstance(obj, dict):
+            report(where, ConfigError("", "object", obj))
+            return {}
+        unknown = sorted(set(obj) - set(table))
+        if unknown:
+            report(where, ConfigError("", f"only the fields {', '.join(table)}", unknown))
+        clean = {}
+        for key, kind in table.items():
+            try:
+                if key in obj:
+                    clean[key] = _typed(obj[key], kind, key)
+                elif key in required:
+                    raise ConfigError(key, f"required {kind}", None)
+            except ConfigError as exc:
+                report(where, exc)
+        return clean
+
+    def build(since: int, where: str, cls, **kwargs):
+        """``cls(**kwargs)``; None if ``cls`` or anything after diagnostic ``since`` failed."""
+        if any(d.severity == "error" for d in diags[since:]):
+            return None
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            return report(where, exc)
+
+    def context_source(src: dict, n_arms: Optional[int]):
+        where = "instance.context_source"
+        kind = read({k: v for k, v in src.items() if k == "kind"}, {"kind": "string"},
+                    {"kind"}, where).get("kind")
+        if kind not in _SOURCES:
+            if kind is not None:
+                report(where, ConfigError("kind", f"one of {' | '.join(_SOURCES)}", kind))
+            return None
+        since, (cls, table) = len(diags), _SOURCES[kind]
+        spec = read(src, table, _required(cls) | {"path"}, where)  # a replay's dataset
+        del spec["kind"]
+        if cls is not DatasetReplaySpec:
+            return build(since, where, cls, **spec)
+        if any(d.severity == "error" for d in diags[since:]) or n_arms is None or n_arms < 2:
+            return None  # labels are read against n_arms, reported bad elsewhere
+        flags = {k: spec.pop(k) for k in ("standardize", "has_header") if k in spec}
+        try:
+            dataset = load_dataset_csv(str(resolve_dataset_path(spec.pop("path"), base_dir)),
+                                       n_classes=n_arms, **flags)
+        except (OSError, ValueError) as exc:
+            return report(where, ConfigError("path", "existing, parseable dataset CSV", str(exc)))
+        return DatasetReplaySpec(dataset, **spec)
+
+    top = read(data, _TOP_FIELDS, _required(ExperimentConfig), "")
+    instance = None
+    if "instance" in top:
+        inst, since = top["instance"], len(diags)
+        src = inst.get("context_source")
+        replay = isinstance(src, dict) and src.get("kind") == "dataset_replay"
+        # Labels define a replay's rewards; other sources need true_attrs (InstanceSpec).
+        spec = read({k: v for k, v in inst.items() if not (replay and k == "true_attrs")},
+                    _INSTANCE_FIELDS, _required(InstanceSpec) - {"true_attrs"}, "instance")
+        if "context_source" in spec:
+            spec["context_source"] = context_source(spec["context_source"], spec.get("n_arms"))
+        if master_seed_override is not None:
+            spec["master_seed"] = master_seed_override
+        instance = build(since, "instance", InstanceSpec, **{"true_attrs": None, **spec})
+        if instance is not None and instance.init_explore_m < instance.n_arms * instance.dim:
+            diags.append(Diagnostic("instance.init_explore_m", ">= n_arms * dim = "
+                                    f"{instance.n_arms * instance.dim} recommended",
+                                    repr(instance.init_explore_m), "warning"))
+        if instance is not None and replay and "true_attrs" in inst:
+            diags.append(Diagnostic("instance.true_attrs", "ignored for dataset_replay "
+                                    "(labels define rewards)", repr("set"), "warning"))
+
+    policies = []
+    for i, policy in enumerate(top.get("policies", ())):
+        since, where = len(diags), f"policies[{i}]"
+        policy = read(policy, _POLICY_FIELDS, _required(PolicyConfig), where)
+        policies.append(build(since, where, PolicyConfig, **policy))
+    return build(0, "", ExperimentConfig,
+                 **{**top, "instance": instance, "policies": tuple(policies)}), diags
 
 
 def load_config_file(path: Union[str, Path],
@@ -348,7 +328,7 @@ def load_config_file(path: Union[str, Path],
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-        return None, [_err(str(path), "readable JSON file", str(exc))]
+        return None, [Diagnostic(str(path), "readable JSON file", repr(str(exc)))]
     return load_config_data(data, path.parent, master_seed_override)
 
 

@@ -124,6 +124,7 @@ class InstanceSpec:
                               self.horizon)
         if self.master_seed < 0:
             raise ConfigError("master_seed", "integer >= 0", self.master_seed)
+        object.__setattr__(self, "noise_std", float(self.noise_std))
         if not 0 <= self.noise_std <= MAX_MAGNITUDE:
             raise ConfigError("noise_std", f"number in [0, {MAX_MAGNITUDE:g}]", self.noise_std)
         self.check_explore_m("init_explore_m", self.init_explore_m)

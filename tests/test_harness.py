@@ -160,6 +160,61 @@ def test_errors_in_separate_sections_are_reported_together():
     assert fields_of(errors_of(validate_config_data(cfg))) == {"n_runs", "policies[1].delta"}
 
 
+def bad_instance_fields(cfg):
+    cfg["instance"]["n_arms"] = "2"
+    cfg["instance"]["noise_std"] = float("nan")
+
+
+def bad_policy_fields(cfg):
+    cfg["policies"] = [{"kind": "perturbation_payments", "sigma_pay": float("nan"),
+                        "delta": "x"}]
+
+
+def no_instance_and_no_runs(cfg):
+    del cfg["instance"]
+    cfg["n_runs"] = 0
+
+
+@pytest.mark.parametrize("corrupt, fields", [
+    (bad_instance_fields, {"instance.n_arms", "instance.noise_std"}),
+    (bad_policy_fields, {"policies[0].sigma_pay", "policies[0].delta"}),
+    (no_instance_and_no_runs, {"instance", "n_runs"}),
+])
+def test_every_bad_field_of_an_object_is_reported(corrupt, fields):
+    cfg = base_config()
+    corrupt(cfg)
+    assert fields_of(errors_of(validate_config_data(cfg))) == fields
+
+
+def minimal_policies():
+    return [{"kind": kind, **({"budget": 1.0} if kind == "chained_restricted" else {})}
+            for kind in POLICY_KINDS]
+
+
+@pytest.mark.parametrize("kind", ["fixed_sequence", "gaussian_iid", "dataset_replay"])
+def test_omitted_fields_take_their_constructors_defaults(tmp_path, kind):
+    cfg = base_config()
+    cfg["policies"] = minimal_policies()
+    source = {"fixed_sequence": {"kind": kind, "contexts": [[1.0, 0.0]] * 12},
+              "gaussian_iid": {"kind": kind, "mean": [0.2, 0.1], "std": 0.5},
+              "dataset_replay": {"kind": kind, "path": "toy.csv"}}[kind]
+    cfg["instance"]["context_source"] = source
+    if kind == "dataset_replay":
+        del cfg["instance"]["true_attrs"]
+        (tmp_path / "toy.csv").write_text("".join(f"{i}.0,0.5,{i % 2}\n" for i in range(12)))
+    config, diags = harness.load_config_data(cfg, base_dir=tmp_path)
+    assert diags == []
+    assert config.policies == tuple(PolicyConfig(**p) for p in minimal_policies())
+    assert (config.output_dir, config.emit_full_trace) == ("out", True)
+    spec = config.instance.context_source
+    if kind == "fixed_sequence":
+        assert spec.cycle is False
+    if kind == "dataset_replay":
+        assert spec.sample_with_replacement is False
+        assert spec.dataset.standardized is False
+        assert len(spec.dataset) == 12  # no header row was skipped
+
+
 def test_diagnostics_render_field_constraint_and_actual():
     cfg = base_config()
     cfg["n_runs"] = 0
@@ -975,6 +1030,15 @@ def test_readme_library_example_runs(capsys):
     assert np.isfinite(namespace["curves"].mean_cum_regret[-1])
 
 
+def test_readme_config_format_names_every_field():
+    readme = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    tables = [harness._TOP_FIELDS, harness._INSTANCE_FIELDS, harness._POLICY_FIELDS,
+              *(table for _, table in harness._SOURCES.values())]
+    fields = {field for table in tables for field in table}
+    assert sorted(f for f in fields if f"`{f}`" not in section) == []
+
+
 def test_running_an_experiment_does_not_import_scipy(tmp_path):
     # numpy is the only dependency; scipy may be installed but must not be used.
     data = base_config()
@@ -1025,6 +1089,18 @@ def test_cli_import_prints_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rows: 3" in out
     assert "features: 2" in out
+
+
+def test_cli_import_reads_utf8_under_the_c_locale(tmp_path):
+    data = tmp_path / "f.csv"
+    data.write_text("größe,b,label\n0.1,0.2,0\n0.3,0.4,1\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-m", "payband.cli", "import", "--csv", str(data),
+                           "--classes", "2", "--header"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "rows: 2" in proc.stdout
 
 
 def test_cli_import_rejects_fewer_than_two_classes(tmp_path, capsys):
