@@ -14,20 +14,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from . import harness
 from .environment import DatasetFormatError
+from .model import MAX_CELLS, run_cells
+
+# The most classes an instance can have: the largest n_arms whose run fits
+# MAX_CELLS at dim 1 and horizon 1, where each arm costs the fewest cells.
+MAX_CLASSES = (MAX_CELLS - run_cells(0, 1, 1)) // (run_cells(1, 1, 1) - run_cells(0, 1, 1))
 
 
-def _int_at_least(low: int):
-    """An argparse type: the argument as an integer >= ``low``."""
+def _int_at_least(low: int, high: Optional[int] = None):
+    """An argparse type: the argument as an integer >= ``low`` (and <= ``high``)."""
+    rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be an integer {rule}, got {text!r}")
         return value
     return parse
 
@@ -53,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     imp_p = sub.add_parser("import", help="parse and summarize a dataset CSV")
     imp_p.set_defaults(handler=_cmd_import)
     imp_p.add_argument("--csv", required=True, help="path to the dataset CSV")
-    imp_p.add_argument("--classes", required=True, type=_int_at_least(2),
-                       help="number of classes (>= 2)")
+    imp_p.add_argument("--classes", required=True, type=_int_at_least(2, MAX_CLASSES),
+                       help=f"number of classes (2 to {MAX_CLASSES})")
     imp_p.add_argument("--standardize", action="store_true",
                        help="z-score feature columns")
     imp_p.add_argument("--header", action="store_true",

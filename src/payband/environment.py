@@ -139,7 +139,7 @@ class BanditDataset:
         return self.features.shape[0]
 
     def class_histogram(self) -> list[int]:
-        return [int(np.sum(self.labels == c)) for c in range(self.n_classes)]
+        return np.bincount(self.labels, minlength=self.n_classes).tolist()
 
 
 def standardize_features(features: np.ndarray) -> np.ndarray:

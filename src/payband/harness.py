@@ -29,7 +29,7 @@ import operator
 import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,15 +104,23 @@ class ExperimentConfig:
                               "per run, so a strategy's runs hold at most 2**28", self.n_runs)
         if not self.policies:
             raise ConfigError("policies", "nonempty list", [])
-        floor = ridge_lambda_floor(self.instance.dim, self.instance.horizon)
         for i, policy in enumerate(self.policies):
-            if policy.init_explore_m is not None:
-                self.instance.check_explore_m(f"policies[{i}].init_explore_m",
-                                              policy.init_explore_m)
-            if policy.resolved_mode() == RIDGE and policy.ridge_lambda < floor:
-                raise ConfigError(f"policies[{i}].ridge_lambda",
-                                  f">= {floor:.3g} in ridge mode at dim {self.instance.dim} "
-                                  f"and horizon {self.instance.horizon}", policy.ridge_lambda)
+            check_policy(self.instance, policy, f"policies[{i}].")
+
+
+def check_policy(instance: InstanceSpec, policy: PolicyConfig, where: str = "") -> None:
+    """The rules that tie a strategy to the instance it runs on.
+
+    Its own exploration length fits the horizon, and in ridge mode its
+    ``ridge_lambda`` reaches the floor for the instance's dim and horizon.
+    A broken rule raises ConfigError on the field, prefixed by ``where``.
+    """
+    if policy.init_explore_m is not None:
+        instance.check_explore_m(where + "init_explore_m", policy.init_explore_m)
+    floor = ridge_lambda_floor(instance.dim, instance.horizon)
+    if policy.resolved_mode() == RIDGE and policy.ridge_lambda < floor:
+        raise ConfigError(where + "ridge_lambda", f">= {floor:.3g} in ridge mode at dim "
+                          f"{instance.dim} and horizon {instance.horizon}", policy.ridge_lambda)
 
 
 def _is_finite_number(v) -> bool:
@@ -380,8 +388,10 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
     the strategy's ``diagnostics`` are copied into the trace at the end.
 
     A pre-built (possibly warm-started) policy object can be injected; by
-    default a fresh one is constructed from the config.
+    default a fresh one is constructed from the config. A config that breaks
+    a rule of ``check_policy`` raises ConfigError before anything is drawn.
     """
+    check_policy(instance, policy_cfg)
     ctx_rng, noise_rng, policy_rng = spawn_streams(seed)
     env = build_environment(instance, ctx_rng)
     if policy is None:
@@ -474,24 +484,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-@contextlib.contextmanager
-def _atomic_csv(path: Union[str, Path]):
-    """A text file whose lines replace ``path`` only once all are written.
-
-    Lines go to a temporary file in the same directory, which is renamed onto
-    ``path`` at the end, so a failed write leaves no partial file behind.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _reprs(values) -> Iterator[str]:
     """``_fmt`` of each value in a column of floats, produced as rows are written.
 
@@ -517,35 +509,47 @@ def _reprs(values) -> Iterator[str]:
         itertools.repeat, map(float.__repr__, a[bounds[:-1]]), bounds[1:] - bounds[:-1]))
 
 
-def _csv_line(n_cells: int) -> str:
-    """A ``str.format`` template for one CSV line of ``n_cells`` formatted cells.
+def _write_csv(path: Union[str, Path], header: list[str],
+               blocks: Iterable[Sequence[Iterable]]) -> None:
+    """Write ``header``, then each block's rows, to ``path``.
 
-    The lines are what ``csv.writer`` writes for these cells: comma
-    separated, ended by ``\\r\\n``, nothing quoted (no cell holds a comma,
-    quote or line break).
+    A block is a sequence of equally long columns of cells, and its row i
+    holds cell i of each. Blocks are pulled one at a time, so a block's
+    cells are formatted only as its rows are written. The lines are what
+    ``csv.writer`` writes for these cells: comma separated, ended by
+    ``\\r\\n``, nothing quoted (no cell holds a comma, quote or line
+    break). They go to a temporary file in the same directory, which is
+    renamed onto ``path`` at the end, so a failed write leaves no partial
+    file behind.
     """
-    return ",".join(["{}"] * n_cells) + "\r\n"
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    line = (",".join(["{}"] * len(header)) + "\r\n").format
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for columns in blocks:
+                fh.writelines(map(line, *columns))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
-                    curves: list[AccumulatedCurves]) -> None:
+                    curves: AccumulatedCurves) -> None:
     """One row per (run, round), runs concatenated in order.
 
-    ``curves`` are the runs' accumulated curves, in the same order, as
-    ``aggregate`` returns them in ``runs``.
+    Row r of ``curves`` holds run r's accumulated curves, as ``aggregate``
+    returns them in ``runs``.
     """
-    line = _csv_line(len(TRACE_COLUMNS)).format
-    with _atomic_csv(path) as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for run_index, (trace, run) in enumerate(zip(traces, curves, strict=True)):
-            fh.writelines(map(
-                line, range(1, trace.horizon + 1), itertools.repeat(run_index),
-                trace.arm.tolist(),
-                _reprs(trace.inst_regret), _reprs(run.cum_regret),
-                _reprs(trace.paid), _reprs(run.cum_payment),
-                _reprs(run.cum_payment_abs),
-                map(_fmt, trace.budget),
-            ))
+    _write_csv(path, TRACE_COLUMNS, (
+        (range(1, trace.horizon + 1), itertools.repeat(run_index), trace.arm.tolist(),
+         _reprs(trace.inst_regret), _reprs(regret), _reprs(trace.paid), _reprs(payment),
+         _reprs(payment_abs), map(_fmt, trace.budget))
+        for run_index, (trace, regret, payment, payment_abs) in enumerate(zip(
+            traces, curves.cum_regret, curves.cum_payment, curves.cum_payment_abs,
+            strict=True))))
 
 
 def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
@@ -556,15 +560,11 @@ def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
               "mean_cum_payment_disbursed", "stderr_cum_payment_disbursed",
               "mean_cum_payment_abs", "stderr_cum_payment_abs"]
     header += [f"mean_cum_payment_arm{a}" for a in range(n_arms)]
-    horizon = agg.mean_cum_regret.shape[0]
     columns = [agg.mean_cum_regret, agg.stderr_cum_regret,
                agg.mean_cum_payment, agg.stderr_cum_payment,
                agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
                *agg.mean_per_arm_payment]
-    with _atomic_csv(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(_csv_line(len(header)).format, range(1, horizon + 1),
-                          *map(_reprs, columns)))
+    _write_csv(path, header, [(range(1, len(agg.mean_cum_regret) + 1), *map(_reprs, columns))])
 
 
 # ---------------------------------------------------------------------------

@@ -113,26 +113,30 @@ class RoundRecords(Sequence):
 
 @dataclass
 class AccumulatedCurves:
-    """Per-round cumulative curves of a single trace."""
+    """Per-round cumulative curves of a strategy's runs, row r for run r."""
 
-    cum_regret: np.ndarray
-    cum_payment: np.ndarray        # signed disbursed
-    cum_payment_abs: np.ndarray    # sum of |disbursed|
-    per_arm_payment: np.ndarray    # (n_arms, T) signed disbursed per chosen arm
+    cum_regret: np.ndarray         # (runs, T)
+    cum_payment: np.ndarray        # (runs, T) signed disbursed
+    cum_payment_abs: np.ndarray    # (runs, T) sum of |disbursed|
+    per_arm_payment: np.ndarray    # (runs, n_arms, T) signed disbursed per chosen arm
 
 
-def accumulate(trace: RunTrace) -> AccumulatedCurves:
-    """Prefix-sum the per-round regret and disbursed payments."""
-    horizon = trace.horizon
-    per_arm = np.zeros((trace.payments.shape[1], horizon))
-    if horizon:
-        per_arm[trace.arm, np.arange(horizon)] = trace.paid
-        per_arm = np.cumsum(per_arm, axis=1)
+def accumulate(traces: Sequence[RunTrace]) -> AccumulatedCurves:
+    """Prefix-sum each run's per-round regret and disbursed payments.
+
+    The runs must share a horizon and an arm count. ``np.cumsum`` along a
+    row adds its cells in order, so row r has the bits of summing run r
+    alone.
+    """
+    paid = np.array([tr.paid for tr in traces])
+    n_runs, horizon = paid.shape
+    per_arm = np.zeros((n_runs, traces[0].payments.shape[1], horizon))
+    per_arm[np.arange(n_runs)[:, None], [tr.arm for tr in traces], np.arange(horizon)] = paid
     return AccumulatedCurves(
-        cum_regret=np.cumsum(trace.inst_regret),
-        cum_payment=np.cumsum(trace.paid),
-        cum_payment_abs=np.cumsum(np.abs(trace.paid)),
-        per_arm_payment=per_arm,
+        cum_regret=np.cumsum([tr.inst_regret for tr in traces], axis=1),
+        cum_payment=np.cumsum(paid, axis=1),
+        cum_payment_abs=np.cumsum(np.abs(paid), axis=1),
+        per_arm_payment=np.cumsum(per_arm, axis=2),
     )
 
 
@@ -160,7 +164,7 @@ class AggregateCurves:
     mean_cum_payment_abs: np.ndarray
     stderr_cum_payment_abs: np.ndarray
     mean_per_arm_payment: np.ndarray  # (n_arms, T)
-    runs: list[AccumulatedCurves]     # each run's curves, in the order given
+    runs: AccumulatedCurves           # each run's curves, row r for run r
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,30 +179,29 @@ def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def aggregate(traces: list[RunTrace]) -> AggregateCurves:
     """Mean and standard error curves over runs of a single strategy.
 
-    Raises MixedConfigError when the traces disagree on horizon or strategy
-    kind; averaging those would silently produce nonsense.
+    Raises MixedConfigError when the traces disagree on horizon, arm count
+    or strategy kind; averaging those would silently produce nonsense.
     """
     if not traces:
         raise MixedConfigError("no traces to aggregate")
     horizon = traces[0].horizon
+    n_arms = traces[0].payments.shape[1]
     kind = traces[0].policy.kind
     for tr in traces[1:]:
         if tr.horizon != horizon:
             raise MixedConfigError(
                 f"mixed horizons: {horizon} vs {tr.horizon}"
             )
+        if tr.payments.shape[1] != n_arms:
+            raise MixedConfigError(f"mixed arm counts: {n_arms} vs {tr.payments.shape[1]}")
         if tr.policy.kind != kind:
             raise MixedConfigError(
                 f"mixed policy kinds: {kind!r} vs {tr.policy.kind!r}"
             )
-    curves = [accumulate(tr) for tr in traces]
-    regret = np.vstack([c.cum_regret for c in curves])
-    payment = np.vstack([c.cum_payment for c in curves])
-    payment_abs = np.vstack([c.cum_payment_abs for c in curves])
-    mean_r, se_r = _mean_stderr(regret)
-    mean_p, se_p = _mean_stderr(payment)
-    mean_a, se_a = _mean_stderr(payment_abs)
-    per_arm = np.mean([c.per_arm_payment for c in curves], axis=0)
+    runs = accumulate(traces)
+    mean_r, se_r = _mean_stderr(runs.cum_regret)
+    mean_p, se_p = _mean_stderr(runs.cum_payment)
+    mean_a, se_a = _mean_stderr(runs.cum_payment_abs)
     return AggregateCurves(
         n_runs=len(traces),
         mean_cum_regret=mean_r,
@@ -207,6 +210,6 @@ def aggregate(traces: list[RunTrace]) -> AggregateCurves:
         stderr_cum_payment=se_p,
         mean_cum_payment_abs=mean_a,
         stderr_cum_payment_abs=se_a,
-        mean_per_arm_payment=per_arm,
-        runs=curves,
+        mean_per_arm_payment=runs.per_arm_payment.mean(axis=0),
+        runs=runs,
     )

@@ -13,6 +13,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .estimation import GRAM_ROWS
+
 # Absolute dead band for utility comparisons in agent_choose. Utilities within
 # this of the maximum count as tied, so a payment equal to the exact estimated
 # gap reliably moves the choice even when float rounding perturbs the sum by
@@ -21,11 +23,11 @@ TIE_TOLERANCE = 1e-12
 
 MAX_DIM = 64
 
-# Most float64 cells (2 GiB) the runs of one strategy may hold: a run
-# counts horizon * n_arms * (dim + 1) cells (payments and displayed
-# estimates) plus RUN_CELLS, so that many tiny runs are bounded too. It keeps
-# the horizon below 2**26, so round indices are exact floats and the
-# ridge_lambda floor, which grows with horizon**2, stays finite.
+# Most float64 cells (2 GiB) the runs of one strategy may hold, a run
+# counting the cells it allocates (run_cells) plus RUN_CELLS, so that many
+# tiny runs are bounded too. It keeps the horizon below 2**26, so round
+# indices are exact floats and the ridge_lambda floor, which grows with
+# horizon**2, stays finite.
 MAX_CELLS = 2 ** 28
 RUN_CELLS = 4096
 
@@ -51,6 +53,22 @@ def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
     over = norms > 1.0
     rows[over] /= norms[over, None]
     return rows
+
+
+def run_cells(n_arms: int, dim: int, horizon: int) -> int:
+    """The float64 cells a run of ``horizon`` rounds allocates.
+
+    Per round: the trace's payments and displayed estimates, n_arms * (dim
+    + 1), and its six other columns; the environment's context and true
+    means, dim + n_arms; the reward noise; a perturbation draw and the
+    perturbed context, 2 * dim; and the accumulated curves, n_arms + 3. Per
+    run: the estimator bank's inverses and Gram matrices, moments, displayed
+    estimates and Gram buffer, n_arms * dim * (2 * dim + 2 + GRAM_ROWS), and
+    RUN_CELLS.
+    """
+    per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + n_arms + 3
+    bank = n_arms * dim * (2 * dim + 2 + GRAM_ROWS)
+    return horizon * per_round + bank + RUN_CELLS
 
 
 def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarray) -> int:
@@ -118,7 +136,8 @@ class InstanceSpec:
         if self.horizon < 1:
             raise ConfigError("horizon", "integer >= 1", self.horizon)
         if self.run_cells() > MAX_CELLS:
-            longest = (MAX_CELLS - RUN_CELLS) // (self.n_arms * (self.dim + 1))
+            fixed = run_cells(self.n_arms, self.dim, 0)
+            longest = max(0, (MAX_CELLS - fixed) // (run_cells(self.n_arms, self.dim, 1) - fixed))
             raise ConfigError("horizon", f"<= {longest} at n_arms {self.n_arms} and dim "
                               f"{self.dim}, so a run holds at most 2**28 float64 cells",
                               self.horizon)
@@ -171,7 +190,7 @@ class InstanceSpec:
 
     def run_cells(self) -> int:
         """The float64 cells one run counts against ``MAX_CELLS``."""
-        return self.horizon * self.n_arms * (self.dim + 1) + RUN_CELLS
+        return run_cells(self.n_arms, self.dim, self.horizon)
 
     def check_explore_m(self, field: str, m: int) -> None:
         """Rounds of mandated round-robin exploration, for the instance or a

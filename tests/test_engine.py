@@ -166,18 +166,20 @@ def test_packaged_presets_equal_the_repo_copies():
         assert filecmp.cmp(REPO_ROOT / "presets" / name, packaged / name, shallow=False), name
 
 
-def test_prefix_sums_computed_once_per_run(tmp_path, monkeypatch):
+def test_prefix_sums_computed_once_per_strategy(tmp_path, monkeypatch):
     config, diags = harness.load_config_file(REPO_ROOT / "presets" / "fig1.json")
     assert not diags
     config = type(config)(config.instance, config.policies[:2], 3, emit_full_trace=True)
     calls = []
 
-    def counted(trace):
-        calls.append(trace)
-        return accumulate(trace)
+    def counted(traces):
+        calls.append(traces)
+        return accumulate(traces)
 
     accumulate = metrics.accumulate
     monkeypatch.setattr(metrics, "accumulate", counted)
     manifest = run_experiment(config, out_dir=tmp_path)
     assert all("trace" in entry for entry in manifest["policies"])
-    assert len(calls) == len({id(trace) for trace in calls}) == 2 * 3
+    assert [len(traces) for traces in calls] == [3, 3]  # once per strategy, all its runs
+    assert [tr.policy for tr in calls[0]] == [config.policies[0]] * 3
+    assert len({id(tr) for traces in calls for tr in traces}) == 2 * 3

@@ -29,8 +29,8 @@ from payband.harness import (
     validate_config_data,
 )
 from payband.linalg import PIVOT_TOL
-from payband.metrics import RunTrace
-from payband.model import MAX_CELLS, MAX_MAGNITUDE, RUN_CELLS, InstanceSpec
+from payband.metrics import RunTrace, accumulate
+from payband.model import MAX_CELLS, MAX_MAGNITUDE, ConfigError, InstanceSpec, run_cells
 from payband.policies import POLICY_KINDS, PolicyConfig, ridge_lambda_floor
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -498,16 +498,14 @@ def awkward_traces():
 
 def test_trace_csv_bytes_equal_the_csv_modules(tmp_path):
     traces = awkward_traces()
-    agg = harness.aggregate(traces[:1]), harness.aggregate(traces[1:])
-    curves = [agg[0].runs[0], agg[1].runs[0]]
-    for run in curves:
-        run.cum_regret[:] = AWKWARD_FLOATS[1:] + AWKWARD_FLOATS[:1]
+    curves = accumulate(traces)  # the two kinds differ, which aggregate refuses
+    curves.cum_regret[:] = AWKWARD_FLOATS[1:] + AWKWARD_FLOATS[:1]
     rows = [TRACE_COLUMNS]
-    for r, (tr, run) in enumerate(zip(traces, curves)):
+    for r, tr in enumerate(traces):
         for i in range(tr.horizon):
             rows.append([i + 1, r, int(tr.arm[i])] + [cell(v) for v in (
-                tr.inst_regret[i], run.cum_regret[i], tr.paid[i], run.cum_payment[i],
-                run.cum_payment_abs[i], tr.budget[i])])
+                tr.inst_regret[i], curves.cum_regret[r, i], tr.paid[i],
+                curves.cum_payment[r, i], curves.cum_payment_abs[r, i], tr.budget[i])])
     harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
     text = (tmp_path / "trace.csv").read_bytes().decode()
     assert text == csv_module_lines(rows)
@@ -550,9 +548,10 @@ def test_trace_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, horiz
                                 np.zeros((horizon, 2)), 3) for _ in range(2)]
     curves = harness.aggregate(traces).runs
     columns = []
-    for r, (tr, run) in enumerate(zip(traces, curves)):
+    for r, tr in enumerate(traces):
         tr.budget[:] = [5 if i % 3 else 5.0 for i in range(horizon)]  # equal, printed apart
-        cols = [tr.inst_regret, run.cum_regret, tr.paid, run.cum_payment, run.cum_payment_abs]
+        cols = [tr.inst_regret, curves.cum_regret[r], tr.paid, curves.cum_payment[r],
+                curves.cum_payment_abs[r]]
         for k, column in enumerate(cols):
             column[:] = np.roll(RUNNY, 3 * k + r)[:horizon]
         columns.append([reprs_oracle(c) for c in cols])
@@ -910,9 +909,25 @@ def test_cli_rejects_runs_beyond_the_cell_bound(tmp_path, capsys, data, field):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_counts_the_estimator_bank_against_the_cell_bound(tmp_path, capsys):
+    # 4e6 arms of 64 features: one round's trace is small, but the bank's
+    # (N, 64, 64) inverses and Gram matrices alone are 3.3e10 cells.
+    (tmp_path / "wide.csv").write_text(",".join(["0.5"] * 64) + ",0\n")
+    data = base_config()
+    data["instance"].update(n_arms=4_000_000, dim=64, horizon=1, init_explore_m=0,
+                            context_source={"kind": "dataset_replay", "path": "wide.csv"})
+    data["n_runs"] = 1
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "[error] instance.horizon: <= 0 at n_arms 4000000 and dim 64" \
+        in capsys.readouterr().err
+
+
 def test_the_cell_bound_admits_a_run_that_fills_it():
     data = base_config()
-    longest = (MAX_CELLS - RUN_CELLS) // (2 * (2 + 1))
+    fixed = run_cells(2, 2, 0)
+    longest = (MAX_CELLS - fixed) // (run_cells(2, 2, 1) - fixed)
     data["instance"]["horizon"] = longest
     data["n_runs"] = 1
     assert validate_config_data(data) == []
@@ -1014,6 +1029,22 @@ def test_ridge_lambda_at_the_rounding_floor_runs_to_the_end(tmp_path):
     assert trace.horizon == 20000 and np.isfinite(trace.inst_regret).all()
 
 
+def test_run_single_applies_the_rules_that_tie_a_strategy_to_its_instance(tmp_path):
+    # Each run used to die mid-way: a broadcast error, "negative dimensions"
+    # and, after about 10,000 rounds, SingularMatrixError.
+    for kind in ("no_payments", "perturbation_payments"):
+        with pytest.raises(ConfigError) as exc:
+            run_single(small_instance(horizon=50), PolicyConfig(kind=kind, init_explore_m=80), 0)
+        assert (exc.value.field, exc.value.actual) == ("init_explore_m", 80)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(rank_deficient_config(ridge_lambda_floor(7, 20000))))
+    config, _ = load_config_file(p)
+    with pytest.raises(ConfigError) as exc:
+        run_single(config.instance,
+                   PolicyConfig(kind="chained_unrestricted", ridge_lambda=1e-12), 5)
+    assert exc.value.field == "ridge_lambda"
+
+
 def test_every_export_resolves():
     import payband
     assert [name for name in payband.__all__ if not hasattr(payband, name)] == []
@@ -1110,6 +1141,24 @@ def test_cli_import_rejects_fewer_than_two_classes(tmp_path, capsys):
         main(["import", "--csv", str(data), "--classes", "1"])
     assert exc.value.code == 2
     assert "--classes" in capsys.readouterr().err
+
+
+def test_cli_import_rejects_more_classes_than_any_instance_allows(tmp_path, capsys):
+    from payband.cli import MAX_CLASSES
+    (tmp_path / "one.csv").write_text("0.5,0\n")
+    data = base_config()
+    data["instance"].update(dim=1, horizon=1, init_explore_m=0,
+                            context_source={"kind": "dataset_replay", "path": "one.csv"})
+    data["n_runs"] = 1
+    for n_arms, code in ((MAX_CLASSES, 0), (MAX_CLASSES + 1, 2)):
+        data["instance"]["n_arms"] = n_arms
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == code
+    with pytest.raises(SystemExit) as exc:  # before the (absent) file is read
+        main(["import", "--csv", str(tmp_path / "absent.csv"),
+              "--classes", str(MAX_CLASSES + 1)])
+    assert exc.value.code == 2
+    assert f"--classes: must be an integer in [2, {MAX_CLASSES}]" in capsys.readouterr().err
 
 
 def test_cli_import_bad_file_exits_3(tmp_path, capsys):

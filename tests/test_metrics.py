@@ -82,8 +82,8 @@ def test_records_view_rebuilds_each_round_from_the_columns():
 
 def test_regret_prefix_sum():
     tr = trace([record(1, regret=0.5), record(2, regret=0.0), record(3, regret=0.25)])
-    curves = accumulate(tr)
-    assert np.allclose(curves.cum_regret, [0.5, 0.5, 0.75])
+    curves = accumulate([tr])
+    assert np.allclose(curves.cum_regret[0], [0.5, 0.5, 0.75])
 
 
 def test_payment_curves_track_only_the_chosen_arm():
@@ -92,9 +92,9 @@ def test_payment_curves_track_only_the_chosen_arm():
         record(2, payments=(9.9, -0.3), chosen=1),
         record(3, payments=(0.0, 9.9), chosen=0),
     ])
-    curves = accumulate(tr)
-    assert np.allclose(curves.cum_payment, [0.4, 0.1, 0.1])
-    assert np.allclose(curves.cum_payment_abs, [0.4, 0.7, 0.7])
+    curves = accumulate([tr])
+    assert np.allclose(curves.cum_payment[0], [0.4, 0.1, 0.1])
+    assert np.allclose(curves.cum_payment_abs[0], [0.4, 0.7, 0.7])
 
 
 def test_per_arm_totals_partition_the_overall_total():
@@ -103,14 +103,40 @@ def test_per_arm_totals_partition_the_overall_total():
     for t in range(1, 40):
         pays = rng.normal(size=3)
         records.append(record(t, payments=pays, chosen=int(rng.integers(3))))
-    curves = accumulate(trace(records))
-    assert np.allclose(curves.per_arm_payment.sum(axis=0), curves.cum_payment)
-    assert curves.per_arm_payment.shape == (3, 39)
+    curves = accumulate([trace(records)])
+    assert np.allclose(curves.per_arm_payment[0].sum(axis=0), curves.cum_payment[0])
+    assert curves.per_arm_payment.shape == (1, 3, 39)
 
 
 def test_all_zero_payments_accumulate_to_zero():
     tr = trace([record(t) for t in range(1, 6)])
-    assert np.all(accumulate(tr).cum_payment == 0.0)
+    assert np.all(accumulate([tr]).cum_payment[0] == 0.0)
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 7])
+def test_accumulate_rows_equal_each_run_accumulated_alone(n_runs):
+    rng = np.random.default_rng(n_runs)
+    n_arms, horizon = 4, 300
+    traces = []
+    for _ in range(n_runs):
+        tr = RunTrace.allocate(CFG, np.zeros((horizon, 2)), n_arms)
+        tr.arm[:] = rng.integers(n_arms, size=horizon)
+        tr.inst_regret[:] = rng.exponential(size=horizon) * (rng.random(horizon) < 0.7)
+        tr.paid[:] = rng.normal(size=horizon) * (rng.random(horizon) < 0.5)  # signed zeros
+        traces.append(tr)
+    curves = accumulate(traces)
+    assert curves.per_arm_payment.shape == (n_runs, n_arms, horizon)
+
+    def bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    for r, tr in enumerate(traces):  # the oracle: one run at a time
+        per_arm = np.zeros((n_arms, horizon))
+        per_arm[tr.arm, np.arange(horizon)] = tr.paid
+        assert bits(curves.cum_regret[r]) == bits(np.cumsum(tr.inst_regret))
+        assert bits(curves.cum_payment[r]) == bits(np.cumsum(tr.paid))
+        assert bits(curves.cum_payment_abs[r]) == bits(np.cumsum(np.abs(tr.paid)))
+        assert bits(curves.per_arm_payment[r]) == bits(np.cumsum(per_arm, axis=1))
 
 
 def test_bound_ratio_normalization_identity():
@@ -170,3 +196,10 @@ def test_aggregate_rejects_mixed_kinds():
 def test_aggregate_rejects_empty_input():
     with pytest.raises(MixedConfigError):
         aggregate([])
+
+
+def test_aggregate_rejects_mixed_arm_counts():
+    a = trace([record(1, payments=(0.0, 0.0))])
+    b = trace([record(1, payments=(0.0, 0.0, 0.0))])
+    with pytest.raises(MixedConfigError, match="mixed arm counts: 2 vs 3"):
+        aggregate([a, b])
