@@ -99,7 +99,7 @@ class EstimatorState:
         moment += float(response) * x
         self.count[arm] += 1
         if self.current[arm]:
-            u = inv @ x
+            u = inv.dot(x)
             s = 1.0 + x.dot(u)
             if s <= REFACTOR_RATIO:
                 v = u / math.sqrt(s)
@@ -160,20 +160,20 @@ class EstimatorState:
         OLS mode raises SingularMatrixError while the Gram matrix is rank
         deficient; ``absorb`` then shows the zero vector.
         """
-        est = self.inverse(arm) @ self._views[arm][1]
+        est = self.inverse(arm).dot(self._views[arm][1])
         norm = math.sqrt(est.dot(est))
         return est / norm if norm > 1.0 else est
 
     def inv_norm(self, context: np.ndarray, arm: int = 0) -> float:
         """||context|| in the arm's inverse (regularized) Gram metric."""
         x = np.asarray(context, float)
-        return math.sqrt(max(float(x.dot(self.inverse(arm) @ x)), 0.0))
+        return math.sqrt(max(float(x.dot(self.inverse(arm).dot(x))), 0.0))
 
 
 def inv_norms(inverses: np.ndarray, context: np.ndarray) -> np.ndarray:
     """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one product."""
     x = np.asarray(context, float)
-    return np.sqrt(np.maximum((inverses @ x) @ x, 0.0))
+    return np.sqrt(np.maximum((inverses @ x).dot(x), 0.0))
 
 
 def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndarray,

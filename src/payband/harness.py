@@ -573,14 +573,17 @@ def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
 
 def import_dataset(path: str, n_classes: int, standardize: bool = False,
                    has_header: bool = False) -> BanditDataset:
-    """Load a CSV dataset and print a short summary."""
+    """Load a CSV dataset and print a short summary.
+
+    Only nonempty classes are listed, so the output is bounded by the rows.
+    """
     dataset = load_dataset_csv(path, n_classes=n_classes, standardize=standardize,
                                has_header=has_header)
-    hist = dataset.class_histogram()
+    seen = [f"{c}: {n}" for c, n in enumerate(dataset.class_histogram()) if n]
     print(f"rows: {len(dataset)}")
     print(f"features: {dataset.dim}")
     print(f"standardized: {dataset.standardized}")
-    print("class histogram: " + ", ".join(f"{c}: {n}" for c, n in enumerate(hist)))
+    print(f"class histogram: {', '.join(seen)} ({n_classes - len(seen)} empty)")
     return dataset
 
 

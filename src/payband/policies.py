@@ -139,7 +139,7 @@ def perturbation_payment(estimates: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     Adding p_i to the estimated utility makes arm i's perceived utility equal
     (context + zeta) . estimate_i, so the agent acts on a perturbed context.
     """
-    return np.asarray(estimates, float) @ np.asarray(zeta, float)
+    return np.asarray(estimates, float).dot(np.asarray(zeta, float))
 
 
 def alignment_payment(scores: np.ndarray, greedy: int, base: int) -> np.ndarray:
@@ -163,7 +163,7 @@ def linucb_choose(inverses: np.ndarray, scores: np.ndarray,
     metrics, the (N, d, d) stack ``inverses``, all from one product. Ties
     break toward the lowest arm index.
     """
-    return int(np.argmax(scores + alpha * inv_norms(inverses, context)))
+    return int((scores + alpha * inv_norms(inverses, context)).argmax())
 
 
 def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) -> list[int]:
@@ -339,8 +339,8 @@ class LinUCBAlignmentPolicy(Policy):
         self.alignment_log = self.diagnostics["alignment_log"] = []
 
     def calc_payments(self, t, context, rng):
-        scores = self.displayed_estimates() @ np.asarray(context, float)
-        greedy = int(np.argmax(scores))
+        scores = self.displayed_estimates().dot(np.asarray(context, float))
+        greedy = int(scores.argmax())
         base = linucb_choose(self.bank.current_inverses(), scores, context,
                              self.config.linucb_alpha)
         self.alignment_log.append((t, greedy, base))
@@ -363,8 +363,8 @@ class ChainedPolicy(Policy):
     def calc_payments(self, t, context, rng):
         if self.budget is not None and self.budget <= 0:
             return np.zeros(self.n_arms)
-        scores = self.displayed_estimates() @ np.asarray(context, float)
-        anchor = int(np.argmax(scores))
+        scores = self.displayed_estimates().dot(np.asarray(context, float))
+        anchor = int(scores.argmax())
         widths = confidence_width(self.bank.current_inverses(), self.config.ridge_lambda,
                                   context, self.config.delta, self.explore_m, t)
         members = build_chain(scores, widths, anchor)

@@ -439,3 +439,25 @@ def test_bank_rows_equal_separate_single_arm_banks(n_arms, d, mode, lam):
             assert np.array_equal(bank.shown[a], single.shown[0])
     assert np.array_equal(bank.gram, np.concatenate([s.gram for s in singles]))
     assert min(bank.count) > estimation.GRAM_ROWS
+
+
+@pytest.mark.parametrize("d", [1, 4, 14, 64])
+def test_dot_has_the_bits_of_matmul_on_the_engines_shapes(d):
+    """The round path computes 2-D x 1-D products with ``ndarray.dot``, which
+    skips ``@``'s ufunc dispatch, and stacked products with ``@``; both must
+    give the bits ``@`` gives one matrix, or the CSV digests move. A numpy or
+    BLAS build that routes these calls differently fails here by name."""
+    rng = np.random.default_rng(d)
+    for _ in range(100):
+        x = rng.standard_normal(d)
+        for n in (2, 8):  # (N, d) . (d,): the scores, inv_norms' second product
+            shown = rng.standard_normal((n, d))
+            assert shown.dot(x).tobytes() == (shown @ x).tobytes()
+        stack = rng.standard_normal((8, d, d))
+        stack = stack + stack.transpose(0, 2, 1)  # symmetric, as the inverses are
+        rows = [a.dot(x) for a in stack]  # (d, d) . (d,): absorb, estimate
+        for a, row in zip(stack, rows):
+            assert row.tobytes() == (a @ x).tobytes()
+        stacked = stack @ x  # (N, d, d) @ (d,): inv_norms' first product
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        assert stacked.dot(x).tobytes() == (stacked @ x).tobytes()

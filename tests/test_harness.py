@@ -1122,6 +1122,17 @@ def test_cli_import_prints_summary(tmp_path, capsys):
     assert "features: 2" in out
 
 
+def test_cli_import_prints_only_nonempty_classes(tmp_path, capsys):
+    # At the most classes --classes accepts, a two-row file once printed 79 MB.
+    from payband.cli import MAX_CLASSES
+    data = tmp_path / "two.csv"
+    data.write_text("0.5,0\n0.25,3\n")
+    assert main(["import", "--csv", str(data), "--classes", str(MAX_CLASSES)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 1024
+    assert f"class histogram: 0: 1, 3: 1 ({MAX_CLASSES - 2} empty)\n" in out
+
+
 def test_cli_import_reads_utf8_under_the_c_locale(tmp_path):
     data = tmp_path / "f.csv"
     data.write_text("größe,b,label\n0.1,0.2,0\n0.3,0.4,1\n", encoding="utf-8")
