@@ -46,13 +46,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Incentivized-exploration bandit simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    runs = argparse.ArgumentParser(add_help=False)  # the options of run and preset
+    runs.add_argument("--jobs", type=_int_at_least(1), default=1,
+                      help="maximum worker processes (>= 1)")
+    runs.add_argument("--out", default=None, help="output directory override")
 
-    run_p = sub.add_parser("run", help="run an experiment config")
+    run_p = sub.add_parser("run", help="run an experiment config", parents=[runs])
     run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="maximum worker processes (>= 1)")
-    run_p.add_argument("--out", default=None, help="output directory override")
 
     val_p = sub.add_parser("validate", help="validate an experiment config")
     val_p.set_defaults(handler=_cmd_validate)
@@ -68,14 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     imp_p.add_argument("--header", action="store_true",
                        help="skip the first row as a header")
 
-    pre_p = sub.add_parser("preset", help="run a bundled experiment")
+    pre_p = sub.add_parser("preset", help="run a bundled experiment", parents=[runs])
     pre_p.set_defaults(handler=_cmd_preset)
     pre_p.add_argument("name", choices=list(harness.PRESETS))
     pre_p.add_argument("--dataset", default=None,
                        help="substitute a real dataset CSV (fig2-like only)")
-    pre_p.add_argument("--out", default=None, help="output directory override")
-    pre_p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="maximum worker processes (>= 1)")
 
     return parser
 

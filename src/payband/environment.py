@@ -138,9 +138,6 @@ class BanditDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def class_histogram(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.n_classes).tolist()
-
 
 def standardize_features(features: np.ndarray) -> np.ndarray:
     """Column-wise z-score. Constant columns become all zeros."""

@@ -2,9 +2,9 @@
 
 Each arm is fitted on its own observations (the disjoint model of LinUCB:
 one A_a and b_a per arm). ``EstimatorState`` holds a strategy's N arms as
-arrays: Gram matrices, moment vectors, counts, cached inverses, a
-``current`` flag per arm and the displayed estimates. Point estimates come
-from ordinary least squares or ridge regression on those statistics;
+arrays: Gram matrices, moment vectors, cached inverses, a ``current``
+flag per arm and the displayed estimates. Point estimates come from
+ordinary least squares or ridge regression on those statistics;
 estimates whose norm exceeds 1 are scaled back onto the unit ball because
 the true attribute vectors live there. Ridge banks also provide the
 ellipsoidal confidence widths used by the chained payment strategies.
@@ -55,12 +55,11 @@ class EstimatorState:
 
     ``gram`` (N, dim, dim) is each arm's raw sum of outer products; the
     ridge term ``ridge_lambda * I`` is added at refactor time only.
-    ``moment`` (N, dim) sums response * context, ``count`` counts the
-    absorbed pairs, ``inverses`` (N, dim, dim) holds G^-1 of each arm whose
-    ``current`` entry is True, and ``shown`` (N, dim) is each arm's
-    displayed estimate. ``count`` and ``current`` are lists, read-only to
-    callers like the arrays. Every method takes the arm, 0 by default, so
-    ``EstimatorState(dim)`` is one arm's state.
+    ``moment`` (N, dim) sums response * context, ``inverses`` (N, dim, dim)
+    holds G^-1 of each arm whose ``current`` entry is True, and ``shown``
+    (N, dim) is each arm's displayed estimate. ``current`` is a list,
+    read-only to callers like the arrays. Every method takes the arm, 0 by
+    default, so ``EstimatorState(dim)`` is one arm's state.
     """
 
     def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0,
@@ -75,7 +74,6 @@ class EstimatorState:
         self.inverses = np.zeros((n_arms, self.dim, self.dim))
         self.moment = np.zeros((n_arms, self.dim))
         self.shown = np.zeros((n_arms, self.dim))
-        self.count = [0] * n_arms
         self.current = [False] * n_arms
         self._gram = np.zeros((n_arms, self.dim, self.dim))
         self._rows = np.empty((n_arms, GRAM_ROWS, self.dim))  # absorbed, not yet in _gram
@@ -97,7 +95,6 @@ class EstimatorState:
         if k + 1 == GRAM_ROWS:
             self._fold(arm)
         moment += float(response) * x
-        self.count[arm] += 1
         if self.current[arm]:
             u = inv.dot(x)
             s = 1.0 + x.dot(u)

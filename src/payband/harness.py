@@ -209,8 +209,7 @@ def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
     return p
 
 
-def load_config_data(data: dict, base_dir: Optional[Path] = None,
-                     master_seed_override: Optional[int] = None
+def load_config_data(data: dict, base_dir: Optional[Path] = None
                      ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
     """Validate config data already read from JSON and build the config.
 
@@ -221,18 +220,15 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None,
     class builds it once all its fields read cleanly, so an omitted field
     takes the class's default and the class checks ranges and cross-field
     rules. The PAYBAND_SEED environment variable, when set, overrides the
-    master seed unless an explicit override is already supplied; it must be an
-    integer >= 0.
+    master seed; it must be an integer >= 0.
     """
-    if master_seed_override is None:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                master_seed_override = int(env_seed)
-            except ValueError:
-                pass
-            if master_seed_override is None or master_seed_override < 0:
-                return None, [Diagnostic(SEED_ENV_VAR, "integer >= 0", repr(env_seed))]
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    try:
+        seed = None if env_seed is None else int(env_seed)
+    except ValueError:
+        seed = -1
+    if seed is not None and seed < 0:
+        return None, [Diagnostic(SEED_ENV_VAR, "integer >= 0", repr(env_seed))]
     if not isinstance(data, dict):
         return None, [Diagnostic("<root>", "must be a JSON object", repr(type(data).__name__))]
     diags: list[Diagnostic] = []
@@ -303,8 +299,8 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None,
                     _INSTANCE_FIELDS, _required(InstanceSpec) - {"true_attrs"}, "instance")
         if "context_source" in spec:
             spec["context_source"] = context_source(spec["context_source"], spec.get("n_arms"))
-        if master_seed_override is not None:
-            spec["master_seed"] = master_seed_override
+        if seed is not None:
+            spec["master_seed"] = seed
         instance = build(since, "instance", InstanceSpec, **{"true_attrs": None, **spec})
         if instance is not None and instance.init_explore_m < instance.n_arms * instance.dim:
             diags.append(Diagnostic("instance.init_explore_m", ">= n_arms * dim = "
@@ -323,8 +319,7 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None,
                  **{**top, "instance": instance, "policies": tuple(policies)}), diags
 
 
-def load_config_file(path: Union[str, Path],
-                     master_seed_override: Optional[int] = None
+def load_config_file(path: Union[str, Path]
                      ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
     """Read a JSON config file, then validate and parse it (load_config_data).
 
@@ -337,7 +332,7 @@ def load_config_file(path: Union[str, Path],
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         return None, [Diagnostic(str(path), "readable JSON file", repr(str(exc)))]
-    return load_config_data(data, path.parent, master_seed_override)
+    return load_config_data(data, path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +574,8 @@ def import_dataset(path: str, n_classes: int, standardize: bool = False,
     """
     dataset = load_dataset_csv(path, n_classes=n_classes, standardize=standardize,
                                has_header=has_header)
-    seen = [f"{c}: {n}" for c, n in enumerate(dataset.class_histogram()) if n]
+    classes, counts = np.unique(dataset.labels, return_counts=True)
+    seen = [f"{c}: {n}" for c, n in zip(classes.tolist(), counts.tolist())]
     print(f"rows: {len(dataset)}")
     print(f"features: {dataset.dim}")
     print(f"standardized: {dataset.standardized}")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from payband.environment import (
-    BanditDataset,
     DatasetEnvironment,
     DatasetFormatError,
     ExhaustedSequenceError,
@@ -92,16 +91,8 @@ def test_toy_csv_parses(tmp_path):
     ds = load_dataset_csv(path, n_classes=2)
     assert len(ds) == 3
     assert ds.dim == 2
-    assert ds.class_histogram() == [2, 1]
+    assert ds.labels.tolist() == [0, 1, 0]
     assert np.allclose(ds.features[1], [0.3, 0.4])
-
-
-def test_class_histogram_counts_each_class_including_empty_ones():
-    labels = rng_for(5).integers(0, 40, size=60) * 2  # odd classes and some even ones empty
-    ds = BanditDataset(features=np.zeros((60, 1)), labels=labels, n_classes=83)
-    hist = ds.class_histogram()
-    assert hist == [sum(1 for label in labels if label == c) for c in range(83)]
-    assert hist.count(0) > 41 and all(type(n) is int for n in hist)
 
 
 def test_header_row_skipped_when_flagged(tmp_path):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1101,6 +1102,13 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_preset_dataset_applies_to_fig2_like_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where the preset's own output_dir would go
+    assert main(["preset", "fig1", "--dataset", str(tmp_path / "x.csv")]) == 2
+    assert "--dataset only applies to the fig2-like preset" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -1131,6 +1139,18 @@ def test_cli_import_prints_only_nonempty_classes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out.encode()) < 1024
     assert f"class histogram: 0: 1, 3: 1 ({MAX_CLASSES - 2} empty)\n" in out
+
+
+def test_cli_import_prints_each_nonempty_class_with_its_count(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    labels = (rng.integers(0, 40, size=60) * 2).tolist()  # odd and some even classes empty
+    data = tmp_path / "sixty.csv"
+    data.write_text("".join(f"{x!r},{c}\n" for x, c in zip(rng.normal(size=60).tolist(), labels)))
+    assert main(["import", "--csv", str(data), "--classes", "83"]) == 0
+    tally = Counter(labels)
+    seen = ", ".join(f"{c}: {tally[c]}" for c in sorted(tally))
+    assert 83 - len(tally) > 41
+    assert f"class histogram: {seen} ({83 - len(tally)} empty)\n" in capsys.readouterr().out
 
 
 def test_cli_import_reads_utf8_under_the_c_locale(tmp_path):
