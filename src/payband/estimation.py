@@ -99,12 +99,12 @@ class EstimatorState:
             u = inv.dot(x)
             s = 1.0 + x.dot(u)
             if s <= REFACTOR_RATIO:
-                v = u / math.sqrt(s)
-                inv -= v[:, None] * v  # v_i v_j == v_j v_i: stays exactly symmetric
+                u /= math.sqrt(s)  # now v = A x / sqrt(s)
+                inv -= u[:, None] * u  # v_i v_j == v_j v_i: stays exactly symmetric
             else:  # also a NaN ratio: the refactor's checks then reject it
                 self.current[arm] = False
         try:
-            shown[...] = self.estimate(arm)
+            self.estimate(arm, shown)
         except SingularMatrixError:
             shown[...] = 0.0
 
@@ -151,15 +151,20 @@ class EstimatorState:
                 self.inverse(arm)  # factors only an arm with none cached
         return self.inverses
 
-    def estimate(self, arm: int = 0) -> np.ndarray:
+    def estimate(self, arm: int = 0, out: np.ndarray | None = None) -> np.ndarray:
         """Point estimate of the arm's attribute vector, clipped to the unit ball.
 
-        OLS mode raises SingularMatrixError while the Gram matrix is rank
-        deficient; ``absorb`` then shows the zero vector.
+        Written into ``out`` (a contiguous float (dim,) row, such as the arm's
+        ``shown`` row) when given, else into a new array; the clip divides in
+        place, so both hold the bits of ``est / norm``. OLS mode raises
+        SingularMatrixError while the Gram matrix is rank deficient, before
+        ``out`` is written; ``absorb`` then shows the zero vector.
         """
-        est = self.inverse(arm).dot(self._views[arm][1])
+        est = self.inverse(arm).dot(self._views[arm][1], out=out)
         norm = math.sqrt(est.dot(est))
-        return est / norm if norm > 1.0 else est
+        if norm > 1.0:
+            est /= norm
+        return est
 
     def inv_norm(self, context: np.ndarray, arm: int = 0) -> float:
         """||context|| in the arm's inverse (regularized) Gram metric."""
@@ -168,9 +173,15 @@ class EstimatorState:
 
 
 def inv_norms(inverses: np.ndarray, context: np.ndarray) -> np.ndarray:
-    """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one product."""
+    """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one product.
+
+    The clip at zero and the square root write over the quadratic forms, a new
+    (N,) array, which gives the bits of the allocating calls.
+    """
     x = np.asarray(context, float)
-    return np.sqrt(np.maximum((inverses @ x).dot(x), 0.0))
+    quad = (inverses @ x).dot(x)
+    np.maximum(quad, 0.0, out=quad)
+    return np.sqrt(quad, out=quad)
 
 
 def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndarray,
@@ -192,7 +203,9 @@ def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndar
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     d = inverses.shape[-1]
     scale = explore_m * math.sqrt(d * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
-    return inv_norms(inverses, context) * scale
+    widths = inv_norms(inverses, context)
+    widths *= scale
+    return widths
 
 
 __all__ = [

@@ -78,7 +78,9 @@ def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarra
     then toward the lowest arm index. Adding a constant to every payment entry
     does not change the outcome. All three arguments are float arrays.
     """
-    utilities = (estimates.dot(context) + payments).tolist()
+    perceived = estimates.dot(context)
+    perceived += payments
+    utilities = perceived.tolist()
     floor = max(utilities) - TIE_TOLERANCE
     tied = [i for i, u in enumerate(utilities) if u >= floor]
     if len(tied) == 1:

@@ -150,7 +150,7 @@ def alignment_payment(scores: np.ndarray, greedy: int, base: int) -> np.ndarray:
     """
     pay = np.zeros(len(scores))
     if base != greedy:
-        pay[base] = max(float(scores[greedy] - scores[base]), 0.0)
+        pay[base] = max(scores.item(greedy) - scores.item(base), 0.0)
     return pay
 
 
@@ -174,13 +174,20 @@ def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) ->
     can be chained through an intermediate arm without overlapping each
     other. Returns a sorted list that always contains the anchor.
 
-    Sorted by lower endpoint, the intervals split into components wherever
-    a lower endpoint exceeds every upper endpoint before it; the chain is
-    the anchor's component.
+    When the largest lower endpoint is at most the smallest upper one, every
+    interval meets every other and the chain is every arm. That return needs
+    finite endpoints, which a finite sum of them shows (one inf or NaN term
+    makes the sum inf or NaN): ``max`` over a list holding a NaN depends on
+    where the NaN sits. Every other input is swept: sorted by lower
+    endpoint, the intervals split into components wherever a lower endpoint
+    exceeds every upper endpoint before it; the chain is the anchor's
+    component.
     """
     e = np.asarray(point_estimates, float)
     w = np.asarray(widths, float)
     lo, hi = (e - w).tolist(), (e + w).tolist()
+    if lo and max(lo) <= min(hi) and math.isfinite(sum(lo) + sum(hi)):
+        return list(range(len(lo)))
     chain: list[int] = []
     reach = -math.inf
     found = False
@@ -207,7 +214,7 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
     e = np.asarray(point_estimates, float)
     pay = np.zeros(len(e))
     j = int(members[rng.integers(len(members))])
-    amount = float(e[anchor] - e[j])  # >= 0: the anchor maximizes e
+    amount = e.item(anchor) - e.item(j)  # >= 0: the anchor maximizes e
     if budget is not None:
         amount = min(amount, budget)
         budget = budget - amount
@@ -319,7 +326,7 @@ class PerturbationPaymentsPolicy(Policy):
     def update(self, t, context, chosen, observed, payments):
         i = self._row(t)
         perturbed = np.add(context, self._zeta[i], out=self.effective_contexts[i])
-        self.bank.absorb(perturbed, observed + float(payments[chosen]), chosen)
+        self.bank.absorb(perturbed, observed + payments.item(chosen), chosen)
 
 
 class LinUCBAlignmentPolicy(Policy):
@@ -432,9 +439,9 @@ def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int,
     trace.arm[i] = chosen
     trace.payments[i] = payments
     trace.displayed[i] = shown
-    policy.update(t, theta, chosen, float(env.means[i, chosen] + noise[i]), payments)
+    policy.update(t, theta, chosen, env.means.item(i, chosen) + noise.item(i), payments)
     trace.budget[i] = policy.budget
-    return RoundOutcome(chosen, float(payments[chosen]))
+    return RoundOutcome(chosen, payments.item(chosen))
 
 
 def realize_outcomes(env, noise: np.ndarray, trace: RunTrace) -> None:

@@ -448,8 +448,11 @@ def test_bank_rows_equal_separate_single_arm_banks(n_arms, d, mode, lam):
 def test_dot_has_the_bits_of_matmul_on_the_engines_shapes(d):
     """The round path computes 2-D x 1-D products with ``ndarray.dot``, which
     skips ``@``'s ufunc dispatch, and stacked products with ``@``; both must
-    give the bits ``@`` gives one matrix, or the CSV digests move. A numpy or
-    BLAS build that routes these calls differently fails here by name."""
+    give the bits ``@`` gives one matrix, or the CSV digests move. The
+    estimate is written into its ``shown`` row with ``.dot(..., out=row)``,
+    and the widths, the clip and the rank-1 update scale their arrays in
+    place; each must give the bits of the allocating form. A numpy or BLAS
+    build that routes these calls differently fails here by name."""
     rng = np.random.default_rng(d)
     for _ in range(100):
         x = rng.standard_normal(d)
@@ -464,3 +467,20 @@ def test_dot_has_the_bits_of_matmul_on_the_engines_shapes(d):
         stacked = stack @ x  # (N, d, d) @ (d,): inv_norms' first product
         assert stacked.tobytes() == np.array(rows).tobytes()
         assert stacked.dot(x).tobytes() == (stacked @ x).tobytes()
+
+        shown = np.empty((8, d))  # estimate: A moment into the arm's shown row
+        for a, row, out in zip(stack, rows, shown):
+            assert a.dot(x, out=out) is out
+            assert out.tobytes() == row.tobytes()
+        norm = math.sqrt(rows[0].dot(rows[0]))  # the clip and the rank-1 scale
+        clipped = rows[0].copy()
+        clipped /= norm
+        assert clipped.tobytes() == (rows[0] / norm).tobytes()
+        scale = float(rng.uniform(1.0, 40.0))  # inv_norms, then confidence_width
+        want = np.sqrt(np.maximum(stacked.dot(x), 0.0)) * scale
+        quad = stacked.dot(x)  # symmetric, not definite: some forms are < 0
+        np.maximum(quad, 0.0, out=quad)
+        np.sqrt(quad, out=quad)
+        quad *= scale
+        assert quad.tobytes() == want.tobytes()
+        assert inv_norms(stack, x).tobytes() == np.sqrt(np.maximum(stacked.dot(x), 0.0)).tobytes()

@@ -1,5 +1,7 @@
 """Payment strategies: pure payment math, chaining, and the stateful loop hooks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,7 +247,7 @@ def pairwise_closure(e, w, anchor):
 def test_chain_matches_pairwise_closure_with_touching_endpoints():
     # Endpoints on a 0.1 grid, so many intervals only touch.
     rng = rng_for(20)
-    touching = 0
+    touching = whole = swept = 0
     for _ in range(20_000):
         n = int(rng.integers(1, 10))
         e = np.round(rng.uniform(-1.0, 1.0, size=n), 1)
@@ -253,8 +255,55 @@ def test_chain_matches_pairwise_closure_with_touching_endpoints():
         anchor = int(rng.integers(n))
         lo, hi = e - w, e + w
         touching += bool(np.isin(lo, hi).any())
+        meets = bool(lo.max() <= hi.min())  # every interval meets every other
+        whole += meets
+        swept += not meets
         assert build_chain(e, w, anchor) == pairwise_closure(e, w, anchor)
     assert touching > 1000
+    assert whole > 1000 and swept > 1000  # both of build_chain's returns
+
+
+def sweep_chain(point_estimates, widths, anchor):
+    """``build_chain``'s sort and sweep alone, without its whole-set return:
+    the oracle for NaN and infinite endpoints, which the closures cannot judge."""
+    e = np.asarray(point_estimates, float)
+    w = np.asarray(widths, float)
+    lo, hi = (e - w).tolist(), (e + w).tolist()
+    chain = []
+    reach = -math.inf
+    found = False
+    for i in sorted(range(len(lo)), key=lo.__getitem__):
+        if lo[i] > reach:
+            if found:
+                break
+            chain = []
+        chain.append(i)
+        found = found or i == anchor
+        reach = max(reach, hi[i])
+    return sorted(chain)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+def test_chain_matches_sweep_with_nonfinite_endpoints():
+    # Estimates and widths that are NaN or infinite, at any position, mostly
+    # in instances whose finite intervals all meet. e = -inf with w = +inf
+    # gives the interval [-inf, NaN]: sorted first, it leaves the sweep's
+    # reach at -inf, while max and min over the endpoints skip its NaN.
+    rng = rng_for(21)
+    bad = np.array([math.nan, math.inf, -math.inf])
+    for _ in range(5000):
+        n = int(rng.integers(1, 9))
+        e = rng.uniform(-0.1, 0.1, size=n)
+        w = rng.uniform(0.0, 1.0, size=n) * rng.choice([0.01, 1.0])
+        p = rng.choice([0.1, 0.3])
+        e = np.where(rng.random(n) < p, rng.choice(bad, n), e)
+        w = np.where(rng.random(n) < p, rng.choice(bad, n), w)
+        anchor = int(rng.integers(n))
+        assert build_chain(e, w, anchor) == sweep_chain(e, w, anchor)
+    e = np.array([0.0, -math.inf, 0.1])
+    w = np.array([1.0, math.inf, 1.0])
+    assert build_chain(e, w, 0) == sweep_chain(e, w, 0) == [0, 2]
+    assert build_chain(e, w, 1) == sweep_chain(e, w, 1) == [1]
 
 
 def test_chained_payment_amount_is_gap_to_anchor():
