@@ -153,16 +153,16 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                      has_header: bool = False) -> BanditDataset:
     """Parse the ``f_1,...,f_d,label`` rows of a UTF-8 CSV file into a BanditDataset.
 
-    Feature cells must be finite and of magnitude at most
-    ``model.MAX_MAGNITUDE``. Errors carry 1-based row and column positions
-    so a broken file can be fixed without guessing.
+    A leading byte order mark is skipped. Feature cells must be finite and
+    of magnitude at most ``model.MAX_MAGNITUDE``. Errors carry 1-based row
+    and column positions so a broken file can be fixed without guessing.
     """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     rows: list[list[float]] = []
     labels: list[int] = []
     width: Optional[int] = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
             if lineno == 1 and has_header:

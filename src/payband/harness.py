@@ -73,19 +73,6 @@ TRACE_COLUMNS = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding. Errors block a run; warnings do not."""
-
-    fieldname: str
-    constraint: str
-    actual: str
-    severity: str = "error"
-
-    def __str__(self) -> str:
-        return f"[{self.severity}] {self.fieldname}: {self.constraint} (got {self.actual})"
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """An instance, the strategies to run on it, and how often to run each."""
 
@@ -186,7 +173,7 @@ def _required(cls) -> set:
     return {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
 
 
-def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[Diagnostic]:
+def validate_config_data(data: dict, base_dir: Optional[Path] = None) -> list[ConfigError]:
     """Check a parsed JSON config against the schema, with PAYBAND_SEED
     applied as ``load_config_data`` applies it. Empty list means valid."""
     return load_config_data(data, base_dir)[1]
@@ -210,10 +197,10 @@ def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
 
 
 def load_config_data(data: dict, base_dir: Optional[Path] = None
-                     ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
+                     ) -> tuple[Optional[ExperimentConfig], list[ConfigError]]:
     """Validate config data already read from JSON and build the config.
 
-    Returns (config, diagnostics); config is None when errors were found. Each
+    Returns (config, findings); config is None when errors were found. Each
     object (top level, ``instance``, its ``context_source``, each policy) is
     read against its field table: every unknown key, missing required field
     and mistyped field of every object is reported, all together. An object's
@@ -228,14 +215,14 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None
     except ValueError:
         seed = -1
     if seed is not None and seed < 0:
-        return None, [Diagnostic(SEED_ENV_VAR, "integer >= 0", repr(env_seed))]
+        return None, [ConfigError(SEED_ENV_VAR, "integer >= 0", env_seed)]
     if not isinstance(data, dict):
-        return None, [Diagnostic("<root>", "must be a JSON object", repr(type(data).__name__))]
-    diags: list[Diagnostic] = []
+        return None, [ConfigError("<root>", "must be a JSON object", type(data).__name__)]
+    diags: list[ConfigError] = []
 
     def report(where: str, exc: ConfigError) -> None:
-        diags.append(Diagnostic(".".join(filter(None, (where, exc.field))) or "<root>",
-                                exc.constraint, repr(exc.actual)))
+        diags.append(ConfigError(".".join(filter(None, (where, exc.field))) or "<root>",
+                                 exc.constraint, exc.actual))
 
     def read(obj, table: dict, required: set, where: str) -> dict:
         """The fields of ``obj`` that have their ``table`` type; reports each mistake."""
@@ -303,12 +290,12 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None
             spec["master_seed"] = seed
         instance = build(since, "instance", InstanceSpec, **{"true_attrs": None, **spec})
         if instance is not None and instance.init_explore_m < instance.n_arms * instance.dim:
-            diags.append(Diagnostic("instance.init_explore_m", ">= n_arms * dim = "
-                                    f"{instance.n_arms * instance.dim} recommended",
-                                    repr(instance.init_explore_m), "warning"))
+            diags.append(ConfigError("instance.init_explore_m", ">= n_arms * dim = "
+                                     f"{instance.n_arms * instance.dim} recommended",
+                                     instance.init_explore_m, "warning"))
         if instance is not None and replay and "true_attrs" in inst:
-            diags.append(Diagnostic("instance.true_attrs", "ignored for dataset_replay "
-                                    "(labels define rewards)", repr("set"), "warning"))
+            diags.append(ConfigError("instance.true_attrs", "ignored for dataset_replay "
+                                     "(labels define rewards)", "set", "warning"))
 
     policies = []
     for i, policy in enumerate(top.get("policies", ())):
@@ -320,18 +307,19 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None
 
 
 def load_config_file(path: Union[str, Path]
-                     ) -> tuple[Optional[ExperimentConfig], list[Diagnostic]]:
+                     ) -> tuple[Optional[ExperimentConfig], list[ConfigError]]:
     """Read a JSON config file, then validate and parse it (load_config_data).
 
-    Relative dataset paths resolve against the file's directory. Bytes
-    that are not UTF-8 JSON, JSON nested too deep to parse and integer
-    literals too long to convert are reported like a missing file.
+    Relative dataset paths resolve against the file's directory; a leading
+    UTF-8 byte order mark is skipped. Bytes that are not UTF-8 JSON, JSON
+    nested too deep to parse and integer literals too long to convert are
+    reported like a missing file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-        return None, [Diagnostic(str(path), "readable JSON file", repr(str(exc)))]
+        return None, [ConfigError(str(path), "readable JSON file", str(exc))]
     return load_config_data(data, path.parent)
 
 

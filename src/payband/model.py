@@ -91,20 +91,22 @@ def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarra
 
 
 class ConfigError(ValueError):
-    """A value breaks a rule of the object it configures.
+    """A config finding: a value breaks a rule of the object it configures.
 
-    Carries the field (relative to that object), the rule and the value, so a
-    config loader can report it as a diagnostic that names the field.
+    Carries the field, the rule, the value and the severity. A config class
+    raises it with the field relative to itself; the config loader reports
+    it with the field's full path. Errors block a run; warnings do not.
     """
 
-    def __init__(self, field: str, constraint: str, actual) -> None:
-        super().__init__(field, constraint, actual)
+    def __init__(self, field: str, constraint: str, actual, severity: str = "error") -> None:
+        super().__init__(field, constraint, actual, severity)
         self.field = field
         self.constraint = constraint
         self.actual = actual
+        self.severity = severity
 
     def __str__(self) -> str:
-        return f"{self.field}: {self.constraint} (got {self.actual!r})"
+        return f"[{self.severity}] {self.field}: {self.constraint} (got {self.actual!r})"
 
 
 @dataclass(frozen=True)

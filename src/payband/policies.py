@@ -108,8 +108,10 @@ class PolicyConfig:
             raise ConfigError("sigma_pay", f"number in [0, {MAX_MAGNITUDE:g}]", self.sigma_pay)
         if not (0 < self.delta < 1):
             raise ConfigError("delta", "in (0, 1)", self.delta)
-        if self.linucb_alpha < 0:
-            raise ConfigError("linucb_alpha", ">= 0", self.linucb_alpha)
+        # A context's inverse-Gram norm is at most 1/sqrt(PIVOT_TOL), so alpha times it is finite.
+        if not 0 <= self.linucb_alpha <= MAX_MAGNITUDE:
+            raise ConfigError("linucb_alpha", f"number in [0, {MAX_MAGNITUDE:g}]",
+                              self.linucb_alpha)
         if self.budget is not None:
             if self.kind != CHAINED_RESTRICTED:
                 raise ConfigError("budget", "only applies to chained_restricted", self.budget)

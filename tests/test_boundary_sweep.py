@@ -89,7 +89,7 @@ EXTREMES = {
     "ridge_lambda=floor": ridge_lambda_at_floor,
     "ridge_lambda=1.7e308": policies(ridge_lambda=1.7e308),
     "delta=1e-300": policies(delta=1e-300),
-    "linucb_alpha=1e308": policies(linucb_alpha=1e308),
+    "linucb_alpha=1e100": policies(linucb_alpha=1e100),
     "budget=0": budget(0.0),
     "horizon=1": instance(horizon=1, init_explore_m=0),
     "horizon=2": instance(horizon=2, init_explore_m=1),
@@ -106,7 +106,9 @@ def combinations(n, size, seed=2024):
 
 # The combination most likely to overflow a square: every scale at 1e100.
 LARGEST = ("contexts=1e100", "noise_std=1e100", "sigma_pay=1e100", "std=1e100")
-GRID = [(name,) for name in EXTREMES] + [LARGEST] + combinations(20, 4)
+# The widest LinUCB bonus: the largest alpha times the largest inverse-Gram norm.
+WIDEST_BONUS = ("linucb_alpha=1e100", "ridge_lambda=floor")
+GRID = [(name,) for name in EXTREMES] + [LARGEST, WIDEST_BONUS] + combinations(20, 4)
 
 
 def cells_are_finite(path):
@@ -139,5 +141,6 @@ def test_every_config_validate_accepts_runs_with_finite_cells(tmp_path, capsys):
     capsys.readouterr()
     # Every single-field extreme is a value validate accepts on its own.
     assert set(EXTREMES) <= {names[0] for names in accepted if len(names) == 1}
-    assert LARGEST in accepted and len(accepted) > len(EXTREMES) + 1
+    assert LARGEST in accepted and WIDEST_BONUS in accepted
+    assert len(accepted) > len(EXTREMES) + 2
 

@@ -59,7 +59,7 @@ def errors_of(diags):
 
 
 def fields_of(diags):
-    return {d.fieldname for d in diags}
+    return {d.field for d in diags}
 
 
 def test_valid_config_has_no_diagnostics():
@@ -87,7 +87,7 @@ def test_attr_norm_violation_is_reported():
     cfg = base_config()
     cfg["instance"]["true_attrs"][0] = [1.2, 0.9]
     diags = validate_config_data(cfg)
-    assert any("true_attrs[0]" in d.fieldname and "norm" in d.constraint for d in diags)
+    assert any("true_attrs[0]" in d.field and "norm" in d.constraint for d in diags)
 
 
 def test_m_exceeding_horizon_is_reported():
@@ -322,7 +322,7 @@ def test_non_integer_env_seed_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
     config, diags = load_config_file(p)
     assert config is None
-    assert any(SEED_ENV_VAR in d.fieldname for d in diags)
+    assert any(SEED_ENV_VAR in d.field for d in diags)
 
 
 def test_negative_env_seed_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
@@ -351,6 +351,13 @@ def test_malformed_json_reports_a_diagnostic(tmp_path, capsys):
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "readable JSON file" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_byte_order_mark_before_the_config_is_skipped(tmp_path, capsys):
+    p = tmp_path / "fig1.json"
+    p.write_bytes(b"\xef\xbb\xbf" + preset_config_path("fig1").read_bytes())
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr() == ("config valid\n", "")
 
 
 BEYOND_FLOAT64 = 10 ** 400
@@ -774,6 +781,10 @@ def huge_sigma_pay(cfg):
     cfg["policies"] = [{"kind": "perturbation_payments", "sigma_pay": 1e160}]
 
 
+def huge_linucb_alpha(cfg):
+    cfg["policies"].append({"kind": "linucb_alignment", "linucb_alpha": 1e308})
+
+
 def huge_context_std(cfg):
     cfg["instance"]["context_source"]["std"] = 1e160
 
@@ -826,6 +837,7 @@ def ols_estimator_for(kind):
     (one_arm_replay, "instance.n_arms"),
     (huge_noise, "instance.noise_std"),
     (huge_sigma_pay, "policies[0].sigma_pay"),
+    (huge_linucb_alpha, "policies[1].linucb_alpha"),
     (huge_context_std, "instance.context_source.std"),
     (huge_context_mean, "instance.context_source.mean"),
     (huge_fixed_context, "instance.context_source.contexts[1]"),
@@ -1113,6 +1125,69 @@ def test_cli_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def two_warnings(tmp_path):
+    (tmp_path / "rows.csv").write_text("0.1,0.2,0\n0.3,-0.4,1\n")
+    data = base_config()
+    data["instance"].update(init_explore_m=1, context_source={
+        "kind": "dataset_replay", "path": "rows.csv", "sample_with_replacement": True})
+    return json.dumps(data)
+
+
+def unknown_key_and_mistyped_field(tmp_path):
+    data = base_config()
+    data["instance"]["horizon"] = "12"
+    data["policies"][0]["siverity"] = 2
+    return json.dumps(data)
+
+
+def range_and_cell_bound(tmp_path):
+    data = base_config()
+    data["instance"]["horizon"] = 10 ** 8
+    data["policies"] = [{"kind": "perturbation_payments", "sigma_pay": -1.0}]
+    return json.dumps(data)
+
+
+# Every source of a finding, with the exact stderr ``validate`` and ``run``
+# print for it and their exit code; TMP stands for the config's directory.
+GOLDEN_FINDINGS = {
+    "two warnings": (two_warnings, None, 0,
+        "[warning] instance.init_explore_m: >= n_arms * dim = 4 recommended (got 1)\n"
+        "[warning] instance.true_attrs: ignored for dataset_replay (labels define rewards)"
+        " (got 'set')\n"),
+    "unknown key and mistyped field": (unknown_key_and_mistyped_field, None, 2,
+        "[error] instance.horizon: integer (got '12')\n"
+        "[error] policies[0]: only the fields kind, sigma_pay, ridge_lambda, delta, "
+        "linucb_alpha, budget, init_explore_m, estimator_mode (got ['siverity'])\n"),
+    "range and cell bound": (range_and_cell_bound, None, 2,
+        "[error] instance.horizon: <= 10324277 at n_arms 2 and dim 2, so a run holds at "
+        "most 2**28 float64 cells (got 100000000)\n"
+        "[error] policies[0].sigma_pay: number in [0, 1e+100] (got -1.0)\n"),
+    "non-object root": (lambda tmp_path: "[1, 2]", None, 2,
+        "[error] <root>: must be a JSON object (got 'list')\n"),
+    "unparseable file": (lambda tmp_path: "{ nope", None, 2,
+        "[error] TMP/cfg.json: readable JSON file (got 'Expecting property name enclosed "
+        "in double quotes: line 1 column 3 (char 2)')\n"),
+    "missing file": (None, None, 2,
+        "[error] TMP/cfg.json: readable JSON file (got \"[Errno 2] No such file or "
+        "directory: 'TMP/cfg.json'\")\n"),
+    "bad env seed": (lambda tmp_path: json.dumps(base_config()), "abc", 2,
+        "[error] PAYBAND_SEED: integer >= 0 (got 'abc')\n"),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_FINDINGS)
+def test_cli_prints_each_finding_source_byte_for_byte(tmp_path, monkeypatch, capsys, case):
+    make, env_seed, code, stderr = GOLDEN_FINDINGS[case]
+    p = tmp_path / "cfg.json"
+    if make is not None:
+        p.write_text(make(tmp_path))
+    if env_seed is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+    for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*args, "--config", str(p)]) == code
+        assert capsys.readouterr().err.replace(str(tmp_path), "TMP") == stderr
+
+
 def test_cli_run_writes_outputs(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(base_config()))
@@ -1163,6 +1238,14 @@ def test_cli_import_reads_utf8_under_the_c_locale(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "rows: 2" in proc.stdout
+
+
+def test_cli_import_skips_a_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "bom.csv"
+    data.write_text("\ufeff0.5,0.25,0\n-0.5,0.75,1\n", encoding="utf-8")
+    assert main(["import", "--csv", str(data), "--classes", "2"]) == 0
+    assert "rows: 2" in capsys.readouterr().out
+    assert load_dataset_csv(str(data), n_classes=2).features[0].tolist() == [0.5, 0.25]
 
 
 def test_cli_import_rejects_fewer_than_two_classes(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Payment strategies: pure payment math, chaining, and the stateful loop hooks."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from payband import policies
 from payband.environment import FixedSequenceSpec, LinearEnvironment
 from payband.estimation import OLS, RIDGE, EstimatorState
+from payband.harness import child_seed_sequence, load_config_data, preset_config_path, run_single
 from payband.linalg import PIVOT_TOL
 from payband.metrics import RunTrace
 from payband.model import agent_choose
@@ -261,6 +265,32 @@ def test_chain_matches_pairwise_closure_with_touching_endpoints():
         assert build_chain(e, w, anchor) == pairwise_closure(e, w, anchor)
     assert touching > 1000
     assert whole > 1000 and swept > 1000  # both of build_chain's returns
+
+
+def test_chained_runs_on_fig1_sweep_and_match_pairwise_closure(monkeypatch):
+    # The shipped fig1 never leaves build_chain's whole-set return: its widths
+    # scale with init_explore_m and dwarf the estimates' spread. At m = 0 the
+    # scale is sqrt(ridge_lambda), intervals part, and many rounds take the
+    # sort and sweep and end in a chain of some arms only; every chain must
+    # equal the pairwise closure.
+    data = json.loads(preset_config_path("fig1").read_text())
+    data["instance"]["init_explore_m"] = 0
+    config, _ = load_config_data(data)
+    tally = Counter()
+
+    def checked(e, w, anchor):
+        chain = build_chain(e, w, anchor)
+        assert chain == pairwise_closure(e, w, anchor)
+        tally["swept"] += bool((e - w).max() > (e + w).min())
+        tally["partial"] += len(chain) < len(e)
+        return chain
+
+    monkeypatch.setattr(policies, "build_chain", checked)
+    for policy_index, policy in enumerate(config.policies):
+        if policy.kind in ("chained_unrestricted", "chained_restricted"):
+            for run_index in range(3):
+                run_single(config.instance, policy, child_seed_sequence(7, policy_index, run_index))
+    assert tally["swept"] > 1000 and tally["partial"] > 100, tally
 
 
 def sweep_chain(point_estimates, widths, anchor):
