@@ -6,9 +6,8 @@ myopic agents, learns the attributes from the observed choices, and tracks
 cumulative regret and payments across several payment strategies.
 """
 
-from .linalg import SingularMatrixError, min_eig_sym
 from .model import InstanceSpec, RoundRecord, agent_choose
-from .estimation import EstimatorState, confidence_width
+from .estimation import EstimatorState, SingularMatrixError, confidence_width, min_eig_sym
 from .environment import (
     BanditDataset,
     DatasetReplaySpec,

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import min_eig_sym
+from .estimation import min_eig_sym
 from .model import MAX_MAGNITUDE, ConfigError, unit_ball_rows
 
 

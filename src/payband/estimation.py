@@ -28,6 +28,11 @@ the arm's buffer of ``GRAM_ROWS`` rows, and G is summed when it is read
 to G one at a time, in absorb order, with ``np.add.accumulate``, so G keeps
 the bits of absorbing each x x^T with ``+=``. ``np.add.reduce`` would sum
 them pairwise and round differently.
+
+The factor and solve kernels below are numpy's LAPACK calls on float64
+arrays of at most ``model.MAX_DIM`` columns. The singularity threshold is
+applied to the finished factor, whose squared diagonal entries are exactly
+the pivots of the factorization.
 """
 
 from __future__ import annotations
@@ -35,9 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# The factor and solve kernels are re-exported (see __all__) next to their caller.
-from .linalg import SingularMatrixError, back_substitute, cholesky_spd, forward_substitute
 
 OLS = "ols"
 RIDGE = "ridge"
@@ -48,6 +50,74 @@ REFACTOR_RATIO = 2.0
 
 # Contexts an arm buffers before it folds their outer products into G.
 GRAM_ROWS = 32
+
+# Pivot below this during factorization means the matrix is treated as
+# singular rather than positive definite.
+PIVOT_TOL = 1e-12
+
+_SYM_TOL = 1e-12
+
+
+class SingularMatrixError(ValueError):
+    """Raised when a matrix is numerically singular (Cholesky pivot < tolerance).
+
+    Callers react by adding ridge regularization or by collecting more
+    observations until the Gram matrix becomes positive definite.
+    """
+
+
+def _as_square(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _check_symmetric(a: np.ndarray) -> np.ndarray:
+    asym = a - a.T
+    if asym.any():  # exactly symmetric matrices, Gram matrices among them, stop here
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if not np.max(np.abs(asym)) <= _SYM_TOL * scale:  # NaN fails too
+            raise ValueError("matrix is not symmetric within tolerance")
+    return a
+
+
+def cholesky_spd(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular factor L with A = L L^T.
+
+    Raises SingularMatrixError if any pivot L_jj^2 falls below ``PIVOT_TOL``
+    or the matrix is not positive definite at all.
+    """
+    a = _check_symmetric(_as_square(a))
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is not positive definite (a pivot <= 0)") from None
+    diag = low.diagonal()  # positive: LAPACK takes the square root of each pivot
+    if diag.size and float(diag.min()) ** 2 < PIVOT_TOL:
+        j = int(np.argmax(diag ** 2 < PIVOT_TOL))
+        raise SingularMatrixError(
+            f"pivot {diag[j] ** 2:.3e} below tolerance {PIVOT_TOL:.1e} at column {j}"
+        )
+    return low
+
+
+def forward_substitute(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L Y = B for lower-triangular L; B is a vector or a matrix of columns."""
+    return np.linalg.solve(low, b)
+
+
+def back_substitute(low: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve L^T X = Y for lower-triangular L; Y is a vector or a matrix of columns."""
+    return np.linalg.solve(low.T, y)
+
+
+def min_eig_sym(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix."""
+    a = _check_symmetric(_as_square(a))
+    if a.size == 0:
+        raise ValueError("empty matrix has no eigenvalues")
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 class EstimatorState:
@@ -207,8 +277,3 @@ def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndar
     widths *= scale
     return widths
 
-
-__all__ = [
-    "OLS", "RIDGE", "EstimatorState", "confidence_width", "inv_norms",
-    "SingularMatrixError", "back_substitute", "cholesky_spd", "forward_substitute",
-]

@@ -372,9 +372,14 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
 
     A pre-built (possibly warm-started) policy object can be injected; by
     default a fresh one is constructed from the config. A config that breaks
-    a rule of ``check_policy`` raises ConfigError before anything is drawn.
+    a rule of ``check_policy`` raises ConfigError, and an injected policy
+    built for another n_arms or dim raises ValueError, before anything is
+    drawn.
     """
     check_policy(instance, policy_cfg)
+    if policy is not None and (policy.n_arms, policy.dim) != (instance.n_arms, instance.dim):
+        raise ValueError(f"policy built for n_arms {policy.n_arms} and dim {policy.dim}, "
+                         f"instance has n_arms {instance.n_arms} and dim {instance.dim}")
     ctx_rng, noise_rng, policy_rng = spawn_streams(seed)
     env = build_environment(instance, ctx_rng)
     if policy is None:

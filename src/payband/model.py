@@ -61,12 +61,13 @@ def run_cells(n_arms: int, dim: int, horizon: int) -> int:
     Per round: the trace's payments and displayed estimates, n_arms * (dim
     + 1), and its six other columns; the environment's context and true
     means, dim + n_arms; the reward noise; a perturbation draw and the
-    perturbed context, 2 * dim; and the accumulated curves, n_arms + 3. Per
-    run: the estimator bank's inverses and Gram matrices, moments, displayed
+    perturbed context, 2 * dim; LinUCB's (t, greedy, base) log entry, 92
+    bytes or 12 cells; and the accumulated curves, n_arms + 3. Per run: the
+    estimator bank's inverses and Gram matrices, moments, displayed
     estimates and Gram buffer, n_arms * dim * (2 * dim + 2 + GRAM_ROWS), and
     RUN_CELLS.
     """
-    per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + n_arms + 3
+    per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + 12 + n_arms + 3
     bank = n_arms * dim * (2 * dim + 2 + GRAM_ROWS)
     return horizon * per_round + bank + RUN_CELLS
 

@@ -42,12 +42,12 @@ import numpy as np
 
 from .estimation import (
     OLS,
+    PIVOT_TOL,
     RIDGE,
     EstimatorState,
     confidence_width,
     inv_norms,
 )
-from .linalg import PIVOT_TOL
 from .model import MAX_MAGNITUDE, ConfigError, agent_choose
 # No round calls realize_from_mean any more (noise is drawn per run), but
 # perfbench/worker.py still looks it up in this module.

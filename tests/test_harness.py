@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -17,7 +18,7 @@ import pytest
 
 from payband import harness
 from payband.cli import main
-from payband.environment import FixedSequenceSpec, load_dataset_csv
+from payband.environment import FixedSequenceSpec, GaussianContextSpec, load_dataset_csv
 from payband.harness import (
     SEED_ENV_VAR,
     TRACE_COLUMNS,
@@ -29,10 +30,10 @@ from payband.harness import (
     spawn_streams,
     validate_config_data,
 )
-from payband.linalg import PIVOT_TOL
+from payband.estimation import PIVOT_TOL
 from payband.metrics import RunTrace, accumulate
 from payband.model import MAX_CELLS, MAX_MAGNITUDE, ConfigError, InstanceSpec, run_cells
-from payband.policies import POLICY_KINDS, PolicyConfig, ridge_lambda_floor
+from payband.policies import POLICY_KINDS, PolicyConfig, build_policy, ridge_lambda_floor
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -937,6 +938,38 @@ def test_cli_counts_the_estimator_bank_against_the_cell_bound(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_every_strategy_allocates_at_most_its_run_cells():
+    # LinUCB's alignment log (92 bytes per free round) is what n_arms 2 and
+    # dim 1 expose. The untraced runs come first: a process's first run also
+    # allocates what it keeps for later runs.
+    instance = InstanceSpec(2, 1, 3000, np.array([[0.6], [-0.4]]), 0.1,
+                            GaussianContextSpec(mean=np.array([0.2]), std=0.5), 2, 7)
+    configs = [PolicyConfig(kind, budget=5.0 if kind == "chained_restricted" else None)
+               for kind in POLICY_KINDS]
+    for cfg in configs:
+        accumulate([run_single(instance, cfg, 1)])
+    peaks = {}
+    for cfg in configs:
+        tracemalloc.start()
+        try:
+            accumulate([run_single(instance, cfg, 1)])
+            peaks[cfg.kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bound = 8 * instance.run_cells()
+    assert {kind: peak for kind, peak in peaks.items() if peak > bound} == {}, bound
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)], ids=str)
+def test_run_single_rejects_a_policy_built_for_another_shape(shape):
+    cfg = PolicyConfig("no_payments")
+    policy = build_policy(cfg, *shape)
+    want = (f"policy built for n_arms {shape[0]} and dim {shape[1]}, "
+            "instance has n_arms 2 and dim 2")
+    with pytest.raises(ValueError, match=want):
+        run_single(small_instance(), cfg, 1, policy=policy)
+
+
 def test_the_cell_bound_admits_a_run_that_fills_it():
     data = base_config()
     fixed = run_cells(2, 2, 0)
@@ -1159,7 +1192,7 @@ GOLDEN_FINDINGS = {
         "[error] policies[0]: only the fields kind, sigma_pay, ridge_lambda, delta, "
         "linucb_alpha, budget, init_explore_m, estimator_mode (got ['siverity'])\n"),
     "range and cell bound": (range_and_cell_bound, None, 2,
-        "[error] instance.horizon: <= 10324277 at n_arms 2 and dim 2, so a run holds at "
+        "[error] instance.horizon: <= 7063979 at n_arms 2 and dim 2, so a run holds at "
         "most 2**28 float64 cells (got 100000000)\n"
         "[error] policies[0].sigma_pay: number in [0, 1e+100] (got -1.0)\n"),
     "non-object root": (lambda tmp_path: "[1, 2]", None, 2,

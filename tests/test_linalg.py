@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from payband.linalg import (
+from payband.estimation import (
     PIVOT_TOL,
     SingularMatrixError,
     back_substitute,

@@ -11,7 +11,7 @@ from payband import policies
 from payband.environment import FixedSequenceSpec, LinearEnvironment
 from payband.estimation import OLS, RIDGE, EstimatorState
 from payband.harness import child_seed_sequence, load_config_data, preset_config_path, run_single
-from payband.linalg import PIVOT_TOL
+from payband.estimation import PIVOT_TOL
 from payband.metrics import RunTrace
 from payband.model import agent_choose
 from payband.policies import (
