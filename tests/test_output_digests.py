@@ -29,7 +29,8 @@ import sys
 
 import pytest
 
-from payband import harness
+from payband import harness, policies
+from payband.policies import build_chain
 
 SHORTENED = [("fig1", 2, 200), ("fig2-like", 1, 300), ("fig1", 1, 200)]
 
@@ -181,6 +182,38 @@ BUDGET_DIGESTS = {
 }
 
 
+# fig1's two chained strategies without exploration, 2 runs of 800 rounds. At
+# m = 0 the widths' scale is sqrt(ridge_lambda), intervals part, and many
+# rounds sort and sweep them and chain some arms only; every shipped preset
+# chains all arms on every round, so only this config's bytes see the sweep.
+SWEEP_SHAPE = ("fig1", 2, 800)
+
+SWEEP_DIGESTS = {
+    "SkylakeX": {
+        "p0_chained_unrestricted_aggregate": "b20df1a9133f59e8a28b89a1c7e1dbd843dbf022355361441a9f70526d9857c6",
+        "p0_chained_unrestricted_trace": "6ffbf0c72810a1843df6ee039b5656f2030148ef7d736f8d3634a5e73811a9ad",
+        "p1_chained_restricted_aggregate": "5fc96967a29dd324da23d3d58b452f57fd2153954d8a47a4530d9961a5d66406",
+        "p1_chained_restricted_trace": "fb26dc85d2ada1588bc59efc6bf06fb2fafabe504e044c388f38cea51b577f7c",
+    },
+    "Haswell": {
+        "p0_chained_unrestricted_aggregate": "563ae6a659fdd9fd00226d6d4a0394f594f7c9cd9dbc4953008bed72b745387e",
+        "p0_chained_unrestricted_trace": "61c33bb39f90f36e655994f41205bea032ef605ae63b6d95f6174e96fb9f7e13",
+        "p1_chained_restricted_aggregate": "89b1195956923ffbc371224ee6513453780e672828354fcef535bde382272373",
+        "p1_chained_restricted_trace": "8bc6b13c04c44f7cd942bc74bdab4554fc6472eb0469081919d7d83eeb39987f",
+    },
+    "Sandybridge": {
+        "p0_chained_unrestricted_aggregate": "607a0290dd6f3361d90ee85ebae5d66f4f492a5fec030e8b98c9cff5380c271c",
+        "p0_chained_unrestricted_trace": "adfaa5e54ae77960d84608f33e90824eefae96d21bd8f3e1da850e0b5dc22a0b",
+        "p1_chained_restricted_aggregate": "90f847056c7c4aba2685e267cee8e5b5779fb12bec112185861aa382c2791319",
+        "p1_chained_restricted_trace": "480dfda98edd608d629528ebea802c606b14ecb08ac8983210f24b513064b39a",
+    },
+}
+
+SWEEP_ARM_DIGESTS = {
+    "p0_chained_unrestricted_trace": "752a1765ea4d313fbb362c8f7de50526005481a654294d331af8f295b5a0ad97",
+    "p1_chained_restricted_trace": "215ec8440af1e7dc57750175b54e488d80313c387f78c8e5abe56b24f837c559",
+}
+
 @functools.cache
 def openblas_core():
     """The OpenBLAS core type numpy's kernels run on, or None if none is reported."""
@@ -217,6 +250,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def arm_digests(csvs):
+    """sha256 of the ``arm`` column of each trace CSV, by file stem."""
+    got = {}
+    for stem, p in csvs.items():
+        if stem.endswith("_trace"):
+            header, *rows = p.read_text().splitlines()
+            col = header.split(",").index("arm")
+            got[stem] = sha256("\n".join(row.split(",")[col] for row in rows).encode())
+    return got
+
+
 @pytest.fixture(autouse=True)
 def config_seeds_only(monkeypatch):
     monkeypatch.delenv(harness.SEED_ENV_VAR, raising=False)
@@ -232,13 +276,28 @@ def test_shortened_preset_csvs_keep_their_bytes(tmp_path, preset, n_runs, horizo
 @pytest.mark.parametrize("preset,n_runs,horizon", SHORTENED)
 def test_shortened_preset_arm_columns_keep_their_digests(tmp_path, preset, n_runs, horizon):
     csvs = run_shortened(tmp_path, preset, n_runs, horizon, emit_full_trace=True)
-    got = {}
-    for stem, p in csvs.items():
-        if stem.endswith("_trace"):
-            header, *rows = p.read_text().splitlines()
-            col = header.split(",").index("arm")
-            got[stem] = sha256("\n".join(row.split(",")[col] for row in rows).encode())
-    assert got == ARM_DIGESTS[(preset, n_runs, horizon)]
+    assert arm_digests(csvs) == ARM_DIGESTS[(preset, n_runs, horizon)]
+
+
+def test_chain_sweep_csvs_keep_their_digests(tmp_path, monkeypatch):
+    preset, n_runs, horizon = SWEEP_SHAPE
+    data = json.loads(harness.preset_config_path(preset).read_text())
+    chained = [dict(p, init_explore_m=0) for p in data["policies"]
+               if p["kind"] in ("chained_unrestricted", "chained_restricted")]
+    partial = []
+
+    def counted(e, w, anchor):
+        chain = build_chain(e, w, anchor)
+        partial.append(len(chain) < len(e))
+        return chain
+
+    monkeypatch.setattr(policies, "build_chain", counted)
+    csvs = run_shortened(tmp_path, preset, n_runs, horizon, policies=chained,
+                         emit_full_trace=True)
+    assert sum(partial) > 100  # the sweep ends in a chain of some arms only
+    assert arm_digests(csvs) == SWEEP_ARM_DIGESTS
+    want = for_this_core(SWEEP_DIGESTS)
+    assert {stem: sha256(p.read_bytes()) for stem, p in csvs.items()} == want
 
 
 def test_integer_budget_trace_keeps_its_bytes(tmp_path):
