@@ -271,9 +271,14 @@ def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndar
         raise ValueError(f"confidence widths require ridge_lambda > 0, got {lam}")
     if not (0 < delta < 1):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    d = inverses.shape[-1]
-    scale = explore_m * math.sqrt(d * math.log((1 + t / lam) / delta)) + math.sqrt(lam)
     widths = inv_norms(inverses, context)
-    widths *= scale
+    widths *= width_scale(lam, inverses.shape[-1], delta, explore_m, t)
     return widths
+
+
+def width_scale(ridge_lambda: float, dim: int, delta: float, explore_m: int, t: int) -> float:
+    """The factor ``confidence_width`` multiplies each context norm by at round t:
+    m * sqrt(d * ln((1 + t/lam)/delta)) + sqrt(lam), a Python float."""
+    return (explore_m * math.sqrt(dim * math.log((1 + t / ridge_lambda) / delta))
+            + math.sqrt(ridge_lambda))
 

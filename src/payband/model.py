@@ -81,6 +81,12 @@ def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarra
     """
     perceived = estimates.dot(context)
     perceived += payments
+    return agent_pick(perceived, payments)
+
+
+def agent_pick(perceived: np.ndarray, payments: np.ndarray) -> int:
+    """``agent_choose`` from the perceived utilities, each arm's context .
+    estimate + payment, for a caller that has the estimated utilities already."""
     utilities = perceived.tolist()
     floor = max(utilities) - TIE_TOLERANCE
     tied = [i for i, u in enumerate(utilities) if u >= floor]
@@ -118,7 +124,7 @@ class InstanceSpec:
     None for dataset-replay instances, where rewards come from class labels
     instead of a linear model. The constructor checks every rule that ties
     the context source to the instance: context length, fixed-sequence
-    length, and dataset dimension and row count.
+    length, and dataset dimension, class count and row count.
     """
 
     n_arms: int
@@ -160,6 +166,9 @@ class InstanceSpec:
                 raise ConfigError("context_source.path",
                                   f"feature dimension == dim ({self.dim})",
                                   source.dataset.dim)
+            if source.dataset.n_classes != self.n_arms:
+                raise ConfigError("n_arms", f"== dataset classes ({source.dataset.n_classes}), "
+                                  "one arm per class", self.n_arms)
             if rows < self.horizon and not source.sample_with_replacement:
                 raise ConfigError("horizon",
                                   f"<= dataset rows ({rows}) unless sample_with_replacement",

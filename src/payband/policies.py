@@ -47,10 +47,13 @@ from .estimation import (
     EstimatorState,
     confidence_width,
     inv_norms,
+    width_scale,
 )
-from .model import MAX_MAGNITUDE, ConfigError, agent_choose
-# No round calls realize_from_mean any more (noise is drawn per run), but
-# perfbench/worker.py still looks it up in this module.
+from .model import MAX_MAGNITUDE, ConfigError, agent_pick
+# No round calls agent_choose or realize_from_mean any more (play_round
+# reuses the round's scores, and noise is drawn per run), but
+# perfbench/worker.py still looks both up in this module.
+from .model import agent_choose  # noqa: F401
 from .environment import realize_from_mean  # noqa: F401
 
 if TYPE_CHECKING:
@@ -176,20 +179,14 @@ def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) ->
     can be chained through an intermediate arm without overlapping each
     other. Returns a sorted list that always contains the anchor.
 
-    When the largest lower endpoint is at most the smallest upper one, every
-    interval meets every other and the chain is every arm. That return needs
-    finite endpoints, which a finite sum of them shows (one inf or NaN term
-    makes the sum inf or NaN): ``max`` over a list holding a NaN depends on
-    where the NaN sits. Every other input is swept: sorted by lower
-    endpoint, the intervals split into components wherever a lower endpoint
-    exceeds every upper endpoint before it; the chain is the anchor's
-    component.
+    Sorted by lower endpoint, the intervals split into components wherever a
+    lower endpoint exceeds every upper endpoint before it; the chain is the
+    anchor's component. ``ChainedPolicy`` calls this only on rounds where
+    its width floor cannot show that the chain is every arm.
     """
     e = np.asarray(point_estimates, float)
     w = np.asarray(widths, float)
     lo, hi = (e - w).tolist(), (e + w).tolist()
-    if lo and max(lo) <= min(hi) and math.isfinite(sum(lo) + sum(hi)):
-        return list(range(len(lo)))
     chain: list[int] = []
     reach = -math.inf
     found = False
@@ -211,7 +208,8 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 
     Returns (payments, picked member, offered amount, new budget). With a
     budget the offered amount is clamped to what remains and the budget is
-    reduced by the offer itself, so offers can never overshoot it.
+    reduced by the offer itself, so offers can never overshoot it. ``rng``
+    is a Generator or anything whose ``integers(n)`` answers like one.
     """
     e = np.asarray(point_estimates, float)
     pay = np.zeros(len(e))
@@ -270,11 +268,17 @@ class Policy:
     def start_run(self, explore_m: int, rounds: int, rng: np.random.Generator) -> None:
         """Begin a run of ``explore_m`` mandated rounds and then ``rounds`` free
         ones. Strategies that can know their per-round draws ahead draw them
-        from ``rng`` here, in one call; the others draw nothing."""
+        from ``rng`` here, in one call: the perturbation strategy its zetas,
+        the chained strategies a pick among all arms per round, which they
+        rewind from a round whose chain has fewer arms (``ChainPicks``). The
+        others draw nothing."""
         self.explore_m = explore_m
 
-    def calc_payments(self, t: int, context: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
+    def calc_payments(self, t: int, context: np.ndarray, rng: np.random.Generator,
+                      scores: Optional[np.ndarray] = None) -> np.ndarray:
+        """The payment vector of free round t. ``scores`` are the round's
+        estimated utilities ``displayed_estimates().dot(context)`` when the
+        caller has them; a strategy reads them and keeps no reference."""
         raise NotImplementedError
 
     def update(self, t: int, context: np.ndarray, chosen: int, observed: float,
@@ -290,7 +294,7 @@ class Policy:
 class NoPaymentsPolicy(Policy):
     """Passive baseline: never pays, agents follow the greedy estimate."""
 
-    def calc_payments(self, t, context, rng):
+    def calc_payments(self, t, context, rng, scores=None):
         return np.zeros(self.n_arms)
 
 
@@ -322,7 +326,7 @@ class PerturbationPaymentsPolicy(Policy):
             raise RuntimeError(f"no perturbation drawn for round {t}; call start_run first")
         return i
 
-    def calc_payments(self, t, context, rng):
+    def calc_payments(self, t, context, rng, scores=None):
         return perturbation_payment(self.displayed_estimates(), self._zeta[self._row(t)])
 
     def update(self, t, context, chosen, observed, payments):
@@ -347,13 +351,45 @@ class LinUCBAlignmentPolicy(Policy):
         super().__init__(config, n_arms, dim)
         self.alignment_log = self.diagnostics["alignment_log"] = []
 
-    def calc_payments(self, t, context, rng):
-        scores = self.displayed_estimates().dot(np.asarray(context, float))
+    def calc_payments(self, t, context, rng, scores=None):
+        if scores is None:
+            scores = self.displayed_estimates().dot(np.asarray(context, float))
         greedy = int(scores.argmax())
         base = linucb_choose(self.bank.current_inverses(), scores, context,
                              self.config.linucb_alpha)
         self.alignment_log.append((t, greedy, base))
         return alignment_payment(scores, greedy, base)
+
+
+class ChainPicks:
+    """A run's chain picks, drawn from the policy stream ``rng`` ahead.
+
+    ``integers(n)`` answers what ``rng.integers(n)`` would at the same point
+    of the stream, which nothing else draws from during the run. The answers
+    for n = ``n_arms`` are drawn at construction in one ``rng.integers(n_arms,
+    size=rounds)`` call, which holds the bits of one call per round. The
+    first request for another n restores the stream's state from before that
+    call, replays the k picks used so far with ``rng.integers(n_arms,
+    size=k)``, and draws that request and every later one from the stream.
+    """
+
+    def __init__(self, rng: np.random.Generator, n_arms: int, rounds: int) -> None:
+        self.rng = rng
+        self.n_arms = n_arms
+        self.state = rng.bit_generator.state
+        self.ahead = rng.integers(n_arms, size=rounds).tolist()
+        self.used = 0
+
+    def integers(self, n: int) -> int:
+        used = self.used
+        if used < len(self.ahead):
+            if n == self.n_arms:
+                self.used = used + 1
+                return self.ahead[used]
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(self.n_arms, size=used)
+        self.ahead = []  # the stream has drawn exactly the picks used: draw from it
+        return self.rng.integers(n)
 
 
 class ChainedPolicy(Policy):
@@ -365,21 +401,71 @@ class ChainedPolicy(Policy):
     take that member. With a budget, offers are clamped to the remaining
     amount and the budget is decremented by each offer; once it reaches zero
     the strategy stops paying entirely.
+
+    Most rounds need neither the widths nor the chain: ``chain_is_whole``
+    shows from two floats that every interval meets every other. Picks come
+    from the ``ChainPicks`` that ``start_run`` draws, or from the round's
+    ``rng`` when no run was started. ``absorbed_sq_norms`` is the floor's S,
+    the sum of ||x||^2 over every context the bank has absorbed while the
+    budget was positive.
     """
 
     mode = RIDGE
+    picks: Optional[ChainPicks] = None
 
-    def calc_payments(self, t, context, rng):
+    def __init__(self, config, n_arms, dim):
+        super().__init__(config, n_arms, dim)
+        self.absorbed_sq_norms = 0.0
+        self._arms = range(n_arms)
+
+    def start_run(self, explore_m, rounds, rng):
+        super().start_run(explore_m, rounds, rng)
+        self.picks = ChainPicks(rng, self.n_arms, rounds)
+
+    def chain_is_whole(self, t: int) -> bool:
+        """True when the width floor proves that round t chains every arm.
+
+        Each displayed estimate has norm at most 1, so two estimated
+        utilities differ by at most 2 ||x||. Arm i's Gram matrix G_i sums
+        outer products of absorbed contexts, so its largest eigenvalue is at
+        most tr G_i <= S, and ||x|| in the (G_i + lam I)^-1 metric is at least
+        ||x|| / sqrt(lam + S): every width is at least ||x|| * scale /
+        sqrt(lam + S). With scale >= 2 sqrt(lam + S) every width is at least
+        2 ||x||, so each interval holds every estimate. The proof needs only
+        scale >= sqrt(lam + S); the factor 2 covers the rounding of the
+        computed widths and estimates. The comparison is of Python floats
+        and squares nothing, so it cannot overflow.
+        """
+        lam = self.config.ridge_lambda
+        scale = width_scale(lam, self.dim, self.config.delta, self.explore_m, t)
+        return scale >= 2.0 * math.sqrt(lam + self.absorbed_sq_norms)
+
+    def calc_payments(self, t, context, rng, scores=None):
         if self.budget is not None and self.budget <= 0:
             return np.zeros(self.n_arms)
-        scores = self.displayed_estimates().dot(np.asarray(context, float))
+        if scores is None:
+            scores = self.displayed_estimates().dot(np.asarray(context, float))
         anchor = int(scores.argmax())
-        widths = confidence_width(self.bank.current_inverses(), self.config.ridge_lambda,
-                                  context, self.config.delta, self.explore_m, t)
-        members = build_chain(scores, widths, anchor)
-        pay, _, _, new_budget = chained_payment(members, scores, anchor, rng, self.budget)
-        self.budget = new_budget
+        # The refactors happen now either way: their timing sets the bits of later updates.
+        inverses = self.bank.current_inverses()
+        if self.chain_is_whole(t):
+            members = self._arms
+        else:
+            widths = confidence_width(inverses, self.config.ridge_lambda, context,
+                                      self.config.delta, self.explore_m, t)
+            members = build_chain(scores, widths, anchor)
+        picks = self.picks if self.picks is not None else rng
+        pay, _, _, self.budget = chained_payment(members, scores, anchor, picks, self.budget)
         return pay
+
+    def update(self, t, context, chosen, observed, payments):
+        self.bank.absorb(context, observed, chosen)
+        # S is read only while the budget is positive, and a budget never rises.
+        if self.budget is None or self.budget > 0:
+            self.absorbed_sq_norms += float(np.dot(context, context))
+
+    def absorb_forced(self, t, context, arm, observed):
+        self.update(t, context, arm, observed, None)
 
 
 _POLICY_CLASSES = {
@@ -432,12 +518,18 @@ def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace,
 
 def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int,
                policy_rng: np.random.Generator) -> RoundOutcome:
-    """One free-choice round: payments, agent choice, realization, update."""
+    """One free-choice round: payments, agent choice, realization, update.
+
+    The round's estimated utilities are one product: the strategy reads
+    them, and the agent (``agent_choose``'s rule) adds the payments to them.
+    """
     i = t - 1
     theta = env.contexts[i]
-    payments = policy.calc_payments(t, theta, policy_rng)
     shown = policy.displayed_estimates()
-    chosen = agent_choose(shown, theta, payments)
+    scores = shown.dot(theta)
+    payments = policy.calc_payments(t, theta, policy_rng, scores)
+    scores += payments
+    chosen = agent_pick(scores, payments)
     trace.arm[i] = chosen
     trace.payments[i] = payments
     trace.displayed[i] = shown

@@ -1,12 +1,13 @@
 """The run engine: bulk streams and columns against a round-by-round loop."""
 
 import filecmp
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from payband import harness, metrics
+from payband import harness, metrics, policies
 from payband.environment import (
     BanditDataset,
     DatasetReplaySpec,
@@ -34,6 +35,12 @@ POLICIES = [
     PolicyConfig(kind="chained_unrestricted", delta=0.2),
     PolicyConfig(kind="chained_restricted", budget=0.5),
     PolicyConfig(kind="chained_restricted", budget=1),  # an integer budget stays one
+    # Without exploration the width floor never holds: every round computes
+    # the widths and the chain, and a partial chain rewinds the run's picks.
+    # With one round of it the floor holds on the first free rounds, and the
+    # budget runs out (test_chained_configs_reach_every_pick_path).
+    PolicyConfig(kind="chained_unrestricted", init_explore_m=0),
+    PolicyConfig(kind="chained_restricted", budget=1.5, init_explore_m=1),
 ]
 
 
@@ -92,11 +99,12 @@ def reference_run(inst, cfg, seed):
             return x, inst.true_attrs @ x
 
     policy = build_policy(cfg, inst.n_arms, inst.dim)
-    policy.explore_m = inst.init_explore_m
+    m = cfg.init_explore_m if cfg.init_explore_m is not None else inst.init_explore_m
+    policy.explore_m = m
     rows, effective = [], []
     for t in range(1, inst.horizon + 1):
         x, means = round_inputs(t - 1)
-        if t <= inst.init_explore_m:
+        if t <= m:
             arm, pay = (t - 1) % inst.n_arms, np.zeros(inst.n_arms)
             shown = policy.displayed_estimates().copy()
             observed = realize_from_mean(float(means[arm]), inst.noise_std, noise_rng)
@@ -143,6 +151,35 @@ def test_columns_equal_a_round_by_round_loop(source_name):
                                       np.array(effective))
             if cfg.kind == "linucb_alignment":
                 assert trace.diagnostics["alignment_log"] == policy.alignment_log
+
+
+def test_chained_configs_reach_every_pick_path(monkeypatch):
+    # What the reference loop above checks the chained rounds against: picks
+    # from the run's draw on floor rounds and on swept whole chains, a rewind
+    # after some of them were used, and a budget that runs out.
+    seen = Counter()
+    integers, floor = policies.ChainPicks.integers, policies.ChainedPolicy.chain_is_whole
+
+    def counted_integers(picks, n):
+        if picks.used < len(picks.ahead):
+            seen["rewind after picks" if n != picks.n_arms and picks.used else "drawn ahead"] += 1
+        return integers(picks, n)
+
+    def counted_floor(policy, t):
+        whole = floor(policy, t)
+        seen["floor"] += whole
+        return whole
+
+    monkeypatch.setattr(policies.ChainPicks, "integers", counted_integers)
+    monkeypatch.setattr(policies.ChainedPolicy, "chain_is_whole", counted_floor)
+    for source in sources().values():
+        for pi, cfg in enumerate(POLICIES):
+            if cfg.init_explore_m is not None:
+                for run in range(10):
+                    trace = run_single(instance(source), cfg, child_seed_sequence(5, pi, run))
+                    seen["budget out"] += cfg.budget is not None and trace.budget[-1] <= 0
+    assert seen["floor"] > 100 and seen["drawn ahead"] > 1000, seen
+    assert seen["rewind after picks"] > 0 and seen["budget out"] > 10, seen
 
 
 @pytest.mark.parametrize("dim", [1, 4, 14, 64])

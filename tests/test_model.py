@@ -168,3 +168,13 @@ def test_instance_checks_its_context_source():
     InstanceSpec(2, 2, 10, None, 0.0, DatasetReplaySpec(rows, sample_with_replacement=True), 0, 0)
     wide = BanditDataset(np.zeros((40, 3)), np.zeros(40, dtype=int), n_classes=2)
     assert field_of(DatasetReplaySpec(wide)) == "context_source.path"
+
+
+def test_instance_rejects_dataset_with_another_class_count():
+    # The environment takes one arm per class, so a policy built for n_arms
+    # would not match the run's arms.
+    two = BanditDataset(np.zeros((40, 2)), np.arange(40) % 2, n_classes=2)
+    with pytest.raises(ConfigError) as exc:
+        InstanceSpec(3, 2, 40, None, 0.1, DatasetReplaySpec(two), 4, 1)
+    assert (exc.value.field, exc.value.actual) == ("n_arms", 3)
+    assert "dataset classes (2)" in exc.value.constraint

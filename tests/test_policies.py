@@ -9,7 +9,7 @@ import pytest
 
 from payband import policies
 from payband.environment import FixedSequenceSpec, LinearEnvironment
-from payband.estimation import OLS, RIDGE, EstimatorState
+from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width
 from payband.harness import child_seed_sequence, load_config_data, preset_config_path, run_single
 from payband.estimation import PIVOT_TOL
 from payband.metrics import RunTrace
@@ -29,6 +29,7 @@ from payband.policies import (
     perturbation_payment,
     play_round,
     realize_outcomes,
+    ridge_lambda_floor,
 )
 
 
@@ -264,14 +265,14 @@ def test_chain_matches_pairwise_closure_with_touching_endpoints():
         swept += not meets
         assert build_chain(e, w, anchor) == pairwise_closure(e, w, anchor)
     assert touching > 1000
-    assert whole > 1000 and swept > 1000  # both of build_chain's returns
+    assert whole > 1000 and swept > 1000  # chains of every arm and sweeps that part
 
 
 def test_chained_runs_on_fig1_sweep_and_match_pairwise_closure(monkeypatch):
-    # The shipped fig1 never leaves build_chain's whole-set return: its widths
-    # scale with init_explore_m and dwarf the estimates' spread. At m = 0 the
-    # scale is sqrt(ridge_lambda), intervals part, and many rounds take the
-    # sort and sweep and end in a chain of some arms only; every chain must
+    # The shipped fig1 never calls build_chain: its widths scale with
+    # init_explore_m, and the width floor shows every arm chained. At m = 0
+    # the scale is sqrt(ridge_lambda), the floor never holds, intervals part,
+    # and many rounds end in a chain of some arms only; every chain must
     # equal the pairwise closure.
     data = json.loads(preset_config_path("fig1").read_text())
     data["instance"]["init_explore_m"] = 0
@@ -293,9 +294,60 @@ def test_chained_runs_on_fig1_sweep_and_match_pairwise_closure(monkeypatch):
     assert tally["swept"] > 1000 and tally["partial"] > 100, tally
 
 
+def floor_rounds(dim, lam, contexts, warm, rng, horizon=100):
+    """Rounds of a two-arm ridge bank whose true attributes are u and -u for
+    a random unit u, so the estimates part by up to 2 ||x||, the most the
+    floor allows for. The unit-ball ``contexts`` are "aligned" with u (rank
+    1), lie in a random half-``dim`` "subspace" that holds u, or are "full"
+    rank, and the arms take turns. ``warm`` first absorbs four contexts
+    far outside the unit ball, near +-u. At each round the exploration length is the least
+    that makes ``chain_is_whole`` hold, and the widths and chain at it are
+    computed in full. Returns how many of the rounds chain every arm."""
+    pol = build_policy(PolicyConfig(kind="chained_unrestricted", ridge_lambda=lam), 2, dim)
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    attrs = np.array([u, -u])
+    span = {"aligned": u[:, None],
+            "subspace": np.column_stack([u, rng.normal(size=(dim, dim // 2 - 1))]),
+            "full": np.eye(dim)}[contexts]
+    if warm:
+        for i in range(4):
+            x = u * rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 20.0) + rng.normal(size=dim)
+            pol.absorb_forced(0, x, i % 2, float(attrs[i % 2].dot(x)))
+    whole = 0
+    for t in range(1, horizon + 1):
+        x = span @ rng.normal(size=span.shape[1])
+        x *= rng.uniform(0.5, 1.0) / np.linalg.norm(x)
+        scores = pol.displayed_estimates().dot(x)
+        m = 0
+        pol.explore_m = m
+        while not pol.chain_is_whole(t):
+            m += 1
+            pol.explore_m = m
+        widths = confidence_width(pol.bank.current_inverses(), lam, x, 0.1, m, t)
+        whole += build_chain(scores, widths, int(scores.argmax())) == [0, 1]
+        arm = t % 2
+        pol.update(t, x, arm, float(attrs[arm].dot(x) + 0.05 * rng.normal()), None)
+    return whole
+
+
+@pytest.mark.parametrize("dim", [2, 4, 14])
+def test_width_floor_never_disagrees_with_the_widths(dim):
+    # Wherever the floor says every arm is chained, the widths and the chain
+    # computed in full say so too, at the least exploration length at which
+    # it says so. Looser floors fail here: with the factor 2 lowered to 0.7
+    # (1 is the least the proof allows), or with S short of the warm-start
+    # contexts, some of these rounds chain one arm only.
+    rng = rng_for(30 + dim)
+    for lam in (ridge_lambda_floor(dim, 100), 1e-3, 1.0, 1e3):
+        for contexts in ("aligned", "subspace", "full"):
+            for warm in (False, True):
+                assert floor_rounds(dim, lam, contexts, warm, rng) == 100, (lam, contexts, warm)
+
+
 def sweep_chain(point_estimates, widths, anchor):
-    """``build_chain``'s sort and sweep alone, without its whole-set return:
-    the oracle for NaN and infinite endpoints, which the closures cannot judge."""
+    """``build_chain``'s sort and sweep, written out apart from it: the
+    oracle for NaN and infinite endpoints, which the closures cannot judge."""
     e = np.asarray(point_estimates, float)
     w = np.asarray(widths, float)
     lo, hi = (e - w).tolist(), (e + w).tolist()
@@ -318,7 +370,7 @@ def test_chain_matches_sweep_with_nonfinite_endpoints():
     # Estimates and widths that are NaN or infinite, at any position, mostly
     # in instances whose finite intervals all meet. e = -inf with w = +inf
     # gives the interval [-inf, NaN]: sorted first, it leaves the sweep's
-    # reach at -inf, while max and min over the endpoints skip its NaN.
+    # reach at -inf.
     rng = rng_for(21)
     bad = np.array([math.nan, math.inf, -math.inf])
     for _ in range(5000):
