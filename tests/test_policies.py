@@ -299,10 +299,11 @@ def floor_rounds(dim, lam, contexts, warm, rng, horizon=100):
     a random unit u, so the estimates part by up to 2 ||x||, the most the
     floor allows for. The unit-ball ``contexts`` are "aligned" with u (rank
     1), lie in a random half-``dim`` "subspace" that holds u, or are "full"
-    rank, and the arms take turns. ``warm`` first absorbs four contexts
-    far outside the unit ball, near +-u. At each round the exploration length is the least
-    that makes ``chain_is_whole`` hold, and the widths and chain at it are
-    computed in full. Returns how many of the rounds chain every arm."""
+    rank, and the arms take turns. ``warm`` first absorbs four contexts far
+    outside the unit ball, near +-u. At each round the exploration length is
+    the least that makes ``chain_is_whole`` hold, and the widths and chain
+    at it are computed in full. Returns how many of the rounds chain every
+    arm."""
     pol = build_policy(PolicyConfig(kind="chained_unrestricted", ridge_lambda=lam), 2, dim)
     u = rng.normal(size=dim)
     u /= np.linalg.norm(u)
@@ -319,12 +320,10 @@ def floor_rounds(dim, lam, contexts, warm, rng, horizon=100):
         x = span @ rng.normal(size=span.shape[1])
         x *= rng.uniform(0.5, 1.0) / np.linalg.norm(x)
         scores = pol.displayed_estimates().dot(x)
-        m = 0
-        pol.explore_m = m
+        pol.explore_m = 0
         while not pol.chain_is_whole(t):
-            m += 1
-            pol.explore_m = m
-        widths = confidence_width(pol.bank.current_inverses(), lam, x, 0.1, m, t)
+            pol.explore_m += 1
+        widths = confidence_width(pol.bank.current_inverses(), lam, x, 0.1, pol.explore_m, t)
         whole += build_chain(scores, widths, int(scores.argmax())) == [0, 1]
         arm = t % 2
         pol.update(t, x, arm, float(attrs[arm].dot(x) + 0.05 * rng.normal()), None)
