@@ -19,7 +19,6 @@ master seed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import importlib.resources
 import itertools
@@ -392,7 +391,7 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
     trace = RunTrace.allocate(policy_cfg, env.contexts, env.n_arms)
     initial_exploration(policy, env, noise, trace, m)
     for t in range(m + 1, horizon + 1):
-        play_round(policy, env, noise, trace, t, policy_rng)
+        play_round(policy, env, noise, trace, t)
     realize_outcomes(env, noise, trace)
     trace.diagnostics.update(policy.diagnostics)
     return trace
@@ -412,6 +411,8 @@ def _traces(tasks: list, workers: int) -> Iterator[RunTrace]:
     """
     third = operator.itemgetter(2)
     if workers > 1:
+        import concurrent.futures  # here, so a one-process run never imports it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             yield from map(third, pool.map(_run_one, tasks))
     else:

@@ -208,8 +208,9 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 
     Returns (payments, picked member, offered amount, new budget). With a
     budget the offered amount is clamped to what remains and the budget is
-    reduced by the offer itself, so offers can never overshoot it. ``rng``
-    is a Generator or anything whose ``integers(n)`` answers like one.
+    reduced by the offer itself, so offers can never overshoot it. The pick
+    is one ``rng.integers(len(members))`` call: ``ChainedPolicy`` passes its
+    ``picks``.
     """
     e = np.asarray(point_estimates, float)
     pay = np.zeros(len(e))
@@ -267,18 +268,18 @@ class Policy:
 
     def start_run(self, explore_m: int, rounds: int, rng: np.random.Generator) -> None:
         """Begin a run of ``explore_m`` mandated rounds and then ``rounds`` free
-        ones. Strategies that can know their per-round draws ahead draw them
-        from ``rng`` here, in one call: the perturbation strategy its zetas,
-        the chained strategies a pick among all arms per round, which they
-        rewind from a round whose chain has fewer arms (``ChainPicks``). The
-        others draw nothing."""
+        ones. It is the only call that hands a strategy its stream ``rng``,
+        so a strategy that draws raises on a paid round before it. Each draws
+        what it can know ahead here, in one call: the perturbation strategy
+        its zetas, the chained strategies a pick among all arms per round,
+        which ``ChainPicks`` rewinds from a round whose chain has fewer arms.
+        The others draw nothing."""
         self.explore_m = explore_m
 
-    def calc_payments(self, t: int, context: np.ndarray, rng: np.random.Generator,
-                      scores: Optional[np.ndarray] = None) -> np.ndarray:
+    def calc_payments(self, t: int, context: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The payment vector of free round t. ``scores`` are the round's
-        estimated utilities ``displayed_estimates().dot(context)`` when the
-        caller has them; a strategy reads them and keeps no reference."""
+        estimated utilities ``displayed_estimates().dot(context)``; a strategy
+        reads them and keeps no reference."""
         raise NotImplementedError
 
     def update(self, t: int, context: np.ndarray, chosen: int, observed: float,
@@ -294,7 +295,7 @@ class Policy:
 class NoPaymentsPolicy(Policy):
     """Passive baseline: never pays, agents follow the greedy estimate."""
 
-    def calc_payments(self, t, context, rng, scores=None):
+    def calc_payments(self, t, context, scores):
         return np.zeros(self.n_arms)
 
 
@@ -326,7 +327,7 @@ class PerturbationPaymentsPolicy(Policy):
             raise RuntimeError(f"no perturbation drawn for round {t}; call start_run first")
         return i
 
-    def calc_payments(self, t, context, rng, scores=None):
+    def calc_payments(self, t, context, scores):
         return perturbation_payment(self.displayed_estimates(), self._zeta[self._row(t)])
 
     def update(self, t, context, chosen, observed, payments):
@@ -351,9 +352,7 @@ class LinUCBAlignmentPolicy(Policy):
         super().__init__(config, n_arms, dim)
         self.alignment_log = self.diagnostics["alignment_log"] = []
 
-    def calc_payments(self, t, context, rng, scores=None):
-        if scores is None:
-            scores = self.displayed_estimates().dot(np.asarray(context, float))
+    def calc_payments(self, t, context, scores):
         greedy = int(scores.argmax())
         base = linucb_choose(self.bank.current_inverses(), scores, context,
                              self.config.linucb_alpha)
@@ -404,14 +403,13 @@ class ChainedPolicy(Policy):
 
     Most rounds need neither the widths nor the chain: ``chain_is_whole``
     shows from two floats that every interval meets every other. Picks come
-    from the ``ChainPicks`` that ``start_run`` draws, or from the round's
-    ``rng`` when no run was started. ``absorbed_sq_norms`` is the floor's S,
-    the sum of ||x||^2 over every context the bank has absorbed while the
-    budget was positive.
+    only from ``picks``, the ``ChainPicks`` that ``start_run`` sets; a test
+    may set any object whose ``integers(n)`` answers like a Generator.
+    ``absorbed_sq_norms`` is the floor's S, the sum of ||x||^2 over every
+    context the bank has absorbed while the budget was positive.
     """
 
     mode = RIDGE
-    picks: Optional[ChainPicks] = None
 
     def __init__(self, config, n_arms, dim):
         super().__init__(config, n_arms, dim)
@@ -440,11 +438,9 @@ class ChainedPolicy(Policy):
         scale = width_scale(lam, self.dim, self.config.delta, self.explore_m, t)
         return scale >= 2.0 * math.sqrt(lam + self.absorbed_sq_norms)
 
-    def calc_payments(self, t, context, rng, scores=None):
+    def calc_payments(self, t, context, scores):
         if self.budget is not None and self.budget <= 0:
             return np.zeros(self.n_arms)
-        if scores is None:
-            scores = self.displayed_estimates().dot(np.asarray(context, float))
         anchor = int(scores.argmax())
         # The refactors happen now either way: their timing sets the bits of later updates.
         inverses = self.bank.current_inverses()
@@ -454,8 +450,7 @@ class ChainedPolicy(Policy):
             widths = confidence_width(inverses, self.config.ridge_lambda, context,
                                       self.config.delta, self.explore_m, t)
             members = build_chain(scores, widths, anchor)
-        picks = self.picks if self.picks is not None else rng
-        pay, _, _, self.budget = chained_payment(members, scores, anchor, picks, self.budget)
+        pay, _, _, self.budget = chained_payment(members, scores, anchor, self.picks, self.budget)
         return pay
 
     def update(self, t, context, chosen, observed, payments):
@@ -516,8 +511,7 @@ def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace,
         policy.absorb_forced(i + 1, env.contexts[i], arm, observed[i])
 
 
-def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int,
-               policy_rng: np.random.Generator) -> RoundOutcome:
+def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int) -> RoundOutcome:
     """One free-choice round: payments, agent choice, realization, update.
 
     The round's estimated utilities are one product: the strategy reads
@@ -527,7 +521,7 @@ def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int,
     theta = env.contexts[i]
     shown = policy.displayed_estimates()
     scores = shown.dot(theta)
-    payments = policy.calc_payments(t, theta, policy_rng, scores)
+    payments = policy.calc_payments(t, theta, scores)
     scores += payments
     chosen = agent_pick(scores, payments)
     trace.arm[i] = chosen

@@ -74,10 +74,10 @@ def sources():
 
 
 def reference_run(inst, cfg, seed):
-    """The run one round at a time: each round draws its own context, noise
-    and perturbation and builds its own row, as the engine did before it
-    drew streams per run. Returns the rows, the perturbed contexts and the
-    policy."""
+    """The run one round at a time: each round draws its own context, noise,
+    perturbation and chain pick and builds its own row, as the engine did
+    before it drew streams per run. Returns the rows, the perturbed contexts
+    and the policy."""
     ctx_rng, noise_rng, policy_rng = spawn_streams(seed)
     source = inst.context_source
     if isinstance(source, DatasetReplaySpec):
@@ -101,6 +101,7 @@ def reference_run(inst, cfg, seed):
     policy = build_policy(cfg, inst.n_arms, inst.dim)
     m = cfg.init_explore_m if cfg.init_explore_m is not None else inst.init_explore_m
     policy.explore_m = m
+    policy.picks = policy_rng  # a chained round's pick is one integers call on the stream
     rows, effective = [], []
     for t in range(1, inst.horizon + 1):
         x, means = round_inputs(t - 1)
@@ -114,7 +115,7 @@ def reference_run(inst, cfg, seed):
                 zeta = cfg.sigma_pay * policy_rng.standard_normal(inst.dim)
                 pay = perturbation_payment(policy.displayed_estimates(), zeta)
             else:
-                pay = policy.calc_payments(t, x, policy_rng)
+                pay = policy.calc_payments(t, x, policy.displayed_estimates().dot(x))
             shown = policy.displayed_estimates().copy()
             arm = agent_choose(shown, x, pay)
             observed = realize_from_mean(float(means[arm]), inst.noise_std, noise_rng)

@@ -104,7 +104,7 @@ def test_perturbation_update_folds_payment_into_response():
         ref.absorb(np.array(x), y)
     ctx = np.array([1.0, 0.0])
     pol.start_run(0, 1, rng_for(16))
-    pay = pol.calc_payments(1, ctx, rng_for(17))
+    pay = pol.calc_payments(1, ctx, pol.displayed_estimates().dot(ctx))
     zeta = rng_for(16).standard_normal(2)  # the draw start_run made
     assert pay[1] != 0.0
     pol.update(1, ctx, 1, observed=0.4, payments=pay)
@@ -168,7 +168,7 @@ def test_stacked_inverses_equal_factoring_every_arm_every_round(kind):
     ref = [EstimatorState(d, RIDGE, lam) for _ in range(n)]
     for t in range(1, 61):
         x = rng.normal(size=d)
-        pay = pol.calc_payments(t, x, rng)
+        pay = pol.calc_payments(t, x, pol.displayed_estimates().dot(x))
         assert np.array_equal(pol.bank.inverses, [state.inverse() for state in ref])
         arm, y = int(rng.integers(min(n, 1 + t // 10))), float(rng.normal())
         pol.update(t, x, arm, y, pay)
@@ -344,34 +344,17 @@ def test_width_floor_never_disagrees_with_the_widths(dim):
                 assert floor_rounds(dim, lam, contexts, warm, rng) == 100, (lam, contexts, warm)
 
 
-def sweep_chain(point_estimates, widths, anchor):
-    """``build_chain``'s sort and sweep, written out apart from it: the
-    oracle for NaN and infinite endpoints, which the closures cannot judge."""
-    e = np.asarray(point_estimates, float)
-    w = np.asarray(widths, float)
-    lo, hi = (e - w).tolist(), (e + w).tolist()
-    chain = []
-    reach = -math.inf
-    found = False
-    for i in sorted(range(len(lo)), key=lo.__getitem__):
-        if lo[i] > reach:
-            if found:
-                break
-            chain = []
-        chain.append(i)
-        found = found or i == anchor
-        reach = max(reach, hi[i])
-    return sorted(chain)
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
-def test_chain_matches_sweep_with_nonfinite_endpoints():
+def test_chain_with_nonfinite_endpoints_is_well_formed():
     # Estimates and widths that are NaN or infinite, at any position, mostly
-    # in instances whose finite intervals all meet. e = -inf with w = +inf
-    # gives the interval [-inf, NaN]: sorted first, it leaves the sweep's
-    # reach at -inf.
+    # in instances whose finite intervals all meet. Every chain is a sorted
+    # list of distinct arms that holds the anchor. Where every interval has
+    # lo <= hi (no NaN endpoint, no negative width, which no width formula
+    # gives), infinite endpoints still order and meet, and the chain is the
+    # pairwise closure.
     rng = rng_for(21)
     bad = np.array([math.nan, math.inf, -math.inf])
+    infinite = 0
     for _ in range(5000):
         n = int(rng.integers(1, 9))
         e = rng.uniform(-0.1, 0.1, size=n)
@@ -380,11 +363,19 @@ def test_chain_matches_sweep_with_nonfinite_endpoints():
         e = np.where(rng.random(n) < p, rng.choice(bad, n), e)
         w = np.where(rng.random(n) < p, rng.choice(bad, n), w)
         anchor = int(rng.integers(n))
-        assert build_chain(e, w, anchor) == sweep_chain(e, w, anchor)
+        chain = build_chain(e, w, anchor)
+        assert chain == sorted(set(chain)) and anchor in chain
+        assert all(type(i) is int and 0 <= i < n for i in chain)
+        if (e - w <= e + w).all():
+            assert chain == pairwise_closure(e, w, anchor), (e, w, anchor)
+            infinite += bool(np.isinf([e - w, e + w]).any())
+    assert infinite > 500, infinite
+    # e = -inf with w = +inf gives the interval [-inf, NaN]: sorted first, it
+    # leaves the sweep's reach at -inf, so it joins no other arm.
     e = np.array([0.0, -math.inf, 0.1])
     w = np.array([1.0, math.inf, 1.0])
-    assert build_chain(e, w, 0) == sweep_chain(e, w, 0) == [0, 2]
-    assert build_chain(e, w, 1) == sweep_chain(e, w, 1) == [1]
+    assert build_chain(e, w, 0) == [0, 2]
+    assert build_chain(e, w, 1) == [1]
 
 
 def test_chained_payment_amount_is_gap_to_anchor():
@@ -481,18 +472,26 @@ def test_absorb_refreshes_the_arms_displayed_row():
     assert shown[1].any() and not shown[0].any()
 
 
-def test_perturbation_rounds_require_start_run():
-    pol = build_policy(PolicyConfig(kind="perturbation_payments"), 2, 2)
+@pytest.mark.parametrize("kind, error", [("perturbation_payments", RuntimeError),
+                                         ("chained_unrestricted", AttributeError),
+                                         ("chained_restricted", AttributeError)])
+def test_paid_rounds_require_start_run(kind, error):
+    # start_run is the only call that hands a strategy its stream.
+    budget = 1.0 if kind == "chained_restricted" else None
+    pol = build_policy(PolicyConfig(kind=kind, budget=budget), 2, 2)
     ctx = np.array([1.0, 0.0])
-    with pytest.raises(RuntimeError):
-        pol.calc_payments(1, ctx, rng_for(0))
-    with pytest.raises(RuntimeError):
-        pol.update(1, ctx, 0, 0.5, np.zeros(2))
-    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
-    for t in (3, 5):
+    scores = np.zeros(2)
+    with pytest.raises(error):
+        pol.calc_payments(1, ctx, scores)
+    if kind == "perturbation_payments":
         with pytest.raises(RuntimeError):
-            pol.calc_payments(t, ctx, rng_for(0))
-    pay = pol.calc_payments(4, ctx, rng_for(0))
+            pol.update(1, ctx, 0, 0.5, np.zeros(2))
+    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
+    if kind == "perturbation_payments":
+        for t in (3, 5):
+            with pytest.raises(RuntimeError):
+                pol.calc_payments(t, ctx, scores)
+    pay = pol.calc_payments(4, ctx, scores)
     pol.update(4, ctx, 0, 0.5, pay)
     assert pol.bank.gram[0].any() and not pol.bank.gram[1].any()
 
@@ -502,7 +501,7 @@ def test_perturbation_history_keeps_perturbed_pairs():
     ctx = np.array([1.0, 0.0])
     rng = rng_for(4)
     pol.start_run(0, 1, rng)
-    pay = pol.calc_payments(1, ctx, rng)
+    pay = pol.calc_payments(1, ctx, pol.displayed_estimates().dot(ctx))
     pol.update(1, ctx, 0, observed=0.5, payments=pay)
     (stored,) = pol.effective_contexts
     assert not np.array_equal(stored, ctx)  # the zeta went in
@@ -514,8 +513,9 @@ def test_perturbation_history_keeps_perturbed_pairs():
 def test_zero_budget_restricted_pays_nothing_and_skips_rng():
     pol = build_policy(PolicyConfig(kind="chained_restricted", budget=0.0), 3, 2)
     rng = rng_for(5)
+    pol.picks = rng
     state_before = rng.bit_generator.state
-    pay = pol.calc_payments(1, np.array([1.0, 0.0]), rng)
+    pay = pol.calc_payments(1, np.array([1.0, 0.0]), np.zeros(3))
     assert np.array_equal(pay, np.zeros(3))
     assert rng.bit_generator.state == state_before  # stream untouched
 
@@ -527,9 +527,10 @@ def test_restricted_budget_never_goes_negative():
     for arm, val in ((0, 0.9), (1, 0.1), (2, 0.5)):
         pol.absorb_forced(0, np.array([1.0, 0.0]), arm, val)
         pol.absorb_forced(0, np.array([0.0, 1.0]), arm, 0.0)
-    rng = rng_for(6)
+    pol.picks = rng_for(6)
+    ctx = np.array([1.0, 0.0])
     for t in range(1, 60):
-        pol.calc_payments(t, np.array([1.0, 0.0]), rng)
+        pol.calc_payments(t, ctx, pol.displayed_estimates().dot(ctx))
         assert pol.budget >= 0.0
     assert pol.budget == 0.0  # 0.4 cannot survive 59 offers here
 
@@ -540,7 +541,9 @@ def test_unrestricted_chained_payment_targets_chain_member():
     for arm, val in ((0, 0.9), (1, 0.8), (2, -0.9)):
         pol.absorb_forced(0, np.array([1.0, 0.0]), arm, val)
         pol.absorb_forced(0, np.array([0.0, 1.0]), arm, 0.0)
-    pay = pol.calc_payments(1, np.array([1.0, 0.0]), rng_for(7))
+    pol.picks = rng_for(7)
+    ctx = np.array([1.0, 0.0])
+    pay = pol.calc_payments(1, ctx, pol.displayed_estimates().dot(ctx))
     assert pol.budget is None
     assert np.count_nonzero(pay) <= 1
     assert pay.min() >= 0.0
@@ -582,11 +585,11 @@ def test_play_round_record_is_replayable():
     env = make_env(attrs, [np.array([0.8, 0.6]), np.array([0.6, -0.8])], horizon=2)
     cfg = PolicyConfig(kind="perturbation_payments", sigma_pay=0.5)
     pol = build_policy(cfg, 2, 2)
-    trace, policy_rng = empty_trace(env, cfg), rng_for(11)
+    trace = empty_trace(env, cfg)
     noise = 0.1 * rng_for(10).standard_normal(2)
     initial_exploration(pol, env, noise, trace, 0)
-    pol.start_run(0, 2, policy_rng)
-    outcomes = [play_round(pol, env, noise, trace, t, policy_rng) for t in (1, 2)]
+    pol.start_run(0, 2, rng_for(11))
+    outcomes = [play_round(pol, env, noise, trace, t) for t in (1, 2)]
     realize_outcomes(env, noise, trace)
     for rec, outcome in zip(trace.records, outcomes, strict=True):
         assert rec.chosen_arm == agent_choose(rec.displayed_estimates, rec.context, rec.payments)
@@ -611,8 +614,8 @@ def test_play_round_snapshot_not_aliased_to_live_estimates():
     cfg = PolicyConfig(kind="no_payments", estimator_mode="ridge")
     pol = build_policy(cfg, 2, 2)
     trace, noise = empty_trace(env, cfg), np.zeros(2)
-    play_round(pol, env, noise, trace, 1, rng_for(13))
+    play_round(pol, env, noise, trace, 1)
     frozen = trace.displayed[0].copy()
-    play_round(pol, env, noise, trace, 2, rng_for(15))
+    play_round(pol, env, noise, trace, 2)
     assert not np.array_equal(pol.displayed_estimates(), frozen)  # the estimates moved on
     assert np.array_equal(trace.displayed[0], frozen)
