@@ -472,25 +472,33 @@ def test_absorb_refreshes_the_arms_displayed_row():
     assert shown[1].any() and not shown[0].any()
 
 
-@pytest.mark.parametrize("kind, error", [("perturbation_payments", RuntimeError),
-                                         ("chained_unrestricted", AttributeError),
-                                         ("chained_restricted", AttributeError)])
-def test_paid_rounds_require_start_run(kind, error):
+def test_perturbation_rounds_require_start_run():
     # start_run is the only call that hands a strategy its stream.
+    pol = build_policy(PolicyConfig(kind="perturbation_payments"), 2, 2)
+    ctx = np.array([1.0, 0.0])
+    scores = np.zeros(2)
+    with pytest.raises(RuntimeError):
+        pol.calc_payments(1, ctx, scores)
+    with pytest.raises(RuntimeError):
+        pol.update(1, ctx, 0, 0.5, np.zeros(2))
+    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
+    for t in (3, 5):
+        with pytest.raises(RuntimeError):
+            pol.calc_payments(t, ctx, scores)
+    pay = pol.calc_payments(4, ctx, scores)
+    pol.update(4, ctx, 0, 0.5, pay)
+    assert pol.bank.gram[0].any() and not pol.bank.gram[1].any()
+
+
+@pytest.mark.parametrize("kind", ["chained_unrestricted", "chained_restricted"])
+def test_chained_rounds_require_start_run(kind):
     budget = 1.0 if kind == "chained_restricted" else None
     pol = build_policy(PolicyConfig(kind=kind, budget=budget), 2, 2)
     ctx = np.array([1.0, 0.0])
     scores = np.zeros(2)
-    with pytest.raises(error):
+    with pytest.raises(AttributeError):
         pol.calc_payments(1, ctx, scores)
-    if kind == "perturbation_payments":
-        with pytest.raises(RuntimeError):
-            pol.update(1, ctx, 0, 0.5, np.zeros(2))
-    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
-    if kind == "perturbation_payments":
-        for t in (3, 5):
-            with pytest.raises(RuntimeError):
-                pol.calc_payments(t, ctx, scores)
+    pol.start_run(3, 1, rng_for(0))
     pay = pol.calc_payments(4, ctx, scores)
     pol.update(4, ctx, 0, 0.5, pay)
     assert pol.bank.gram[0].any() and not pol.bank.gram[1].any()
