@@ -389,7 +389,7 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
     noise = instance.noise_std * noise_rng.standard_normal(horizon)
     policy.start_run(m, horizon - m, policy_rng)
     trace = RunTrace.allocate(policy_cfg, env.contexts, env.n_arms)
-    initial_exploration(policy, env, noise, trace, m)
+    initial_exploration(policy, env, noise, trace)
     for t in range(m + 1, horizon + 1):
         play_round(policy, env, noise, trace, t)
     realize_outcomes(env, noise, trace)

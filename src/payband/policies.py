@@ -202,19 +202,19 @@ def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) ->
 
 
 def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int,
-                    rng: np.random.Generator,
+                    picks,
                     budget: Optional[float] = None) -> tuple[np.ndarray, int, float, Optional[float]]:
     """Pick a chain member uniformly and pay it the estimated gap to the anchor.
 
     Returns (payments, picked member, offered amount, new budget). With a
     budget the offered amount is clamped to what remains and the budget is
     reduced by the offer itself, so offers can never overshoot it. The pick
-    is one ``rng.integers(len(members))`` call: ``ChainedPolicy`` passes its
-    ``picks``.
+    is one ``picks.integers(len(members))`` call, so ``picks`` is anything
+    that answers it like a Generator: in a run, ``ChainedPolicy.picks``.
     """
     e = np.asarray(point_estimates, float)
     pay = np.zeros(len(e))
-    j = int(members[rng.integers(len(members))])
+    j = int(members[picks.integers(len(members))])
     amount = e.item(anchor) - e.item(j)  # >= 0: the anchor maximizes e
     if budget is not None:
         amount = min(amount, budget)
@@ -230,10 +230,10 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 class Policy:
     """Base class: a strategy's arm bank and the round hooks that feed it.
 
-    ``bank`` is one ``EstimatorState`` for all N arms. ``start_run`` sets
-    ``explore_m``; the rounds call ``absorb_forced`` or ``calc_payments``
-    and ``update``; ``diagnostics`` then holds what the strategy recorded.
-    ``budget`` is what remains, None when unrestricted.
+    ``bank`` is one ``EstimatorState`` for all N arms. Each run calls
+    ``start_run``, then ``absorb_forced`` or ``calc_payments`` and ``update``
+    per round; ``diagnostics`` then holds what that run recorded. Runs share
+    what the object learned: the bank and ``budget``, None when unrestricted.
 
     ``mode`` is the strategy's default estimator. The passive baseline and
     the perturbation strategy use plain least squares with a zero-vector
@@ -253,7 +253,7 @@ class Policy:
         self.bank = EstimatorState(dim, mode, lam, n_arms)
         self.budget = config.budget
         self.explore_m = 0
-        self.diagnostics: dict = {}
+        self.rounds = 0  # no round is free before start_run
 
     def displayed_estimates(self) -> np.ndarray:
         """(n_arms, dim) matrix of displayed estimates, the bank's ``shown``.
@@ -268,13 +268,21 @@ class Policy:
 
     def start_run(self, explore_m: int, rounds: int, rng: np.random.Generator) -> None:
         """Begin a run of ``explore_m`` mandated rounds and then ``rounds`` free
-        ones. It is the only call that hands a strategy its stream ``rng``,
-        so a strategy that draws raises on a paid round before it. Each draws
-        what it can know ahead here, in one call: the perturbation strategy
-        its zetas, the chained strategies a pick among all arms per round,
-        which ``ChainPicks`` rewinds from a round whose chain has fewer arms.
-        The others draw nothing."""
+        ones, the rounds ``free_row`` lets through, with a fresh ``diagnostics``.
+        Every per-run draw and record starts here, the only call that hands a
+        strategy its stream ``rng``: the perturbation zetas, and the chained
+        strategies' picks among all arms (``ChainPicks``), drawn ahead. The
+        budget carries over: the chained width floor needs one that never rises."""
         self.explore_m = explore_m
+        self.rounds = rounds
+        self.diagnostics = {}
+
+    def free_row(self, t: int) -> int:
+        """Row of free round t in the run's draws; raises outside them, before any read."""
+        i = t - self.explore_m - 1
+        if not 0 <= i < self.rounds:
+            raise RuntimeError(f"round {t} is not a free round of the run; call start_run")
+        return i
 
     def calc_payments(self, t: int, context: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The payment vector of free round t. ``scores`` are the round's
@@ -306,33 +314,25 @@ class PerturbationPaymentsPolicy(Policy):
     zeta . estimate. The chosen arm's regression then absorbs the perturbed
     context (context + zeta) with the disbursed payment folded into the
     response, keeping the absorbed pairs consistent with the perturbed
-    linear model. ``start_run`` draws the zetas of all free rounds in one
+    linear model. ``start_run`` draws the ``zetas`` of all free rounds in one
     (rounds, dim) call, which holds the bits of one (dim,) draw per round;
     ``effective_contexts`` (also in ``diagnostics``) keeps the perturbed
     contexts, one row per free round, for diversity diagnostics.
     """
 
-    _zeta = np.empty((0, 0))  # no round has a zeta before start_run
-
     def start_run(self, explore_m, rounds, rng):
         super().start_run(explore_m, rounds, rng)
-        self._zeta = self.config.sigma_pay * rng.standard_normal((rounds, self.dim))
+        self.zetas = self.config.sigma_pay * rng.standard_normal((rounds, self.dim))
         self.effective_contexts = self.diagnostics["effective_contexts"] = \
-            np.empty_like(self._zeta)
-
-    def _row(self, t: int) -> int:
-        """Row of free round t in the zetas ``start_run`` drew."""
-        i = t - self.explore_m - 1
-        if not 0 <= i < len(self._zeta):
-            raise RuntimeError(f"no perturbation drawn for round {t}; call start_run first")
-        return i
+            np.empty_like(self.zetas)
 
     def calc_payments(self, t, context, scores):
-        return perturbation_payment(self.displayed_estimates(), self._zeta[self._row(t)])
+        i = self.free_row(t)
+        return perturbation_payment(self.displayed_estimates(), self.zetas[i])
 
     def update(self, t, context, chosen, observed, payments):
-        i = self._row(t)
-        perturbed = np.add(context, self._zeta[i], out=self.effective_contexts[i])
+        i = self.free_row(t)
+        perturbed = np.add(context, self.zetas[i], out=self.effective_contexts[i])
         self.bank.absorb(perturbed, observed + payments.item(chosen), chosen)
 
 
@@ -348,11 +348,12 @@ class LinUCBAlignmentPolicy(Policy):
 
     mode = RIDGE
 
-    def __init__(self, config, n_arms, dim):
-        super().__init__(config, n_arms, dim)
+    def start_run(self, explore_m, rounds, rng):
+        super().start_run(explore_m, rounds, rng)
         self.alignment_log = self.diagnostics["alignment_log"] = []
 
     def calc_payments(self, t, context, scores):
+        self.free_row(t)
         greedy = int(scores.argmax())
         base = linucb_choose(self.bank.current_inverses(), scores, context,
                              self.config.linucb_alpha)
@@ -441,6 +442,7 @@ class ChainedPolicy(Policy):
     def calc_payments(self, t, context, scores):
         if self.budget is not None and self.budget <= 0:
             return np.zeros(self.n_arms)
+        self.free_row(t)
         anchor = int(scores.argmax())
         # The refactors happen now either way: their timing sets the bits of later updates.
         inverses = self.bank.current_inverses()
@@ -494,14 +496,14 @@ class RoundOutcome(NamedTuple):
     payment_paid: float
 
 
-def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace,
-                        m: int) -> None:
-    """Mandated round-robin pulls for rounds 1..m.
+def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace) -> None:
+    """Mandated round-robin pulls for rounds 1..m, the started policy's ``explore_m``.
 
     Round t forces arm (t - 1) mod n_arms. Payments stay zero (a mandate, not
     a purchase), so these rounds add nothing to payment totals while their
     regret still counts.
     """
+    m = policy.explore_m
     arms = np.arange(m) % env.n_arms
     trace.arm[:m] = arms
     trace.budget[:m] = policy.budget

@@ -100,8 +100,11 @@ def reference_run(inst, cfg, seed):
 
     policy = build_policy(cfg, inst.n_arms, inst.dim)
     m = cfg.init_explore_m if cfg.init_explore_m is not None else inst.init_explore_m
-    policy.explore_m = m
-    policy.picks = policy_rng  # a chained round's pick is one integers call on the stream
+    # Started on a throwaway stream, the policy's own draws go unused: the
+    # perturbation below draws per round, and a chained round's pick is one
+    # integers call on the run's stream itself.
+    policy.start_run(m, inst.horizon - m, np.random.default_rng(0))
+    policy.picks = policy_rng
     rows, effective = [], []
     for t in range(1, inst.horizon + 1):
         x, means = round_inputs(t - 1)

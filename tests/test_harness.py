@@ -289,6 +289,27 @@ def test_run_single_copies_each_strategys_diagnostics():
         assert all(len(value) == free for value in trace.diagnostics.values()), kind
 
 
+def test_one_policy_object_records_each_run_alone():
+    # An injected policy keeps what it learned across runs, but start_run
+    # begins its records afresh: each trace holds its own run's only.
+    inst = small_instance()
+    free_rounds = list(range(inst.init_explore_m + 1, inst.horizon + 1))
+    for kind in POLICY_KINDS:
+        cfg = PolicyConfig(kind=kind, budget=1.0 if kind == "chained_restricted" else None)
+        pol = build_policy(cfg, inst.n_arms, inst.dim)
+        first = run_single(inst, cfg, child_seed_sequence(3, 0, 0), policy=pol)
+        kept = {name: np.copy(value) for name, value in first.diagnostics.items()}
+        second = run_single(inst, cfg, child_seed_sequence(3, 0, 1), policy=pol)
+        for trace in (first, second):
+            values = trace.diagnostics.values()
+            assert all(len(value) == len(free_rounds) for value in values), kind
+            log = trace.diagnostics.get("alignment_log", [])
+            assert [t for t, _, _ in log] in ([], free_rounds), kind
+        assert set(first.diagnostics) == set(kept), kind
+        for name, value in kept.items():
+            assert np.array_equal(first.diagnostics[name], value), (kind, name)
+
+
 def test_run_single_respects_policy_level_exploration_override():
     inst = small_instance()
     cfg = PolicyConfig(kind="no_payments", init_explore_m=8)

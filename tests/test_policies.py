@@ -383,7 +383,7 @@ def test_chained_payment_amount_is_gap_to_anchor():
     members = [0, 1, 2]
     seen = {}
     for s in range(40):
-        pay, j, amount, b = chained_payment(members, e, anchor=0, rng=rng_for(s))
+        pay, j, amount, b = chained_payment(members, e, anchor=0, picks=rng_for(s))
         assert b is None
         assert amount == pytest.approx(e[0] - e[j])
         assert pay[j] == amount and np.count_nonzero(pay) <= 1
@@ -472,36 +472,45 @@ def test_absorb_refreshes_the_arms_displayed_row():
     assert shown[1].any() and not shown[0].any()
 
 
-def test_perturbation_rounds_require_start_run():
-    # start_run is the only call that hands a strategy its stream.
-    pol = build_policy(PolicyConfig(kind="perturbation_payments"), 2, 2)
+def refuses_rounds_outside_the_run(pol):
+    """A paid round before start_run, a mandated round and the round after
+    the last free one raise a RuntimeError naming start_run before the bank
+    is factored; the run's free round then plays."""
     ctx = np.array([1.0, 0.0])
     scores = np.zeros(2)
-    with pytest.raises(RuntimeError):
-        pol.calc_payments(1, ctx, scores)
-    with pytest.raises(RuntimeError):
-        pol.update(1, ctx, 0, 0.5, np.zeros(2))
-    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
-    for t in (3, 5):
-        with pytest.raises(RuntimeError):
+
+    def refused(t):
+        current, inverses = list(pol.bank.current), pol.bank.inverses.copy()
+        with pytest.raises(RuntimeError, match="start_run"):
             pol.calc_payments(t, ctx, scores)
+        assert pol.bank.current == current and np.array_equal(pol.bank.inverses, inverses)
+
+    refused(1)
+    pol.start_run(3, 1, rng_for(0))  # rounds 1-3 mandated, round 4 free
+    refused(3)
+    refused(5)
     pay = pol.calc_payments(4, ctx, scores)
     pol.update(4, ctx, 0, 0.5, pay)
     assert pol.bank.gram[0].any() and not pol.bank.gram[1].any()
+
+
+def test_perturbation_rounds_require_start_run():
+    # start_run is the only call that hands a strategy its stream.
+    pol = build_policy(PolicyConfig(kind="perturbation_payments"), 2, 2)
+    with pytest.raises(RuntimeError, match="start_run"):
+        pol.update(1, np.array([1.0, 0.0]), 0, 0.5, np.zeros(2))
+    refuses_rounds_outside_the_run(pol)
+
+
+def test_linucb_rounds_require_start_run():
+    # start_run begins the alignment log.
+    refuses_rounds_outside_the_run(build_policy(PolicyConfig(kind="linucb_alignment"), 2, 2))
 
 
 @pytest.mark.parametrize("kind", ["chained_unrestricted", "chained_restricted"])
 def test_chained_rounds_require_start_run(kind):
     budget = 1.0 if kind == "chained_restricted" else None
-    pol = build_policy(PolicyConfig(kind=kind, budget=budget), 2, 2)
-    ctx = np.array([1.0, 0.0])
-    scores = np.zeros(2)
-    with pytest.raises(AttributeError):
-        pol.calc_payments(1, ctx, scores)
-    pol.start_run(3, 1, rng_for(0))
-    pay = pol.calc_payments(4, ctx, scores)
-    pol.update(4, ctx, 0, 0.5, pay)
-    assert pol.bank.gram[0].any() and not pol.bank.gram[1].any()
+    refuses_rounds_outside_the_run(build_policy(PolicyConfig(kind=kind, budget=budget), 2, 2))
 
 
 def test_perturbation_history_keeps_perturbed_pairs():
@@ -530,14 +539,13 @@ def test_zero_budget_restricted_pays_nothing_and_skips_rng():
 
 def test_restricted_budget_never_goes_negative():
     pol = build_policy(PolicyConfig(kind="chained_restricted", budget=0.4), 3, 2)
-    pol.explore_m = 2
     # give the arms distinguishable estimates
     for arm, val in ((0, 0.9), (1, 0.1), (2, 0.5)):
         pol.absorb_forced(0, np.array([1.0, 0.0]), arm, val)
         pol.absorb_forced(0, np.array([0.0, 1.0]), arm, 0.0)
-    pol.picks = rng_for(6)
+    pol.start_run(2, 59, rng_for(6))
     ctx = np.array([1.0, 0.0])
-    for t in range(1, 60):
+    for t in range(3, 62):
         pol.calc_payments(t, ctx, pol.displayed_estimates().dot(ctx))
         assert pol.budget >= 0.0
     assert pol.budget == 0.0  # 0.4 cannot survive 59 offers here
@@ -545,13 +553,12 @@ def test_restricted_budget_never_goes_negative():
 
 def test_unrestricted_chained_payment_targets_chain_member():
     pol = build_policy(PolicyConfig(kind="chained_unrestricted"), 3, 2)
-    pol.explore_m = 1
     for arm, val in ((0, 0.9), (1, 0.8), (2, -0.9)):
         pol.absorb_forced(0, np.array([1.0, 0.0]), arm, val)
         pol.absorb_forced(0, np.array([0.0, 1.0]), arm, 0.0)
-    pol.picks = rng_for(7)
+    pol.start_run(1, 1, rng_for(7))
     ctx = np.array([1.0, 0.0])
-    pay = pol.calc_payments(1, ctx, pol.displayed_estimates().dot(ctx))
+    pay = pol.calc_payments(2, ctx, pol.displayed_estimates().dot(ctx))
     assert pol.budget is None
     assert np.count_nonzero(pay) <= 1
     assert pay.min() >= 0.0
@@ -574,7 +581,8 @@ def test_initial_exploration_is_round_robin_with_zero_payments():
     cfg = PolicyConfig(kind="no_payments")
     pol = build_policy(cfg, 3, 2)
     trace, noise = empty_trace(env, cfg), np.zeros(7)
-    initial_exploration(pol, env, noise, trace, m=7)
+    pol.start_run(7, 0, rng_for(0))
+    initial_exploration(pol, env, noise, trace)
     realize_outcomes(env, noise, trace)
     records = trace.records
     assert [r.t for r in records] == list(range(1, 8))
@@ -595,8 +603,8 @@ def test_play_round_record_is_replayable():
     pol = build_policy(cfg, 2, 2)
     trace = empty_trace(env, cfg)
     noise = 0.1 * rng_for(10).standard_normal(2)
-    initial_exploration(pol, env, noise, trace, 0)
     pol.start_run(0, 2, rng_for(11))
+    initial_exploration(pol, env, noise, trace)
     outcomes = [play_round(pol, env, noise, trace, t) for t in (1, 2)]
     realize_outcomes(env, noise, trace)
     for rec, outcome in zip(trace.records, outcomes, strict=True):
