@@ -372,10 +372,14 @@ def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
     A pre-built (possibly warm-started) policy object can be injected; by
     default a fresh one is constructed from the config. A config that breaks
     a rule of ``check_policy`` raises ConfigError, and an injected policy
-    built for another n_arms or dim raises ValueError, before anything is
-    drawn.
+    built from a config other than ``policy_cfg`` or for another n_arms or
+    dim raises ValueError, before anything is drawn: the trace records
+    ``policy_cfg`` as the strategy that ran.
     """
     check_policy(instance, policy_cfg)
+    if policy is not None and policy.config != policy_cfg:
+        raise ValueError(f"policy built from {policy.config}, not from policy_cfg "
+                         f"{policy_cfg}")
     if policy is not None and (policy.n_arms, policy.dim) != (instance.n_arms, instance.dim):
         raise ValueError(f"policy built for n_arms {policy.n_arms} and dim {policy.dim}, "
                          f"instance has n_arms {instance.n_arms} and dim {instance.dim}")
@@ -473,56 +477,100 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _reprs(values) -> Iterator[str]:
-    """``_fmt`` of each value in a column of floats, produced as rows are written.
+# Rows a writer turns into text at a time: the texts of one chunk's cells are
+# held until its rows are written, so memory does not grow with the horizon.
+CHUNK_ROWS = 1024
 
-    Each run of bit-equal neighbours is formatted once and its text repeated
-    for the rest of the run: a shortest round-trip ``repr`` costs about a
-    microsecond, and most cells of these curves repeat the cell above them
-    (zero payments, cumulative sums that step, payments once a budget is
-    spent, a single run's stderr). Runs are found on the int64 bit patterns,
-    so 0.0 and -0.0, or NaNs with different payloads, stay apart, and every
-    cell gets exactly the text ``float.__repr__`` gives it. The texts are
-    made lazily, as lines are pulled; np.float64 subclasses float, so it
-    prints as Python does.
+_NOTHING = object()
+
+
+def _texts(column: np.ndarray, memo: dict, end: str) -> list[str]:
+    """Each cell of a 1-D float64 or object column as its CSV text, followed
+    by ``end``.
+
+    Floats print as ``float.__repr__`` (np.float64 subclasses float), and
+    an object column (the budget) as ``_fmt`` gives each cell. A shortest
+    round-trip ``repr`` costs up to a microsecond, and many cells repeat the
+    one above them (zero payments, cumulative sums that step, a single
+    run's stderr), so each run of bit-equal neighbours is formatted once.
+    Runs are found on the int64 bit patterns, so 0.0 and -0.0, or NaNs with
+    different payloads, stay apart. A column bit-equal to one already in
+    ``memo`` (keyed on its bytes and ``end``) reuses its texts: the signed
+    and absolute cumulative payments of a strategy that never pays a
+    negative amount are such a pair.
 
     Neighbours differ where their bit patterns' difference is nonzero (the
     subtraction wraps, so only equal patterns give zero). ``!=`` would say
     the same, but no other step runs numpy's int64 comparison, and paging
-    its code in raised the benchmark's peak RSS by about 0.1 MB.
+    its code in raised the benchmark's peak RSS by about 0.1 MB. The budget
+    is formatted once per run of one object, not of equal values, since
+    ``5 == 5.0`` prints two ways; a round that leaves the budget alone
+    stores the same object again.
     """
-    a = np.asarray(values, dtype=float)
-    bits = a.view(np.int64)
-    bounds = np.concatenate(([0], np.flatnonzero(bits[1:] - bits[:-1]) + 1, [a.size]))
-    return itertools.chain.from_iterable(map(
-        itertools.repeat, map(float.__repr__, a[bounds[:-1]]), bounds[1:] - bounds[:-1]))
+    if column.dtype == object:
+        texts, last, text = [], _NOTHING, ""
+        for value in column.tolist():
+            if value is not last:
+                last, text = value, _fmt(value) + end
+            texts.append(text)
+        return texts
+    key = (column.tobytes(), end)
+    texts = memo.get(key)
+    if texts is None:
+        bits = column.view(np.int64)
+        bounds = np.flatnonzero(bits[1:] - bits[:-1]) + 1
+        runs = bounds.size + 1 < column.size
+        if runs:
+            bounds = np.concatenate(([0], bounds, [column.size]))
+            column = column[bounds[:-1]]
+        texts = list(map(float.__repr__, column.tolist()))
+        if end:
+            texts = [text + end for text in texts]
+        if runs:
+            texts = np.array(texts, dtype=object).repeat(bounds[1:] - bounds[:-1]).tolist()
+        memo[key] = texts
+    return texts
 
 
 def _write_csv(path: Union[str, Path], header: list[str],
-               blocks: Iterable[Sequence[Iterable]]) -> None:
+               blocks: Iterable[Sequence[Union[np.ndarray, list[str]]]]) -> None:
     """Write ``header``, then each block's rows, to ``path``.
 
-    A block is a sequence of equally long columns of cells, and its row i
-    holds cell i of each. Blocks are pulled one at a time, so a block's
-    cells are formatted only as its rows are written. The lines are what
-    ``csv.writer`` writes for these cells: comma separated, ended by
-    ``\\r\\n``, nothing quoted (no cell holds a comma, quote or line
-    break). They go to a temporary file in the same directory, which is
-    renamed onto ``path`` at the end, so a failed write leaves no partial
-    file behind.
+    A block is a sequence of equally long columns, and its row i holds cell
+    i of each. A column is a float64 array, the budget's object array, or a
+    list of the cells' texts (the row numbers, runs and arms); the last
+    column is an array. Blocks are pulled one at a time, and each is turned
+    into text ``CHUNK_ROWS`` rows at a time (``_texts``); each row is the
+    ``","`` join of its cells' texts, the last of which carries the
+    ``\\r\\n``, and is handed to ``writelines`` as it is made. These are the
+    lines ``csv.writer`` writes for these cells: nothing is quoted, since no
+    cell holds a comma, quote or line break. They go to a temporary file in
+    the same directory, which is renamed onto ``path`` at the end, so a
+    failed write leaves no partial file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    line = (",".join(["{}"] * len(header)) + "\r\n").format
+    ends = [""] * (len(header) - 1) + ["\r\n"]
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             for columns in blocks:
-                fh.writelines(map(line, *columns))
+                for lo in range(0, len(columns[0]), CHUNK_ROWS):
+                    chunk = slice(lo, lo + CHUNK_ROWS)
+                    memo = {}
+                    texts = [column[chunk] if isinstance(column, list)
+                             else _texts(column[chunk], memo, end)
+                             for column, end in zip(columns, ends, strict=True)]
+                    fh.writelines(map(",".join, zip(*texts)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _numbers(count: int) -> list[str]:
+    """The texts of 1, 2, ..., count: a CSV's ``t`` column."""
+    return list(map(str, range(1, count + 1)))
 
 
 def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
@@ -532,13 +580,18 @@ def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
     Row r of ``curves`` holds run r's accumulated curves, as ``aggregate``
     returns them in ``runs``.
     """
-    _write_csv(path, TRACE_COLUMNS, (
-        (range(1, trace.horizon + 1), itertools.repeat(run_index), trace.arm.tolist(),
-         _reprs(trace.inst_regret), _reprs(regret), _reprs(trace.paid), _reprs(payment),
-         _reprs(payment_abs), map(_fmt, trace.budget))
+    numbers = _numbers(max((trace.horizon for trace in traces), default=0))
+
+    def blocks():
         for run_index, (trace, regret, payment, payment_abs) in enumerate(zip(
-            traces, curves.cum_regret, curves.cum_payment, curves.cum_payment_abs,
-            strict=True))))
+                traces, curves.cum_regret, curves.cum_payment, curves.cum_payment_abs,
+                strict=True)):
+            arms = list(map(str, range(trace.payments.shape[1])))
+            yield (numbers[:trace.horizon], [str(run_index)] * trace.horizon,
+                   list(map(arms.__getitem__, trace.arm.tolist())),
+                   trace.inst_regret, regret, trace.paid, payment, payment_abs, trace.budget)
+
+    _write_csv(path, TRACE_COLUMNS, blocks())
 
 
 def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
@@ -553,7 +606,7 @@ def write_aggregate_csv(path: Union[str, Path], agg: AggregateCurves) -> None:
                agg.mean_cum_payment, agg.stderr_cum_payment,
                agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
                *agg.mean_per_arm_payment]
-    _write_csv(path, header, [(range(1, len(agg.mean_cum_regret) + 1), *map(_reprs, columns))])
+    _write_csv(path, header, [(_numbers(len(agg.mean_cum_regret)), *columns)])
 
 
 # ---------------------------------------------------------------------------

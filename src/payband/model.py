@@ -64,11 +64,11 @@ def run_cells(n_arms: int, dim: int, horizon: int) -> int:
     perturbed context, 2 * dim; LinUCB's (t, greedy, base) log entry, 92
     bytes or 12 cells; and the accumulated curves, n_arms + 3. Per run: the
     estimator bank's inverses and Gram matrices, moments, displayed
-    estimates and Gram buffer, n_arms * dim * (2 * dim + 2 + GRAM_ROWS), and
-    RUN_CELLS.
+    estimates and Gram buffer, n_arms * dim * (2 * dim + 2 + GRAM_ROWS), its
+    rank-1 update scratch, dim * (dim + 1), and RUN_CELLS.
     """
     per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + 12 + n_arms + 3
-    bank = n_arms * dim * (2 * dim + 2 + GRAM_ROWS)
+    bank = n_arms * dim * (2 * dim + 2 + GRAM_ROWS) + dim * (dim + 1)
     return horizon * per_round + bank + RUN_CELLS
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from payband import estimation
+from payband.environment import FixedSequenceSpec, standardize_features
 from payband.estimation import (
     OLS,
     PIVOT_TOL,
@@ -20,6 +21,7 @@ from payband.estimation import (
     inv_norms,
     min_eig_sym,
 )
+from payband.model import unit_ball_rows
 
 
 def normal_equation_oracle(contexts, responses, lam=0.0):
@@ -391,6 +393,96 @@ def test_cached_inverse_stays_exactly_symmetric(mode, lam):
         if k + 1 >= 5:
             inv = state.inverse()
             assert np.array_equal(inv, inv.T)
+
+
+def counted_factors(monkeypatch):
+    """A list that gains an entry at every ``cholesky_spd`` call."""
+    calls = []
+    factor = estimation.cholesky_spd
+    monkeypatch.setattr(estimation, "cholesky_spd", lambda a: calls.append(1) or factor(a))
+    return calls
+
+
+def test_ols_arm_with_fewer_contexts_than_dim_is_never_factored(monkeypatch):
+    # Two nearly parallel contexts in three dims: rank 2, yet their Gram
+    # matrix passes the pivot check, which displayed [0.937, -0.280, -0.207].
+    calls = counted_factors(monkeypatch)
+    state = EstimatorState(3, mode=OLS)
+    state.absorb(np.array([0.32258355907592146, 0.6324499430627085, -0.7042349870134882]), 0.5)
+    state.absorb(np.array([0.3227216803205707, 0.6327285544054103, -0.703921368826879]), 0.5)
+    assert np.array_equal(state.shown[0], np.zeros(3)) and state.current == [False]
+    with pytest.raises(SingularMatrixError, match="fewer than dim 3"):
+        state.estimate()
+    assert calls == []
+    for d in (1, 2, 4, 14):
+        calls.clear()
+        state = EstimatorState(d, mode=OLS, n_arms=2)
+        for k, x in enumerate(unit_ball_contexts(np.random.default_rng(d), d, d), start=1):
+            state.absorb(x, 1.0, arm=1)
+            assert (calls == []) == (k < d), (d, k)
+        assert state.current == [False, True] and state.shown[1].any()
+
+
+class BroadcastUpdate:
+    """One arm's inverse kept by the rank-1 update ``inv -= u[:, None] * u``,
+    refactored where ``EstimatorState`` refactors; counts the -0.0 products."""
+
+    def __init__(self, d, lam):
+        self.gram, self.lam, self.inv = np.zeros((d, d)), lam, None
+        self.negative_zeros = 0
+
+    def absorb(self, x):
+        self.gram += x[:, None] * x  # the bits of the bank's folded G
+        if self.inv is not None:
+            u = self.inv.dot(x)
+            s = 1.0 + x.dot(u)
+            if s <= estimation.REFACTOR_RATIO:
+                u /= math.sqrt(s)
+                vvt = u[:, None] * u
+                self.negative_zeros += int(np.count_nonzero((vvt == 0) & np.signbit(vvt)))
+                self.inv -= vvt
+            else:
+                self.inv = None
+        if self.inv is None:
+            d = len(x)
+            w = forward_substitute(cholesky_spd(self.gram + self.lam * np.eye(d)), np.eye(d))
+            self.inv = w.T @ w
+
+
+def zero_signs_aside(a):
+    """The int64 bit patterns of ``a`` with each -0.0 made +0.0."""
+    return (a + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("history", ["dense", "fixed_cycled", "dataset_zero_column"])
+@pytest.mark.parametrize("d", [1, 4, 14, 64])
+def test_rank_one_update_matches_the_broadcast_outer_product(d, history):
+    # absorb forms v v^T as a BLAS product, which writes +0.0 where the
+    # broadcast writes -0.0; every nonzero bit of every inverse must agree.
+    rng = np.random.default_rng(70 + d)
+    n = 6 * d + 40
+    if history == "dense":
+        contexts = unit_ball_contexts(rng, n, d)
+    elif history == "fixed_cycled":  # exact zeros in alternate coordinates
+        mask = np.resize([1.0, 0.0], d)
+        rows = [rng.normal(size=d) * (mask if k % 2 else 1.0 - mask) for k in range(5)]
+        contexts = FixedSequenceSpec(contexts=tuple(rows), cycle=True).draw(n, rng)
+    else:  # a constant column, which standardizes to exact zeros
+        features = rng.normal(size=(n, d))
+        features[:, d // 2] = 3.25
+        contexts = unit_ball_rows(standardize_features(features))
+        assert not contexts[:, d // 2].any()
+    for lam in (1.0, 0.1):  # 1: every update applies; 0.1: refactors in between
+        bank = EstimatorState(d, RIDGE, lam, n_arms=2)
+        references = [BroadcastUpdate(d, lam), BroadcastUpdate(d, lam)]
+        for k, x in enumerate(contexts):
+            arm = (k // 3) % 2
+            bank.absorb(x, float(rng.normal()), arm)
+            references[arm].absorb(x)
+            assert np.array_equal(zero_signs_aside(bank.inverses[arm]),
+                                  zero_signs_aside(references[arm].inv)), (k, lam)
+        if history != "dense" and d > 1:  # the histories reach the zero-sign case
+            assert sum(r.negative_zeros for r in references) > 0
 
 
 @pytest.mark.parametrize("d", [1, 4, 14, 64])

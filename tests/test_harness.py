@@ -610,6 +610,59 @@ def test_aggregate_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, h
     assert rows == [",".join([str(t + 1)] + [c[t] for c in texts]) for t in range(horizon)] + [""]
 
 
+def twin_columns(horizon):
+    """Two columns bit-equal except for one 0.0/-0.0 cell and one NaN payload,
+    each in its own chunk of rows, so a chunk between them is bit-equal."""
+    first = np.roll(RUNNY, 7)[np.arange(horizon) % len(RUNNY)]
+    second = first.copy()
+    first[5], second[5] = 0.0, -0.0
+    first[-3], second[-3] = np.nan, OTHER_NAN
+    return first, second
+
+
+# Past two chunks, so the differing cells sit in different chunks of rows.
+TWIN_HORIZON = 2 * harness.CHUNK_ROWS + 9
+
+
+def test_trace_csv_reuses_no_text_of_a_column_that_differs_in_one_bit(tmp_path):
+    traces = [RunTrace.allocate(PolicyConfig(kind="no_payments"),
+                                np.zeros((TWIN_HORIZON, 2)), 3) for _ in range(2)]
+    curves = harness.aggregate(traces).runs
+    for r, tr in enumerate(traces):
+        first, second = twin_columns(TWIN_HORIZON)
+        tr.inst_regret[:] = tr.paid[:] = curves.cum_regret[r] = first
+        curves.cum_payment[r], curves.cum_payment_abs[r] = (first, second)[::1 - 2 * r]
+    harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
+    rows = (tmp_path / "trace.csv").read_bytes().decode().split("\r\n")[1:-1]
+    assert len(rows) == 2 * TWIN_HORIZON
+    for r, tr in enumerate(traces):
+        columns = (tr.inst_regret, curves.cum_regret[r], tr.paid, curves.cum_payment[r],
+                   curves.cum_payment_abs[r])
+        texts = [reprs_oracle(c) for c in columns]
+        assert rows[r * TWIN_HORIZON:(r + 1) * TWIN_HORIZON] == [
+            ",".join([str(i + 1), str(r), "0"] + [c[i] for c in texts] + [""])
+            for i in range(TWIN_HORIZON)]
+    assert "-0.0" in rows[5] and "-0.0" in rows[TWIN_HORIZON + 5]
+
+
+def test_aggregate_csv_reuses_no_text_of_a_column_that_differs_in_one_bit(tmp_path):
+    trace = RunTrace.allocate(PolicyConfig(kind="no_payments"),
+                              np.zeros((TWIN_HORIZON, 2)), 3)
+    agg = harness.aggregate([trace])
+    first, second = twin_columns(TWIN_HORIZON)
+    columns = [agg.mean_cum_regret, agg.stderr_cum_regret, agg.mean_cum_payment,
+               agg.stderr_cum_payment, agg.mean_cum_payment_abs, agg.stderr_cum_payment_abs,
+               *agg.mean_per_arm_payment]
+    for k, column in enumerate(columns):
+        column[:] = (first, second)[k % 2]  # the last column, which ends the line, too
+    texts = [reprs_oracle(c) for c in columns]
+    harness.write_aggregate_csv(tmp_path / "agg.csv", agg)
+    header, *rows = (tmp_path / "agg.csv").read_bytes().decode().split("\r\n")
+    assert rows == [",".join([str(t + 1)] + [c[t] for c in texts])
+                    for t in range(TWIN_HORIZON)] + [""]
+    assert rows[5].count("-0.0") == 4
+
+
 @pytest.mark.parametrize("write", ["write_trace_csv", "write_aggregate_csv"])
 def test_csv_write_failing_after_the_header_leaves_no_file(tmp_path, monkeypatch, write):
     config = run_config(tmp_path)
@@ -989,6 +1042,19 @@ def test_run_single_rejects_a_policy_built_for_another_shape(shape):
             "instance has n_arms 2 and dim 2")
     with pytest.raises(ValueError, match=want):
         run_single(small_instance(), cfg, 1, policy=policy)
+
+
+def test_run_single_rejects_a_policy_built_from_another_config(monkeypatch):
+    # A LinUCB object under a no_payments config would pay and log while the
+    # trace records no_payments; it is refused before any stream is drawn.
+    monkeypatch.setattr(harness, "spawn_streams", lambda seed: pytest.fail("streams drawn"))
+    policy = build_policy(PolicyConfig(kind="linucb_alignment"), 2, 2)
+    with pytest.raises(ValueError, match="kind='linucb_alignment'.*kind='no_payments'"):
+        run_single(small_instance(), PolicyConfig(kind="no_payments"), 1, policy=policy)
+    with pytest.raises(ValueError, match="sigma_pay=0.5.*sigma_pay=1.0"):
+        run_single(small_instance(), PolicyConfig("perturbation_payments", sigma_pay=1.0), 1,
+                   policy=build_policy(PolicyConfig("perturbation_payments", sigma_pay=0.5),
+                                       2, 2))
 
 
 def test_the_cell_bound_admits_a_run_that_fills_it():
