@@ -612,8 +612,10 @@ def test_aggregate_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, h
 
 def twin_columns(horizon):
     """Two columns bit-equal except for one 0.0/-0.0 cell and one NaN payload,
-    each in its own chunk of rows, so a chunk between them is bit-equal."""
-    first = np.roll(RUNNY, 7)[np.arange(horizon) % len(RUNNY)]
+    each in its own chunk of rows, so a chunk between them is bit-equal. No
+    other cell is a NaN, so the first chunk's columns are equal as values."""
+    cells = RUNNY[~np.isnan(RUNNY)]
+    first = np.roll(cells, 7)[np.arange(horizon) % len(cells)]
     second = first.copy()
     first[5], second[5] = 0.0, -0.0
     first[-3], second[-3] = np.nan, OTHER_NAN
