@@ -9,6 +9,7 @@ perturbation scheme disburses both signs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -28,17 +29,26 @@ class RunTrace:
     """One run's rounds as columns, plus the strategy diagnostics.
 
     Row i of every column is round t = i + 1: the chosen arm, the payment
-    vector offered (n_arms,), the estimates the agent saw (n_arms, dim), the
-    context, the budget left after the round (None without a budget; an
-    object column, so an integer budget stays an integer), and the chosen
-    arm's true mean, regret, disbursed payment and observed reward.
-    ``records`` shows the rows as RoundRecord objects.
+    vector offered (n_arms,), ``shown_log`` (dim,), the context, the budget
+    left after the round (None without a budget; an object column, so an
+    integer budget stays an integer), and the chosen arm's true mean,
+    regret, disbursed payment and observed reward.
+
+    The agent's snapshot of round t, the (n_arms, dim) estimates it saw, is
+    not stored: an absorb rewrites only the chosen arm's displayed row, so
+    ``shown_start`` (n_arms, dim), the display as the run starts, and
+    ``shown_log``, whose row t - 1 is the chosen arm's row after round t's
+    absorb, fix it. Arm a's row in round t's snapshot is ``shown_log``'s row
+    of the last round before t that chose a, else ``shown_start[a]``.
+    ``records`` shows the rows as RoundRecord objects, snapshots rebuilt;
+    ``snapshots`` returns them as one array.
     """
 
     policy: PolicyConfig
     arm: np.ndarray
     payments: np.ndarray
-    displayed: np.ndarray
+    shown_start: np.ndarray
+    shown_log: np.ndarray
     contexts: np.ndarray
     budget: np.ndarray
     true_mean: np.ndarray
@@ -47,7 +57,7 @@ class RunTrace:
     observed: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    COLUMNS = ("arm", "payments", "displayed", "contexts", "budget",
+    COLUMNS = ("arm", "payments", "shown_log", "contexts", "budget",
                "true_mean", "inst_regret", "paid", "observed")
 
     def __post_init__(self) -> None:
@@ -55,15 +65,20 @@ class RunTrace:
             if len(getattr(self, name)) != len(self.arm):
                 raise ValueError(f"column {name} has {len(getattr(self, name))} rows, "
                                  f"arm has {len(self.arm)}")
+        shape = (self.payments.shape[1], self.shown_log.shape[1])
+        if self.shown_start.shape != shape:
+            raise ValueError(f"shown_start has shape {self.shown_start.shape}, "
+                             f"not (n_arms, dim) {shape}")
 
     @classmethod
     def allocate(cls, policy: PolicyConfig, contexts: np.ndarray, n_arms: int) -> RunTrace:
-        """A trace with one zeroed row per context, for a run to fill."""
+        """A trace with one zeroed row per context, for a run to fill; its
+        ``shown_start`` is zero, a fresh bank's display."""
         horizon, dim = contexts.shape
         return cls(policy=policy, arm=np.zeros(horizon, dtype=int),
                    payments=np.zeros((horizon, n_arms)),
-                   displayed=np.zeros((horizon, n_arms, dim)), contexts=contexts,
-                   budget=np.full(horizon, None, dtype=object),
+                   shown_start=np.zeros((n_arms, dim)), shown_log=np.zeros((horizon, dim)),
+                   contexts=contexts, budget=np.full(horizon, None, dtype=object),
                    true_mean=np.zeros(horizon), inst_regret=np.zeros(horizon),
                    paid=np.zeros(horizon), observed=np.zeros(horizon))
 
@@ -75,12 +90,34 @@ class RunTrace:
     def records(self) -> RoundRecords:
         return RoundRecords(self)
 
+    def snapshots(self, rows: Sequence[int] | None = None) -> np.ndarray:
+        """The (len(rows), n_arms, dim) snapshots of the given rows, all rows
+        by default, rebuilt bit for bit in one pass over the rounds up to the
+        last row asked for."""
+        rows = np.arange(self.horizon) if rows is None else np.asarray(rows, dtype=np.intp)
+        stop = int(rows.max()) + 1 if rows.size else 0
+        n_arms = len(self.shown_start)
+        arms = np.arange(n_arms)
+        # last[i, a]: the last row before row i that chose arm a, or -1.
+        last = np.full((stop + 1, n_arms), -1)
+        last[1:] = np.where(self.arm[:stop, None] == arms, np.arange(stop)[:, None], -1)
+        last = np.maximum.accumulate(last, axis=0)[rows]
+        out = np.empty(last.shape + self.shown_start.shape[1:])
+        out[...] = self.shown_start
+        logged = last >= 0
+        out[logged] = self.shown_log[last[logged]]
+        return out
+
 
 class RoundRecords(Sequence):
     """Read-only view of a trace's rows as RoundRecord objects.
 
-    ``len`` and indexing are O(1); nothing is cached, and each access builds
-    a new RoundRecord whose arrays are views of the trace's columns.
+    ``len`` is O(1); nothing is cached, and each access builds a new
+    RoundRecord whose arrays are views of the trace's columns, except its
+    ``displayed_estimates``, rebuilt by ``RunTrace.snapshots``: indexing one
+    row rebuilds that row's snapshot, a slice rebuilds its rows' in one pass,
+    and iterating rebuilds the whole run's in one pass, the records then
+    holding views of that one array.
     """
 
     def __init__(self, trace: RunTrace) -> None:
@@ -92,17 +129,20 @@ class RoundRecords(Sequence):
     def __getitem__(self, index):
         rows = range(self._trace.horizon)[index]
         if isinstance(rows, range):
-            return [self._record(i) for i in rows]
-        return self._record(rows)
+            return list(map(self._record, rows, self._trace.snapshots(rows)))
+        return self._record(rows, self._trace.snapshots([rows])[0])
 
-    def _record(self, i: int) -> RoundRecord:
+    def __iter__(self):
+        return map(self._record, itertools.count(), self._trace.snapshots())
+
+    def _record(self, i: int, displayed: np.ndarray) -> RoundRecord:
         tr = self._trace
         return RoundRecord(
             t=i + 1,
             context=tr.contexts[i],
             payments=tr.payments[i],
             chosen_arm=int(tr.arm[i]),
-            displayed_estimates=tr.displayed[i],
+            displayed_estimates=displayed,
             observed_reward=float(tr.observed[i]),
             true_mean_reward=float(tr.true_mean[i]),
             inst_regret=float(tr.inst_regret[i]),

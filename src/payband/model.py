@@ -58,8 +58,10 @@ def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
 def run_cells(n_arms: int, dim: int, horizon: int) -> int:
     """The float64 cells a run of ``horizon`` rounds allocates.
 
-    Per round: the trace's payments and displayed estimates, n_arms * (dim
-    + 1), and its six other columns; the environment's context and true
+    Per round: the trace's payments, n_arms; n_arms * dim, which hold the
+    trace's log of one displayed row, dim, and stand for the (n_arms, dim)
+    snapshots that a ``trace.records`` pass rebuilds, one run at a time;
+    its six other columns; the environment's context and true
     means, dim + n_arms; the reward noise; a perturbation draw and the
     perturbed context, 2 * dim; LinUCB's (t, greedy, base) log entry, 92
     bytes or 12 cells; and the accumulated curves, n_arms + 3. Per run: the
@@ -218,8 +220,9 @@ class RoundRecord:
     """Full log of one interaction round, as ``RunTrace.records`` builds it.
 
     ``displayed_estimates`` is the (n_arms, dim) snapshot the agent saw, so
-    the choice can be replayed offline. ``payment_paid`` is exactly the
-    chosen arm's payment entry.
+    the choice can be replayed offline; the records rebuild it from the
+    trace's start rows and logged rows (see ``RunTrace``). ``payment_paid``
+    is exactly the chosen arm's payment entry.
     """
 
     t: int

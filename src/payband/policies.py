@@ -485,8 +485,8 @@ def build_policy(config: PolicyConfig, n_arms: int, dim: int) -> Policy:
 # holds round t. The environment supplies every round's context and true
 # means, and ``noise`` (horizon,) the reward noise already scaled by the
 # noise level, all drawn before the first round. The rounds write the
-# columns only they can fill (arm, payments, displayed estimates, budget);
-# ``realize_outcomes`` then fills the rest from the arm column in bulk.
+# columns only they can fill (arm, payments, the chosen arm's displayed row,
+# budget); ``realize_outcomes`` then fills the rest from the arm column in bulk.
 # ---------------------------------------------------------------------------
 
 class RoundOutcome(NamedTuple):
@@ -501,16 +501,20 @@ def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace)
 
     Round t forces arm (t - 1) mod n_arms. Payments stay zero (a mandate, not
     a purchase), so these rounds add nothing to payment totals while their
-    regret still counts.
+    regret still counts. Every run begins here, even with m = 0: the trace's
+    ``shown_start`` takes the display as the run starts, a warm-started
+    policy's rows included.
     """
     m = policy.explore_m
+    shown = policy.displayed_estimates()
+    trace.shown_start[...] = shown
     arms = np.arange(m) % env.n_arms
     trace.arm[:m] = arms
     trace.budget[:m] = policy.budget
     observed = env.means[np.arange(m), arms] + noise[:m]
     for i, arm in enumerate(arms.tolist()):
-        trace.displayed[i] = policy.displayed_estimates()
         policy.absorb_forced(i + 1, env.contexts[i], arm, observed[i])
+        trace.shown_log[i] = shown[arm]
 
 
 def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int) -> RoundOutcome:
@@ -528,8 +532,8 @@ def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int) 
     chosen = agent_pick(scores, payments)
     trace.arm[i] = chosen
     trace.payments[i] = payments
-    trace.displayed[i] = shown
     policy.update(t, theta, chosen, env.means.item(i, chosen) + noise.item(i), payments)
+    trace.shown_log[i] = shown[chosen]  # the absorb rewrote only this row of the display
     trace.budget[i] = policy.budget
     return RoundOutcome(chosen, payments.item(chosen))
 

@@ -127,7 +127,8 @@ def reference_run(inst, cfg, seed):
                 policy.absorb_forced(t, x + zeta, arm, observed + float(pay[arm]))
             else:
                 policy.update(t, x, arm, observed, pay)
-        rows.append({"arm": arm, "payments": pay, "displayed": shown, "contexts": x,
+        rows.append({"arm": arm, "payments": pay, "displayed": shown,
+                     "shown_log": policy.displayed_estimates()[arm].copy(), "contexts": x,
                      "budget": policy.budget, "true_mean": float(means[arm]),
                      "inst_regret": float(means.max() - means[arm]),
                      "paid": float(pay[arm]), "observed": observed})
@@ -150,11 +151,75 @@ def test_columns_equal_a_round_by_round_loop(source_name):
                     assert [(type(b), b) for b in got] == [(type(b), b) for b in want]
                 else:
                     assert np.array_equal(got, np.array(want)), (cfg.kind, run, name)
+            want = np.array([row["displayed"] for row in rows])
+            assert np.array_equal(trace.snapshots(), want), (cfg.kind, run)
             if cfg.kind == PERTURBATION:
                 assert np.array_equal(trace.diagnostics["effective_contexts"],
                                       np.array(effective))
             if cfg.kind == "linucb_alignment":
                 assert trace.diagnostics["alignment_log"] == policy.alignment_log
+
+
+def warm_start(policy):
+    """A few mandated pulls before the run: arm 0 identifiable, arm 1 one
+    pull (zero under OLS, not under ridge), the others none."""
+    rng = np.random.default_rng(34)
+    for k, arm in enumerate([0, 0, 0, 0, 1]):
+        policy.absorb_forced(k + 1, unit_ball_projection(rng.normal(size=DIM)), arm,
+                             float(rng.normal()))
+    return policy
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("cfg", POLICIES[:5], ids=lambda cfg: cfg.kind)
+def test_every_record_path_rebuilds_the_snapshots_the_agent_saw(monkeypatch, cfg, warm):
+    inst = instance(sources()["gaussian"])
+    policy = build_policy(cfg, N_ARMS, DIM)
+    if warm:
+        assert warm_start(policy).displayed_estimates().any()
+    seen = []
+
+    def seeing(fn):  # a copy of the display as each round begins
+        def call(*args, **kwargs):
+            seen.append(policy.displayed_estimates().copy())
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness, "play_round", seeing(harness.play_round))
+    monkeypatch.setattr(policy, "absorb_forced", seeing(policy.absorb_forced))
+    trace = run_single(inst, cfg, child_seed_sequence(5, 0, 0), policy=policy)
+    assert len(seen) == HORIZON
+
+    def bits(snapshots):
+        return [np.asarray(s).tobytes() for s in snapshots]
+
+    want = bits(seen)
+    assert bits(r.displayed_estimates for r in list(trace.records)) == want
+    assert bits(trace.records[i].displayed_estimates for i in range(HORIZON)) == want
+    for rows in (slice(EXPLORE - 2, HORIZON - 3, 3), slice(None, None, -1), slice(7, 7)):
+        got = bits(r.displayed_estimates for r in trace.records[rows])
+        assert got == want[rows], rows
+    assert bits(trace.snapshots()) == want
+    assert trace.snapshots().shape == (HORIZON, N_ARMS, DIM)
+
+
+def test_a_finished_trace_holds_no_per_round_snapshot():
+    # The agent's (N, d) snapshot per round is rebuilt from one logged (d,)
+    # row per round; a trace that kept it would hold N * d cells a round.
+    n_arms, dim, horizon, explore = 64, 16, 200, 64
+    rng = np.random.default_rng(35)
+    inst = InstanceSpec(n_arms, dim, horizon, unit_ball_rows(rng.normal(size=(n_arms, dim))),
+                        0.1, GaussianContextSpec(mean=np.zeros(dim), std=0.5), explore, 0)
+    for pi, cfg in enumerate(POLICIES[:5]):
+        trace = run_single(inst, cfg, child_seed_sequence(3, pi, 0))
+        arrays = [a for a in [*vars(trace).values(), *trace.diagnostics.values()]
+                  if isinstance(a, np.ndarray)]
+        assert all(a.size < horizon * n_arms * dim for a in arrays), cfg.kind
+        # The columns, the start rows and the perturbed contexts, cell for cell.
+        cells = horizon * (n_arms + 2 * dim + 6) + n_arms * dim
+        if cfg.kind == PERTURBATION:
+            cells += (horizon - explore) * dim
+        assert sum(a.nbytes for a in arrays) <= 8 * cells, cfg.kind
 
 
 def test_chained_configs_reach_every_pick_path(monkeypatch):

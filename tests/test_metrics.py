@@ -36,12 +36,18 @@ def record(t, regret=0.0, payments=(0.0, 0.0), chosen=0, budget=None):
 
 
 def trace(records, cfg=CFG):
-    """A trace whose row i holds the fields of records[i]."""
+    """A trace whose row i holds the fields of records[i]. Each record's
+    snapshot may differ from the one before only in the row of the arm
+    chosen before it, the row that round's absorb rewrote."""
     def column(name, dtype=float):
         return np.array([getattr(r, name) for r in records], dtype=dtype)
 
-    return RunTrace(policy=cfg, arm=column("chosen_arm", int),
-                    payments=column("payments"), displayed=column("displayed_estimates"),
+    shown = [r.displayed_estimates for r in records]
+    arms = column("chosen_arm", int)
+    # Row i of the log is round i's chosen row in the next snapshot (the last round's own).
+    log = np.array([after[arm] for after, arm in zip(shown[1:] + shown[-1:], arms)])
+    return RunTrace(policy=cfg, arm=arms, payments=column("payments"),
+                    shown_start=shown[0], shown_log=log,
                     contexts=column("context"), budget=column("budget_remaining", object),
                     true_mean=column("true_mean_reward"), inst_regret=column("inst_regret"),
                     paid=column("payment_paid"), observed=column("observed_reward"))
@@ -50,11 +56,13 @@ def trace(records, cfg=CFG):
 def test_trace_requires_equal_column_lengths():
     tr = trace([record(1), record(2)])
     assert tr.horizon == 2
+    columns = {c: getattr(tr, c) for c in RunTrace.COLUMNS}
     for name in RunTrace.COLUMNS:
-        columns = {c: getattr(tr, c) for c in RunTrace.COLUMNS}
-        columns[name] = columns[name][:1]
+        short = dict(columns, **{name: columns[name][:1]})
         with pytest.raises(ValueError, match=name):
-            RunTrace(policy=CFG, **columns)
+            RunTrace(policy=CFG, shown_start=tr.shown_start, **short)
+    with pytest.raises(ValueError, match="shown_start"):
+        RunTrace(policy=CFG, shown_start=tr.shown_start[:1], **columns)
 
 
 def test_records_view_rebuilds_each_round_from_the_columns():

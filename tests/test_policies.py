@@ -631,7 +631,7 @@ def test_play_round_snapshot_not_aliased_to_live_estimates():
     pol = build_policy(cfg, 2, 2)
     trace, noise = empty_trace(env, cfg), np.zeros(2)
     play_round(pol, env, noise, trace, 1)
-    frozen = trace.displayed[0].copy()
+    frozen = trace.records[0].displayed_estimates.copy()
     play_round(pol, env, noise, trace, 2)
     assert not np.array_equal(pol.displayed_estimates(), frozen)  # the estimates moved on
-    assert np.array_equal(trace.displayed[0], frozen)
+    assert np.array_equal(trace.records[0].displayed_estimates, frozen)

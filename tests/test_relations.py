@@ -22,7 +22,8 @@ from payband import PolicyConfig, child_seed_sequence, harness, run_single
 # Shortened horizons keep the 24 cases well under 3 s.
 HORIZONS = {"fig1": 200, "fig2-like": 300}
 SEEDS = (0, 1, 2)
-COLUMNS = ("arm", "payments", "displayed", "true_mean", "inst_regret", "paid", "observed")
+COLUMNS = ("arm", "payments", "shown_start", "shown_log", "true_mean", "inst_regret", "paid",
+           "observed")
 
 
 def _ridge_twin(cfg):
