@@ -12,7 +12,9 @@ bandit instance with one arm per class.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,12 +155,92 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                      has_header: bool = False) -> BanditDataset:
     """Parse the ``f_1,...,f_d,label`` rows of a UTF-8 CSV file into a BanditDataset.
 
-    A leading byte order mark is skipped. Feature cells must be finite and
-    of magnitude at most ``model.MAX_MAGNITUDE``. Errors carry 1-based row
-    and column positions so a broken file can be fixed without guessing.
+    A leading byte order mark is skipped, and with ``has_header`` the first
+    row. Blank rows are skipped. A feature cell holds one number as
+    ``float()`` reads it (surrounding whitespace allowed), finite and of
+    magnitude at most ``model.MAX_MAGNITUDE``; a label cell holds one
+    integer as ``int()`` reads it, in [0, n_classes).
+
+    The file is read in one pass by numpy's C reader (``_read_table``).
+    Anything that reader declines or that fails a check goes to
+    ``_read_rows``, the per-row reader, which locates the error: it raises
+    with the 1-based row and column, so a broken file can be fixed without
+    guessing, or, for a file only it reads (a quoted cell, a whitespace-only
+    row, a ``1_0`` digit separator, a character outside printable ASCII in a
+    row), its table is the result. Either way the result has the same bits.
     """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+    table = _read_table(path, n_classes, has_header)
+    features, labels = table if table is not None else _read_rows(path, n_classes, has_header)
+    if standardize:
+        features = standardize_features(features)
+    return BanditDataset(features=features, labels=labels, n_classes=n_classes,
+                         standardized=standardize)
+
+
+# Bytes a data row may hold for ``_read_table``: printable ASCII but the
+# quote, tab, CR and LF. numpy's number parsers read more than float() and
+# int() do (0x1C-0x1F as whitespace, many non-ASCII code points as label
+# digits), and ``str.splitlines`` splits at more than CR and LF, so any
+# other byte sends the file to ``_read_rows``.
+_TABLE_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\t\r\n"
+_BLOCK = 1 << 16
+
+
+def _read_table(path: str, n_classes: int,
+                has_header: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(features, labels) read by ``np.loadtxt`` in one pass over the file,
+    or None where ``_read_rows`` must decide.
+
+    The rows reach numpy 64 KiB at a time, each block checked against
+    ``_TABLE_BYTES`` in C, so the transient memory is the table numpy grows
+    (about 1.2x the feature array) and one block. ``features`` is a view of
+    that table's feature field.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        try:
+            # csv reads a header that is not UTF-8 or is past its field
+            # limit as an error, and ends one with a quote or a lone CR
+            # elsewhere.
+            header = fh.readline().decode("utf-8") if has_header else ""
+            if ('"' in header or "\r" in header.rstrip("\n")[:-1]
+                    or len(header) > csv.field_size_limit()):
+                return None
+            lines = itertools.chain.from_iterable(_checked_blocks(fh))
+            first = next(line for line in lines if line.strip("\r\n"))
+            width = first.count(",") + 1
+            if width < 2:
+                return None
+            dtype = np.dtype([("features", float, (width - 1,)), ("label", int)])
+            table = np.loadtxt(itertools.chain((first,), lines), dtype=dtype,
+                               delimiter=",", comments=None, ndmin=1)
+        except (StopIteration, ValueError):  # no data row, or a line numpy rejects
+            return None
+    features, labels = table["features"], table["label"]
+    # Reductions, not elementwise tests, so no temporary of the table's size.
+    if not (-MAX_MAGNITUDE <= features.min() and features.max() <= MAX_MAGNITUDE  # NaN fails
+            and 0 <= labels.min() and labels.max() < n_classes):
+        return None
+    return features, labels.copy()
+
+
+def _checked_blocks(fh):
+    """The file's remaining lines, one list per block of whole lines; raises
+    ValueError at the first block holding a byte outside ``_TABLE_BYTES`` or
+    longer than csv's field limit (a block only grows past ``_BLOCK`` by a
+    line, and a cell that long makes csv raise)."""
+    while block := fh.read(_BLOCK) + fh.readline():
+        if block.translate(None, _TABLE_BYTES) or len(block) > csv.field_size_limit():
+            raise ValueError("block the table reader declines")
+        yield block.decode("ascii").splitlines(keepends=True)
+
+
+def _read_rows(path: str, n_classes: int, has_header: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) parsed cell by cell with ``csv``, ``float()`` and
+    ``int()``; raises DatasetFormatError at the first bad row."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width: Optional[int] = None
@@ -203,15 +285,7 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
             labels.append(label)
     if not rows:
         raise DatasetFormatError("dataset has no data rows")
-    features = np.asarray(rows, dtype=float)
-    if standardize:
-        features = standardize_features(features)
-    return BanditDataset(
-        features=features,
-        labels=np.asarray(labels, dtype=int),
-        n_classes=n_classes,
-        standardized=standardize,
-    )
+    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,13 @@ class RoundRecords(Sequence):
         return self._record(rows, self._trace.snapshots([rows])[0])
 
     def __iter__(self):
-        return map(self._record, itertools.count(), self._trace.snapshots())
+        # A column at a time: ``tolist`` gives the Python ints and floats that
+        # ``_record`` makes one row at a time; the budget column yields its
+        # own objects.
+        tr = self._trace
+        return map(RoundRecord, itertools.count(1), tr.contexts, tr.payments, tr.arm.tolist(),
+                   tr.snapshots(), tr.observed.tolist(), tr.true_mean.tolist(),
+                   tr.inst_regret.tolist(), tr.paid.tolist(), tr.budget)
 
     def _record(self, i: int, displayed: np.ndarray) -> RoundRecord:
         tr = self._trace

@@ -203,6 +203,28 @@ def test_every_record_path_rebuilds_the_snapshots_the_agent_saw(monkeypatch, cfg
     assert trace.snapshots().shape == (HORIZON, N_ARMS, DIM)
 
 
+@pytest.mark.parametrize("cfg", POLICIES[:5] + POLICIES[5:6],
+                         ids=lambda cfg: f"{cfg.kind}-{cfg.budget!r}")
+def test_iterating_the_records_equals_indexing_them(cfg):
+    # Iteration reads whole columns; indexing builds one row. Every field of
+    # every record agrees, value and type: an int arm, float rewards, arrays
+    # of the same bits, the budget column's own object.
+    inst = instance(sources()["gaussian"])
+    trace = run_single(inst, cfg, child_seed_sequence(6, 0, 0))
+    iterated = list(trace.records)
+    assert len(iterated) == HORIZON
+    for i, got in enumerate(iterated):
+        want = trace.records[i]
+        for name, value in vars(want).items():
+            other = getattr(got, name)
+            assert type(other) is type(value), (cfg.kind, i, name)
+            if isinstance(value, np.ndarray):
+                assert (other.dtype, other.shape, other.tobytes()) == \
+                    (value.dtype, value.shape, value.tobytes()), (cfg.kind, i, name)
+            else:
+                assert other == value or (other != other and value != value), (cfg.kind, i, name)
+
+
 def test_a_finished_trace_holds_no_per_round_snapshot():
     # The agent's (N, d) snapshot per round is rebuilt from one logged (d,)
     # row per round; a trace that kept it would hold N * d cells a round.

@@ -1,8 +1,16 @@
 """Context sources, reward realization, dataset ingestion, diagnostics."""
 
+import csv
+import hashlib
+import io
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from payband import environment
 from payband.environment import (
     DatasetEnvironment,
     DatasetFormatError,
@@ -110,27 +118,135 @@ def test_blank_lines_are_skipped(tmp_path):
 
 def test_bad_number_error_names_row_and_column(tmp_path):
     path = write_csv(tmp_path, "0.1,0.2,0\n0.3,oops,1\n")
-    with pytest.raises(DatasetFormatError, match="row 2, column 2"):
+    with pytest.raises(DatasetFormatError, match="^row 2, column 2: 'oops' is not a finite "
+                                                 r"number of magnitude <= 1e\+100$"):
         load_dataset_csv(path, n_classes=2)
 
 
 def test_non_finite_cell_error_names_row_and_column(tmp_path):
-    for cell in ("nan", "inf", "-Infinity"):
+    for cell in ("nan", "inf", "-Infinity", "1e999"):
         path = write_csv(tmp_path, f"0.1,0.2,0\n0.3,{cell},1\n")
-        with pytest.raises(DatasetFormatError, match="row 2, column 2.*finite"):
+        with pytest.raises(DatasetFormatError, match=f"^row 2, column 2: '{cell}' is not a "
+                                                     r"finite number of magnitude <= 1e\+100$"):
             load_dataset_csv(path, n_classes=2)
 
 
 def test_ragged_row_error_names_row(tmp_path):
     path = write_csv(tmp_path, "0.1,0.2,0\n0.3,1\n")
-    with pytest.raises(DatasetFormatError, match="row 2"):
+    with pytest.raises(DatasetFormatError, match="^row 2: expected 3 columns, found 2$"):
         load_dataset_csv(path, n_classes=2)
 
 
 def test_label_out_of_range_error_names_row(tmp_path):
     path = write_csv(tmp_path, "0.1,0.2,0\n0.3,0.4,5\n")
-    with pytest.raises(DatasetFormatError, match="row 2.*label 5"):
+    with pytest.raises(DatasetFormatError, match=r"^row 2: label 5 outside \[0, 2\)$"):
         load_dataset_csv(path, n_classes=2)
+
+
+# Each message as the per-row reader has always written it, for cells
+# numpy's reader parses differently or not at all: it reads 0x1F as
+# whitespace and "Ǿ" as the label 462.
+@pytest.mark.parametrize("text, has_header, message", [
+    ("0.1,0.2,0\n#1,0.4,1\n", False,
+     "row 2, column 1: '#1' is not a finite number of magnitude <= 1e+100"),
+    ("0.1,0.2,0\n0.3,\x1f0.4,1\n", False,
+     "row 2, column 2: '\\x1f0.4' is not a finite number of magnitude <= 1e+100"),
+    ("0.1,0.2,0\n0.3,0.4,1.0\n", False, "row 2, column 3: label '1.0' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,\n", False, "row 2, column 3: label '' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,1\x1f\n", False, "row 2, column 3: label '1\\x1f' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,Ǿ\n", False, "row 2, column 3: label 'Ǿ' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,12345678901234567890\n", False,
+     "row 2: label 12345678901234567890 outside [0, 1000)"),
+    ("0.1,0.2,0\n0.3,0.4,-1\n", False, "row 2: label -1 outside [0, 1000)"),
+    ("0.1,0.2,0\n0.3,0.4,1,\n", False, "row 2: expected 3 columns, found 4"),
+    ("0.1\n0.3\n", False, "row 1: need at least one feature and a label"),
+    ("f_1,f_2,label\n", True, "dataset has no data rows"),
+    ("", False, "dataset has no data rows"),
+], ids=lambda v: repr(v) if isinstance(v, str) else None)
+def test_dataset_error_message_names_its_row_and_column(tmp_path, text, has_header, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        load_dataset_csv(str(path), n_classes=1000, has_header=has_header)
+
+
+def reference_table(text, has_header):
+    """The rows of a CSV text read cell by cell with csv, float() and int()."""
+    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    rows = [r for r in rows[has_header:] if r and not (len(r) == 1 and not r[0].strip())]
+    return (np.array([[float(c) for c in r[:-1]] for r in rows]),
+            np.array([int(r[-1]) for r in rows]))
+
+
+def awkward_csv(only_rows):
+    """A dataset text with a byte order mark, a header, CRLF endings, blank
+    rows, spaces around cells, exponents, 17 significant digits, -0.0,
+    subnormals and +1 labels. With ``only_rows`` it also holds what only the
+    per-row reader reads: whitespace-only rows, quoted cells, ``1_0``, a
+    vertical tab and no-break space around cells, a non-ASCII digit label."""
+    rng = np.random.default_rng(40)
+    special = ["-0.0", "5e-324", "-2.2250738585072014e-308", "1e100", "-1E-100", "1.5E+3",
+               " 2.5 ", "\t7", ".5", "3.", "+0.25", "0.1000000000000000055511151231257827"]
+    cells = special + [repr(float(v)) for v in rng.standard_normal(36)] + ["%.6f" % v for v in
+                                                                    rng.standard_normal(12)]
+    if only_rows:
+        cells[-6:] = ['"0.5"', "1_0", "\v0.75", "\xa00.125\xa0", ' "-3e-7"', "2_000.5"]
+    labels = ["0", "+1", " 1", "1 ", "00", "-0"] * 3
+    if only_rows:
+        labels[-2:] = ['"1"', "١"]
+    lines = ["f_1,f_2,f_3,label"]
+    for i, label in enumerate(labels):
+        lines.append(",".join(cells[3 * i:3 * i + 3] + [label]))
+        if i % 5 == 2:
+            lines.append("   " if only_rows else "")
+    return "\ufeff" + "\r\n".join(lines) + "\r\n\r\n"
+
+
+@pytest.mark.parametrize("only_rows", [False, True], ids=["table", "rows"])
+def test_awkward_file_loads_like_a_per_cell_parse(tmp_path, monkeypatch, only_rows):
+    text = awkward_csv(only_rows)
+    path = tmp_path / "awkward.csv"
+    path.write_bytes(text.encode())
+    want_features, want_labels = reference_table(text, has_header=True)
+    table = environment._read_table(str(path), 2, has_header=True)
+    assert (table is None) == only_rows  # which reader serves the file
+    if not only_rows:
+        monkeypatch.setattr(environment, "_read_rows", None)
+    ds = load_dataset_csv(str(path), n_classes=2, has_header=True)
+    assert ds.features.shape == want_features.shape == (18, 3)
+    assert np.ascontiguousarray(ds.features).tobytes() == want_features.tobytes()
+    assert (ds.labels.dtype, ds.labels.tolist()) == (want_labels.dtype, want_labels.tolist())
+    # -0.0 and the subnormal keep their bits.
+    assert np.signbit(ds.features[0, 0]) and ds.features[0, 1] == 5e-324
+
+
+@pytest.mark.parametrize("standardize, features_sha256", [
+    (False, "c4194bebb5198ca04df6ef11b521966b8de79b59b623b2d4da208932141a46be"),
+    (True, "5212063b45b970bedbdbe01a71e96fff550dae35f914b5090e65ae4bdd8ca555"),
+])
+def test_bundled_dataset_keeps_its_bits(standardize, features_sha256):
+    path = Path(environment.__file__).parent / "presets" / "fig2_synth.csv"
+    ds = load_dataset_csv(str(path), n_classes=2, standardize=standardize, has_header=True)
+    assert ds.features.shape == (2520, 14)
+    assert hashlib.sha256(np.ascontiguousarray(ds.features).tobytes()).hexdigest() == \
+        features_sha256
+    assert hashlib.sha256(ds.labels.astype("<i8").tobytes()).hexdigest() == \
+        "7684bf0b623cae63a56223fc0f28e154de5477b692495da6d235f12781e74b39"
+
+
+def test_loading_holds_little_more_than_the_feature_array(tmp_path):
+    rng = np.random.default_rng(41)
+    table = np.column_stack([rng.standard_normal((20_000, 20)), rng.integers(0, 3, 20_000)])
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, table, fmt=["%.6f"] * 20 + ["%d"], delimiter=",")
+    tracemalloc.start()
+    try:
+        ds = load_dataset_csv(str(path), n_classes=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (20_000, 20) and np.array_equal(ds.labels, table[:, 20])
+    assert peak <= 2 * ds.features.nbytes
 
 
 def test_standardization_centers_and_scales(tmp_path):
