@@ -15,6 +15,7 @@ from __future__ import annotations
 import codecs
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -198,18 +199,17 @@ def _read_table(path: str, n_classes: int,
     (about 1.2x the feature array) and one block. ``features`` is a view of
     that table's feature field.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # Older numpy parses a label such as "1.0" as a float, truncates it
+        # and only warns; as an error the warning sends the file to
+        # ``_read_rows``, which rejects that label.
+        warnings.simplefilter("error", DeprecationWarning)
         if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
             fh.seek(0)
+        lines = itertools.chain.from_iterable(_checked_blocks(fh))
         try:
-            # csv reads a header that is not UTF-8 or is past its field
-            # limit as an error, and ends one with a quote or a lone CR
-            # elsewhere.
-            header = fh.readline().decode("utf-8") if has_header else ""
-            if ('"' in header or "\r" in header.rstrip("\n")[:-1]
-                    or len(header) > csv.field_size_limit()):
-                return None
-            lines = itertools.chain.from_iterable(_checked_blocks(fh))
+            if has_header:
+                next(lines, None)
             first = next(line for line in lines if line.strip("\r\n"))
             width = first.count(",") + 1
             if width < 2:
@@ -217,7 +217,8 @@ def _read_table(path: str, n_classes: int,
             dtype = np.dtype([("features", float, (width - 1,)), ("label", int)])
             table = np.loadtxt(itertools.chain((first,), lines), dtype=dtype,
                                delimiter=",", comments=None, ndmin=1)
-        except (StopIteration, ValueError):  # no data row, or a line numpy rejects
+        # No data row, a line numpy rejects, or a label it would truncate.
+        except (StopIteration, ValueError, DeprecationWarning):
             return None
     features, labels = table["features"], table["label"]
     # Reductions, not elementwise tests, so no temporary of the table's size.

@@ -9,10 +9,9 @@ perturbation scheme disburses both signs.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -127,34 +126,33 @@ class RoundRecords(Sequence):
         return self._trace.horizon
 
     def __getitem__(self, index):
-        rows = range(self._trace.horizon)[index]
-        if isinstance(rows, range):
-            return list(map(self._record, rows, self._trace.snapshots(rows)))
-        return self._record(rows, self._trace.snapshots([rows])[0])
+        if isinstance(index, slice):
+            return list(self._records(index))
+        row = range(self._trace.horizon)[index]
+        return next(self._records(slice(row, row + 1)))
 
     def __iter__(self):
-        # A column at a time: ``tolist`` gives the Python ints and floats that
-        # ``_record`` makes one row at a time; the budget column yields its
-        # own objects.
-        tr = self._trace
-        return map(RoundRecord, itertools.count(1), tr.contexts, tr.payments, tr.arm.tolist(),
-                   tr.snapshots(), tr.observed.tolist(), tr.true_mean.tolist(),
-                   tr.inst_regret.tolist(), tr.paid.tolist(), tr.budget)
+        return self._records(slice(None))
 
-    def _record(self, i: int, displayed: np.ndarray) -> RoundRecord:
+    def _records(self, rows: slice) -> Iterator[RoundRecord]:
+        # A column at a time, each named by its RoundRecord field: ``tolist``
+        # gives Python ints and floats, the budget column its own objects,
+        # and one ``snapshots`` pass the displayed estimates.
         tr = self._trace
-        return RoundRecord(
-            t=i + 1,
-            context=tr.contexts[i],
-            payments=tr.payments[i],
-            chosen_arm=int(tr.arm[i]),
-            displayed_estimates=displayed,
-            observed_reward=float(tr.observed[i]),
-            true_mean_reward=float(tr.true_mean[i]),
-            inst_regret=float(tr.inst_regret[i]),
-            payment_paid=float(tr.paid[i]),
-            budget_remaining=tr.budget[i],
-        )
+        idx = np.arange(tr.horizon)[rows]
+        columns = {
+            "t": (idx + 1).tolist(),
+            "context": tr.contexts[rows],
+            "payments": tr.payments[rows],
+            "chosen_arm": tr.arm[rows].tolist(),
+            "displayed_estimates": tr.snapshots(idx),
+            "observed_reward": tr.observed[rows].tolist(),
+            "true_mean_reward": tr.true_mean[rows].tolist(),
+            "inst_regret": tr.inst_regret[rows].tolist(),
+            "payment_paid": tr.paid[rows].tolist(),
+            "budget_remaining": tr.budget[rows],
+        }
+        return map(RoundRecord, *(columns[f.name] for f in fields(RoundRecord)))
 
 
 @dataclass

@@ -206,23 +206,29 @@ def test_every_record_path_rebuilds_the_snapshots_the_agent_saw(monkeypatch, cfg
 @pytest.mark.parametrize("cfg", POLICIES[:5] + POLICIES[5:6],
                          ids=lambda cfg: f"{cfg.kind}-{cfg.budget!r}")
 def test_iterating_the_records_equals_indexing_them(cfg):
-    # Iteration reads whole columns; indexing builds one row. Every field of
-    # every record agrees, value and type: an int arm, float rewards, arrays
-    # of the same bits, the budget column's own object.
+    # Iteration and slices build whole columns of records at once; every
+    # field of every record agrees with indexing that row, value and type:
+    # an int arm, float rewards, arrays of the same bits, the budget column's
+    # own object.
     inst = instance(sources()["gaussian"])
     trace = run_single(inst, cfg, child_seed_sequence(6, 0, 0))
-    iterated = list(trace.records)
-    assert len(iterated) == HORIZON
-    for i, got in enumerate(iterated):
-        want = trace.records[i]
-        for name, value in vars(want).items():
-            other = getattr(got, name)
-            assert type(other) is type(value), (cfg.kind, i, name)
-            if isinstance(value, np.ndarray):
-                assert (other.dtype, other.shape, other.tobytes()) == \
-                    (value.dtype, value.shape, value.tobytes()), (cfg.kind, i, name)
-            else:
-                assert other == value or (other != other and value != value), (cfg.kind, i, name)
+    records = trace.records
+    for rows, got in [(range(HORIZON), list(records)),
+                      (range(HORIZON)[::-3], records[::-3]),
+                      (range(HORIZON)[2:9:2], records[2:9:2])]:
+        assert len(got) == len(rows)
+        for i, rec in zip(rows, got):
+            want = records[i]
+            for name, value in vars(want).items():
+                other = getattr(rec, name)
+                assert type(other) is type(value), (cfg.kind, i, name)
+                if isinstance(value, np.ndarray):
+                    assert (other.dtype, other.shape, other.tobytes()) == \
+                        (value.dtype, value.shape, value.tobytes()), (cfg.kind, i, name)
+                else:
+                    assert other == value or (other != other and value != value), \
+                        (cfg.kind, i, name)
+    assert records[-1].t == HORIZON and records[HORIZON:] == []
 
 
 def test_a_finished_trace_holds_no_per_round_snapshot():

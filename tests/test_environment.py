@@ -5,6 +5,7 @@ import hashlib
 import io
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,32 @@ def test_dataset_error_message_names_its_row_and_column(tmp_path, text, has_head
     path.write_bytes(text.encode())
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
         load_dataset_csv(str(path), n_classes=1000, has_header=has_header)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("label", ["1.0", "0.5", "1e0", "-0.9", "1.9"])
+def test_a_fractional_label_is_not_an_integer_whatever_the_warning_filters(tmp_path, label):
+    path = write_csv(tmp_path, f"0.1,0.2,0\n0.3,0.4,{label}\n")
+    with pytest.raises(DatasetFormatError,
+                       match=f"^row 2, column 3: label {re.escape(repr(label))} is not an integer$"):
+        load_dataset_csv(str(path), n_classes=3)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_a_label_numpy_truncates_with_a_warning_goes_to_the_row_reader(tmp_path, monkeypatch):
+    # Older numpy reads the label "1.0" as a float, truncates it to 1 and
+    # only warns: the warning, not the value, must send the file on.
+    def truncating_loadtxt(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        table = np.zeros(len(list(lines)), dtype=dtype)
+        table["label"] = 1
+        return table
+
+    monkeypatch.setattr(environment.np, "loadtxt", truncating_loadtxt)
+    path = write_csv(tmp_path, "0.1,0.2,0\n0.3,0.4,1.0\n")
+    with pytest.raises(DatasetFormatError, match=r"^row 2, column 3: label '1\.0' is not an integer$"):
+        load_dataset_csv(str(path), n_classes=3)
 
 
 def reference_table(text, has_header):
