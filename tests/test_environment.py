@@ -146,13 +146,19 @@ def test_label_out_of_range_error_names_row(tmp_path):
 
 # Each message as the per-row reader has always written it, for cells
 # numpy's reader parses differently or not at all: it reads 0x1F as
-# whitespace and "Ǿ" as the label 462.
+# whitespace and "Ǿ" as the label 462, and older releases truncate a label
+# such as "1.0" with only a DeprecationWarning, which the default filters of
+# a `payband` run ignore.
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize("text, has_header, message", [
     ("0.1,0.2,0\n#1,0.4,1\n", False,
      "row 2, column 1: '#1' is not a finite number of magnitude <= 1e+100"),
     ("0.1,0.2,0\n0.3,\x1f0.4,1\n", False,
      "row 2, column 2: '\\x1f0.4' is not a finite number of magnitude <= 1e+100"),
     ("0.1,0.2,0\n0.3,0.4,1.0\n", False, "row 2, column 3: label '1.0' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,0.5\n", False, "row 2, column 3: label '0.5' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,1e0\n", False, "row 2, column 3: label '1e0' is not an integer"),
+    ("0.1,0.2,0\n0.3,0.4,-0.9\n", False, "row 2, column 3: label '-0.9' is not an integer"),
     ("0.1,0.2,0\n0.3,0.4,\n", False, "row 2, column 3: label '' is not an integer"),
     ("0.1,0.2,0\n0.3,0.4,1\x1f\n", False, "row 2, column 3: label '1\\x1f' is not an integer"),
     ("0.1,0.2,0\n0.3,0.4,Ǿ\n", False, "row 2, column 3: label 'Ǿ' is not an integer"),
@@ -172,15 +178,6 @@ def test_dataset_error_message_names_its_row_and_column(tmp_path, text, has_head
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-@pytest.mark.parametrize("label", ["1.0", "0.5", "1e0", "-0.9", "1.9"])
-def test_a_fractional_label_is_not_an_integer_whatever_the_warning_filters(tmp_path, label):
-    path = write_csv(tmp_path, f"0.1,0.2,0\n0.3,0.4,{label}\n")
-    with pytest.raises(DatasetFormatError,
-                       match=f"^row 2, column 3: label {re.escape(repr(label))} is not an integer$"):
-        load_dataset_csv(str(path), n_classes=3)
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_a_label_numpy_truncates_with_a_warning_goes_to_the_row_reader(tmp_path, monkeypatch):
     # Older numpy reads the label "1.0" as a float, truncates it to 1 and
     # only warns: the warning, not the value, must send the file on.
@@ -193,7 +190,8 @@ def test_a_label_numpy_truncates_with_a_warning_goes_to_the_row_reader(tmp_path,
 
     monkeypatch.setattr(environment.np, "loadtxt", truncating_loadtxt)
     path = write_csv(tmp_path, "0.1,0.2,0\n0.3,0.4,1.0\n")
-    with pytest.raises(DatasetFormatError, match=r"^row 2, column 3: label '1\.0' is not an integer$"):
+    with pytest.raises(DatasetFormatError,
+                       match=r"^row 2, column 3: label '1\.0' is not an integer$"):
         load_dataset_csv(str(path), n_classes=3)
 
 
