@@ -239,6 +239,16 @@ def _checked_blocks(fh):
         yield block.decode("ascii").splitlines(keepends=True)
 
 
+def _records(fh):
+    """csv's records of ``fh``; a csv error, such as a cell longer than csv's
+    field limit, raises DatasetFormatError naming the row."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetFormatError(f"row {reader.line_num}: {exc}") from None
+
+
 def _read_rows(path: str, n_classes: int, has_header: bool) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) parsed cell by cell with ``csv``, ``float()`` and
     ``int()``; raises DatasetFormatError at the first bad row."""
@@ -246,8 +256,7 @@ def _read_rows(path: str, n_classes: int, has_header: bool) -> tuple[np.ndarray,
     labels: list[int] = []
     width: Optional[int] = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
+        for lineno, cells in enumerate(_records(fh), start=1):
             if lineno == 1 and has_header:
                 continue
             if not cells or (len(cells) == 1 and not cells[0].strip()):

@@ -29,12 +29,16 @@ such a G pass the pivot check, so the count, not the check, decides there.
 An arm with at least ``dim`` contexts that are still rank deficient relies
 on the pivot check alone.
 
-Only a refactor reads G, so ``absorb`` does not form x x^T: it copies x into
-the arm's buffer of ``GRAM_ROWS`` rows, and G is summed when it is read
-(``gram``) or the buffer is full. The fold adds the buffered outer products
-to G one at a time, in absorb order, with ``np.add.accumulate``, so G keeps
-the bits of absorbing each x x^T with ``+=``. ``np.add.reduce`` would sum
-them pairwise and round differently.
+Each arm's G and moment share one (dim + 1, dim) statistics block: rows
+:dim hold G and row dim the moment, and ``gram`` and ``moment`` are views of
+it. ``absorb`` adds to the block one k = 1 BLAS product, the column
+(x, response) times the row x, so each entry gains the one rounding of its
+product, x_i x_j or response * x_j, as a sequential ``+=`` of the broadcast
+``x[:, None] * x`` and of ``response * x`` would. A zero product is +0.0
+where the broadcast can give -0.0, but the block starts at +0.0, a sum that
+cancels to zero is +0.0, and adding a zero of either sign to anything but
+-0.0 gives the same bits, so the block never holds -0.0 and keeps the bits
+of the sequential sums, signs of zero included.
 
 The factor and solve kernels below are numpy's LAPACK calls on float64
 arrays of at most ``model.MAX_DIM`` columns. The singularity threshold is
@@ -54,9 +58,6 @@ RIDGE = "ridge"
 # An absorb whose update ratio s = det G' / det G exceeds this drops the
 # cached inverse, so the next use refactors G anew.
 REFACTOR_RATIO = 2.0
-
-# Contexts an arm buffers before it folds their outer products into G.
-GRAM_ROWS = 32
 
 # Pivot below this during factorization means the matrix is treated as
 # singular rather than positive definite.
@@ -130,13 +131,14 @@ def min_eig_sym(a: np.ndarray) -> float:
 class EstimatorState:
     """The regression statistics of a strategy's N arms, one row per arm.
 
-    ``gram`` (N, dim, dim) is each arm's raw sum of outer products; the
-    ridge term ``ridge_lambda * I`` is added at refactor time only.
-    ``moment`` (N, dim) sums response * context, ``inverses`` (N, dim, dim)
-    holds G^-1 of each arm whose ``current`` entry is True, and ``shown``
-    (N, dim) is each arm's displayed estimate. ``current`` is a list,
-    read-only to callers like the arrays. Every method takes the arm, 0 by
-    default, so ``EstimatorState(dim)`` is one arm's state.
+    ``gram`` (N, dim, dim) and ``moment`` (N, dim) are views of one
+    (N, dim + 1, dim) array, each arm's statistics block: the raw
+    sum of outer products, to which the ridge term ``ridge_lambda * I`` is
+    added at refactor time only, and the sum of response * context.
+    ``inverses`` (N, dim, dim) holds G^-1 of each arm whose ``current``
+    entry is True, and ``shown`` (N, dim) is each arm's displayed estimate.
+    ``current`` is a list, read-only to callers like the arrays. Every method
+    takes the arm, 0 by default, so ``EstimatorState(dim)`` is one arm's state.
     """
 
     def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0,
@@ -147,26 +149,34 @@ class EstimatorState:
             raise ValueError("ridge mode requires ridge_lambda > 0")
         self.mode = mode
         self.ridge_lambda = float(ridge_lambda)
-        self.dim = int(dim)
-        self.inverses = np.zeros((n_arms, self.dim, self.dim))
-        self.moment = np.zeros((n_arms, self.dim))
-        self.shown = np.zeros((n_arms, self.dim))
+        self.dim = d = int(dim)
+        self.inverses = np.zeros((n_arms, d, d))
+        self._stats = np.zeros((n_arms, d + 1, d))
+        self.gram, self.moment = self._stats[:, :d], self._stats[:, d]
+        self.shown = np.zeros((n_arms, d))
         self.current = [False] * n_arms
-        self._gram = np.zeros((n_arms, self.dim, self.dim))
-        self._rows = np.empty((n_arms, GRAM_ROWS, self.dim))  # absorbed, not yet in _gram
-        self._buffered = [0] * n_arms
         self._absorbed = [0] * n_arms  # contexts absorbed, for the OLS rank rule
         # Each arm's rows, viewed once: indexing the stacks on every absorb costs more.
-        self._views = list(zip(self.inverses, self.moment, self.shown, self._rows))
+        self._views = list(zip(self.inverses, self._stats, self.moment, self.shown))
+        # The block update's scratch: the column (x, response) with its (d + 1, 1)
+        # and x's (1, d) views, and their product.
+        self._col = np.empty(d + 1)
+        self._x, self._colv, self._xrow = self._col[:d], self._col[:, None], self._col[None, :d]
+        self._outer = np.empty((d + 1, d))
         # The rank-1 update's scratch: u = A x, its (d, 1) and (1, d) views, and v v^T.
-        self._u = np.empty(self.dim)
+        self._u = np.empty(d)
         self._vcol, self._vrow = self._u[:, None], self._u[None, :]
-        self._vvt = np.empty((self.dim, self.dim))
+        self._vvt = np.empty((d, d))
 
     def absorb(self, context: np.ndarray, response: float, arm: int = 0) -> None:
         """Add one (context, response) pair to the arm's statistics, then
         refresh its ``shown`` row: the estimate, which refactors if needed,
         or the zero vector while an OLS arm is not identifiable.
+
+        The block gains the k = 1 BLAS product of the column (x, response)
+        and the row x: G and the moment keep the bits of adding x x^T and
+        response * x with ``+=``, since each entry is one rounding and the
+        block never holds -0.0 (module docstring).
 
         The rank-1 update forms v v^T as a k = 1 BLAS product of (d, 1) and
         (1, d) views of the bank's scratch v (0.8-1.1 us at d = 4 and 14,
@@ -181,14 +191,11 @@ class EstimatorState:
         x = np.asarray(context, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"context shape {x.shape} does not match dim {self.dim}")
-        inv, moment, shown, rows = self._views[arm]
-        k = self._buffered[arm]
-        rows[k] = x
-        self._buffered[arm] = k + 1
-        if k + 1 == GRAM_ROWS:
-            self._fold(arm)
+        inv, stats, _, shown = self._views[arm]
+        self._x[...] = x
+        self._col[-1] = response
+        stats += self._colv.dot(self._xrow, out=self._outer)
         self._absorbed[arm] += 1
-        moment += float(response) * x
         if self.current[arm]:
             u = inv.dot(x, out=self._u)
             s = 1.0 + x.dot(u)
@@ -202,28 +209,10 @@ class EstimatorState:
         except SingularMatrixError:
             shown[...] = 0.0
 
-    def _fold(self, arm: int) -> None:
-        """Add the arm's buffered rows' outer products to its G in absorb order."""
-        rows = self._rows[arm, :self._buffered[arm]]
-        gram = self._gram[arm]
-        terms = np.concatenate([gram[None], rows[:, :, None] * rows[:, None, :]])
-        gram[...] = np.add.accumulate(terms, axis=0)[-1]
-        self._buffered[arm] = 0
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Each arm's sum of x x^T over its absorbed contexts."""
-        for arm, buffered in enumerate(self._buffered):
-            if buffered:
-                self._fold(arm)
-        return self._gram
-
     def regularized_gram(self, arm: int = 0) -> np.ndarray:
-        if self._buffered[arm]:
-            self._fold(arm)
         if self.mode == RIDGE:
-            return self._gram[arm] + self.ridge_lambda * np.eye(self.dim)
-        return self._gram[arm]
+            return self.gram[arm] + self.ridge_lambda * np.eye(self.dim)
+        return self.gram[arm]
 
     def inverse(self, arm: int = 0) -> np.ndarray:
         """The arm's row of ``inverses``, A = G^-1 for its (regularized) Gram
@@ -259,7 +248,7 @@ class EstimatorState:
         SingularMatrixError while the Gram matrix is rank deficient, before
         ``out`` is written; ``absorb`` then shows the zero vector.
         """
-        est = self.inverse(arm).dot(self._views[arm][1], out=out)
+        est = self.inverse(arm).dot(self._views[arm][2], out=out)
         norm = math.sqrt(est.dot(est))
         if norm > 1.0:
             est /= norm

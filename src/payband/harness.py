@@ -20,7 +20,6 @@ master seed.
 from __future__ import annotations
 
 import contextlib
-import importlib.resources
 import itertools
 import json
 import math
@@ -182,6 +181,8 @@ def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
     """Resolve a dataset path. ``pkg:NAME`` names a file bundled with payband;
     relative paths resolve against the config file's directory."""
     if path.startswith("pkg:"):
+        import importlib.resources  # here, so a config without a pkg: path never imports it
+
         resource = importlib.resources.files("payband.presets") / path[4:]
         with importlib.resources.as_file(resource) as concrete:
             if not concrete.exists():

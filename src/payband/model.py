@@ -13,8 +13,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .estimation import GRAM_ROWS
-
 # Absolute dead band for utility comparisons in agent_choose. Utilities within
 # this of the maximum count as tied, so a payment equal to the exact estimated
 # gap reliably moves the choice even when float rounding perturbs the sum by
@@ -65,12 +63,13 @@ def run_cells(n_arms: int, dim: int, horizon: int) -> int:
     means, dim + n_arms; the reward noise; a perturbation draw and the
     perturbed context, 2 * dim; LinUCB's (t, greedy, base) log entry, 92
     bytes or 12 cells; and the accumulated curves, n_arms + 3. Per run: the
-    estimator bank's inverses and Gram matrices, moments, displayed
-    estimates and Gram buffer, n_arms * dim * (2 * dim + 2 + GRAM_ROWS), its
-    rank-1 update scratch, dim * (dim + 1), and RUN_CELLS.
+    estimator bank's inverses, statistics blocks (Gram matrix and moment) and
+    displayed estimates, n_arms * dim * (2 * dim + 2); its block update's
+    column and product, (dim + 1) * (dim + 1), and its rank-1 update's
+    scratch, dim * (dim + 1); and RUN_CELLS.
     """
     per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + 12 + n_arms + 3
-    bank = n_arms * dim * (2 * dim + 2 + GRAM_ROWS) + dim * (dim + 1)
+    bank = n_arms * dim * (2 * dim + 2) + (2 * dim + 1) * (dim + 1)
     return horizon * per_round + bank + RUN_CELLS
 
 

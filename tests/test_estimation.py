@@ -424,15 +424,18 @@ def test_ols_arm_with_fewer_contexts_than_dim_is_never_factored(monkeypatch):
 
 
 class BroadcastUpdate:
-    """One arm's inverse kept by the rank-1 update ``inv -= u[:, None] * u``,
-    refactored where ``EstimatorState`` refactors; counts the -0.0 products."""
+    """One arm's statistics kept by broadcast products, ``gram += x[:, None] * x``
+    and ``moment += response * x``, and its inverse by the rank-1 update
+    ``inv -= u[:, None] * u``, refactored where ``EstimatorState`` refactors;
+    counts the -0.0 products."""
 
     def __init__(self, d, lam):
-        self.gram, self.lam, self.inv = np.zeros((d, d)), lam, None
+        self.gram, self.moment, self.lam, self.inv = np.zeros((d, d)), np.zeros(d), lam, None
         self.negative_zeros = 0
 
-    def absorb(self, x):
-        self.gram += x[:, None] * x  # the bits of the bank's folded G
+    def absorb(self, x, response):
+        self.gram += x[:, None] * x
+        self.moment += response * x
         if self.inv is not None:
             u = self.inv.dot(x)
             s = 1.0 + x.dot(u)
@@ -454,11 +457,17 @@ def zero_signs_aside(a):
     return (a + 0.0).view(np.int64)
 
 
+def bits(a):
+    """The int64 bit patterns of ``a``, signs of zero included."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @pytest.mark.parametrize("history", ["dense", "fixed_cycled", "dataset_zero_column"])
 @pytest.mark.parametrize("d", [1, 4, 14, 64])
 def test_rank_one_update_matches_the_broadcast_outer_product(d, history):
-    # absorb forms v v^T as a BLAS product, which writes +0.0 where the
-    # broadcast writes -0.0; every nonzero bit of every inverse must agree.
+    # absorb forms its products with BLAS, which writes +0.0 where the
+    # broadcast writes -0.0. G and the moment must keep every bit, zero signs
+    # included; every nonzero bit of every inverse must agree.
     rng = np.random.default_rng(70 + d)
     n = 6 * d + 40
     if history == "dense":
@@ -477,8 +486,11 @@ def test_rank_one_update_matches_the_broadcast_outer_product(d, history):
         references = [BroadcastUpdate(d, lam), BroadcastUpdate(d, lam)]
         for k, x in enumerate(contexts):
             arm = (k // 3) % 2
-            bank.absorb(x, float(rng.normal()), arm)
-            references[arm].absorb(x)
+            response = 0.0 if k % 4 == 0 else float(rng.normal())  # zero products too
+            bank.absorb(x, response, arm)
+            references[arm].absorb(x, response)
+            assert np.array_equal(bits(bank.gram[arm]), bits(references[arm].gram)), (k, lam)
+            assert np.array_equal(bits(bank.moment[arm]), bits(references[arm].moment)), (k, lam)
             assert np.array_equal(zero_signs_aside(bank.inverses[arm]),
                                   zero_signs_aside(references[arm].inv)), (k, lam)
         if history != "dense" and d > 1:  # the histories reach the zero-sign case
@@ -486,23 +498,33 @@ def test_rank_one_update_matches_the_broadcast_outer_product(d, history):
 
 
 @pytest.mark.parametrize("d", [1, 4, 14, 64])
-def test_buffered_gram_equals_sequential_sum(d):
-    # The fold must keep the bits of adding each x x^T in absorb order, with
-    # reads of ``gram`` in mid-buffer and runs below, at and past the buffer.
+def test_statistics_block_equals_sequential_sums(d, monkeypatch):
+    # G and the moment must keep the bits of adding each x x^T and
+    # response * x in absorb order, read after every absorb and across
+    # refactors, with exact zeros in the contexts and the responses.
+    factors = []
+    factor = estimation.cholesky_spd
+    monkeypatch.setattr(estimation, "cholesky_spd", lambda a: factors.append(1) or factor(a))
     rng = np.random.default_rng(40 + d)
-    rows = estimation.GRAM_ROWS
-    for count in (1, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 5):
-        for reads in ((), (1,), (rows // 2, rows + 3), tuple(range(0, count, 7))):
-            state = EstimatorState(d, mode=RIDGE, ridge_lambda=1.0)
-            want = np.zeros((d, d))
-            scale = 10.0 ** rng.uniform(-3, 3, size=count)
-            for k, x in enumerate(rng.normal(size=(count, d)) * scale[:, None], start=1):
-                state.absorb(x, 0.0)
-                want += x[:, None] * x
-                if k in reads:
-                    assert np.array_equal(state.gram[0], want)
-            assert np.array_equal(state.gram[0], want)
-            assert np.array_equal(state.gram[0], want)  # a second read adds nothing
+    count = 4 * d + 40
+    for lam in (1.0, 1e-3):
+        state = EstimatorState(d, mode=RIDGE, ridge_lambda=lam, n_arms=2)
+        gram, moment = np.zeros((d, d)), np.zeros(d)
+        scale = 10.0 ** rng.uniform(-3, 3, size=count)
+        contexts = rng.normal(size=(count, d)) * scale[:, None]
+        contexts[rng.random(size=(count, d)) < 0.2] = 0.0
+        responses = rng.normal(size=count) * (rng.random(size=count) < 0.7)
+        for k, (x, y) in enumerate(zip(contexts, responses)):
+            state.absorb(x, float(y), arm=1)
+            gram += x[:, None] * x
+            moment += float(y) * x
+            assert np.array_equal(bits(state.gram[1]), bits(gram)), k
+            assert np.array_equal(bits(state.moment[1]), bits(moment)), k
+            if k % 5 == 0:
+                state.current_inverses()  # reads G through a refactor where one is due
+        assert np.array_equal(bits(state.regularized_gram(1)), bits(gram + lam * np.eye(d)))
+        assert not (state.gram[0].any() or state.moment[0].any())  # the other arm untouched
+    assert len(factors) > 2 + 2  # each bank's first factors, then refactors
 
 
 def test_bank_keeps_each_arms_inverse_in_its_row(monkeypatch):
@@ -538,12 +560,12 @@ def test_bank_rows_equal_separate_single_arm_banks(n_arms, d, mode, lam):
     # One bank fed a seeded interleaving of (arm, x, y) against N one-arm
     # banks, each fed its arm's pairs in the same absorb/estimate order: every
     # row must match bit for bit after every step, so rows never interact.
-    # Scales from 1e-3 to 10 make refactors; runs past GRAM_ROWS make folds.
+    # Scales from 1e-3 to 10 make refactors.
     rng = np.random.default_rng(50 + 10 * n_arms + d)
     bank = EstimatorState(d, mode, lam, n_arms)
     singles = [EstimatorState(d, mode, lam) for _ in range(n_arms)]
     absorbed = [0] * n_arms
-    for step in range(3 * estimation.GRAM_ROWS * n_arms):
+    for step in range(96 * n_arms):
         arm = int(rng.integers(n_arms))
         absorbed[arm] += 1
         x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1)
@@ -554,7 +576,7 @@ def test_bank_rows_equal_separate_single_arm_banks(n_arms, d, mode, lam):
             bank.current_inverses()
             for single in singles:
                 single.current_inverses()
-        if step % 7 == 0:  # a mid-buffer read of G
+        if step % 7 == 0:
             assert np.array_equal(bank.gram[arm], singles[arm].gram[0])
         for a, single in enumerate(singles):
             assert bank.current[a] == single.current[0]
@@ -562,7 +584,7 @@ def test_bank_rows_equal_separate_single_arm_banks(n_arms, d, mode, lam):
             assert np.array_equal(bank.inverses[a], single.inverses[0])
             assert np.array_equal(bank.shown[a], single.shown[0])
     assert np.array_equal(bank.gram, np.concatenate([s.gram for s in singles]))
-    assert min(absorbed) > estimation.GRAM_ROWS
+    assert min(absorbed) > 2 * d
 
 
 @pytest.mark.parametrize("d", [1, 4, 14, 64])

@@ -1111,6 +1111,28 @@ def test_cli_validate_rejects_non_finite_dataset_cell(tmp_path, capsys):
         assert "context_source.path" in err and "row 2, column 1" in err, cell
 
 
+def test_cli_reports_a_dataset_cell_past_csvs_field_limit(tmp_path):
+    # Only the per-row reader meets such a cell; it is a finding, not a traceback.
+    data = base_config()
+    data["instance"].update(horizon=2, init_explore_m=2)
+    data["instance"]["context_source"] = {"kind": "dataset_replay", "path": "long.csv"}
+    del data["instance"]["true_attrs"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    cell = "0." + "1" * (csv.field_size_limit() + 8)
+    (tmp_path / "long.csv").write_text(f"0.1,0.2,0\n{cell},0.4,1\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    for argv, code, message in (
+            (["validate", "--config", str(p)], 2, "instance.context_source.path"),
+            (["import", "--csv", str(tmp_path / "long.csv"), "--classes", "2"], 3,
+             "import failed: row 2: field larger than field limit")):
+        proc = subprocess.run([sys.executable, "-m", "payband.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        assert f"({csv.field_size_limit()})" in proc.stderr
+
+
 def test_width_strategies_run_at_the_ridge_lambda_floor(tmp_path):
     data = json.loads(preset_config_path("fig1").read_text())
     data["instance"].update(init_explore_m=0, horizon=100)
@@ -1281,7 +1303,7 @@ GOLDEN_FINDINGS = {
         "[error] policies[0]: only the fields kind, sigma_pay, ridge_lambda, delta, "
         "linucb_alpha, budget, init_explore_m, estimator_mode (got ['siverity'])\n"),
     "range and cell bound": (range_and_cell_bound, None, 2,
-        "[error] instance.horizon: <= 7063979 at n_arms 2 and dim 2, so a run holds at "
+        "[error] instance.horizon: <= 7063982 at n_arms 2 and dim 2, so a run holds at "
         "most 2**28 float64 cells (got 100000000)\n"
         "[error] policies[0].sigma_pay: number in [0, 1e+100] (got -1.0)\n"),
     "non-object root": (lambda tmp_path: "[1, 2]", None, 2,
