@@ -18,7 +18,12 @@ import pytest
 
 from payband import harness
 from payband.cli import main
-from payband.environment import FixedSequenceSpec, GaussianContextSpec, load_dataset_csv
+from payband.environment import (
+    DatasetFormatError,
+    FixedSequenceSpec,
+    GaussianContextSpec,
+    load_dataset_csv,
+)
 from payband.harness import (
     SEED_ENV_VAR,
     TRACE_COLUMNS,
@@ -1131,6 +1136,9 @@ def test_cli_reports_a_dataset_cell_past_csvs_field_limit(tmp_path):
         assert proc.returncode == code, proc.stderr
         assert message in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
         assert f"({csv.field_size_limit()})" in proc.stderr
+    (tmp_path / "head.csv").write_text(f"{cell},b,label\n0.1,0.2,0\n")  # a header cell too
+    with pytest.raises(DatasetFormatError, match="^row 1: field larger than field limit"):
+        load_dataset_csv(str(tmp_path / "head.csv"), 2, has_header=True)
 
 
 def test_width_strategies_run_at_the_ridge_lambda_floor(tmp_path):
