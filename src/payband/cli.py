@@ -1,12 +1,6 @@
-"""Command-line interface.
-
-Subcommands:
-    run       execute a JSON experiment config and write CSV curves
-    validate  check a config and print diagnostics
-    import    parse a dataset CSV and print a summary
-    preset    run a bundled experiment configuration
-
-Exit codes: 0 success, 2 invalid configuration, 3 runtime failure.
+"""Command-line interface: ``payband run``, ``validate``, ``import`` and
+``preset`` (README "Command line"). Exit codes: 0 success, 2 invalid
+configuration, 3 runtime failure.
 """
 
 from __future__ import annotations

@@ -1,13 +1,8 @@
 """Context sources, dataset loading, and the environments a run plays in.
 
-Context sources come in three kinds: a fixed (optionally cycled) sequence,
-i.i.d. Gaussian draws around a mean vector, and replay of a classification
-dataset's feature rows. The first two are specs that draw a run's contexts
-themselves (``draw``) for a linear reward model; dataset replay shuffles the
-rows instead. Every context handed to the interaction loop is projected onto
-the unit ball first. For dataset replay the reward for pulling arm i on a row
-labeled c is the indicator i == c, which turns a supervised dataset into a
-bandit instance with one arm per class.
+A fixed-sequence or Gaussian spec draws a run's contexts itself (``draw``);
+dataset replay shuffles a dataset's rows, and pulling arm i on a row labeled
+c rewards 1{i == c}. Every context is projected onto the unit ball.
 """
 
 from __future__ import annotations
@@ -108,10 +103,6 @@ class DatasetReplaySpec:
     sample_with_replacement: bool = False
 
 
-# ---------------------------------------------------------------------------
-# Reward realization.
-# ---------------------------------------------------------------------------
-
 def realize_from_mean(true_mean: float, noise_std: float, rng: np.random.Generator) -> float:
     """Observed reward: true mean plus N(0, noise_std^2) noise.
 
@@ -156,19 +147,11 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                      has_header: bool = False) -> BanditDataset:
     """Parse the ``f_1,...,f_d,label`` rows of a UTF-8 CSV file into a BanditDataset.
 
-    A leading byte order mark is skipped, and with ``has_header`` the first
-    row. Blank rows are skipped. A feature cell holds one number as
-    ``float()`` reads it (surrounding whitespace allowed), finite and of
-    magnitude at most ``model.MAX_MAGNITUDE``; a label cell holds one
-    integer as ``int()`` reads it, in [0, n_classes).
-
-    The file is read in one pass by numpy's C reader (``_read_table``).
-    Anything that reader declines or that fails a check goes to
-    ``_read_rows``, the per-row reader, which locates the error: it raises
-    with the 1-based row and column, so a broken file can be fixed without
-    guessing, or, for a file only it reads (a quoted cell, a whitespace-only
-    row, a ``1_0`` digit separator, a character outside printable ASCII in a
-    row), its table is the result. Either way the result has the same bits.
+    A leading byte order mark, blank rows and, with ``has_header``, the first
+    row are skipped. numpy's C reader (``_read_table``) reads the file in one
+    pass; a file it declines or that fails a cell check goes to ``_read_rows``,
+    which raises DatasetFormatError at the row and column of the first bad
+    cell or, finding none, gives the same bits (README "Config format").
     """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
@@ -180,25 +163,18 @@ def load_dataset_csv(path: str, n_classes: int, standardize: bool = False,
                          standardized=standardize)
 
 
-# Bytes a data row may hold for ``_read_table``: printable ASCII but the
-# quote, tab, CR and LF. numpy's number parsers read more than float() and
-# int() do (0x1C-0x1F as whitespace, many non-ASCII code points as label
-# digits), and ``str.splitlines`` splits at more than CR and LF, so any
-# other byte sends the file to ``_read_rows``.
+# Bytes a data row may hold for ``_read_table``: printable ASCII but the quote,
+# tab, CR and LF. numpy reads more than float() and int() do (0x1C-0x1F as
+# whitespace, non-ASCII label digits), and ``str.splitlines`` splits at more.
 _TABLE_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\t\r\n"
 _BLOCK = 1 << 16
 
 
 def _read_table(path: str, n_classes: int,
                 has_header: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(features, labels) read by ``np.loadtxt`` in one pass over the file,
-    or None where ``_read_rows`` must decide.
-
-    The rows reach numpy 64 KiB at a time, each block checked against
-    ``_TABLE_BYTES`` in C, so the transient memory is the table numpy grows
-    (about 1.2x the feature array) and one block. ``features`` is a view of
-    that table's feature field.
-    """
+    """(features, labels) read by ``np.loadtxt`` in one pass over the file in
+    64 KiB blocks checked against ``_TABLE_BYTES``, or None where ``_read_rows``
+    must decide. ``features`` is a view of the table numpy grows."""
     with open(path, "rb") as fh, warnings.catch_warnings():
         # Older numpy parses a label such as "1.0" as a float, truncates it
         # and only warns; as an error the warning sends the file to
@@ -303,15 +279,10 @@ def _read_rows(path: str, n_classes: int, has_header: bool) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 class LinearEnvironment:
-    """Linear reward model over contexts drawn by a fixed-sequence or
-    Gaussian source spec.
-
-    The whole run's contexts are drawn at construction: ``contexts`` is
-    (horizon, dim) and ``means`` the (horizon, n_arms) true mean rewards, row
-    t - 1 for round t. Each row of ``means`` comes from a stacked
-    (n_arms, dim) @ (dim, 1) product, which has the bits of
-    ``true_attrs @ context``.
-    """
+    """Linear reward model over contexts drawn by a fixed-sequence or Gaussian
+    source spec. ``contexts`` (horizon, dim) and ``means`` (horizon, n_arms),
+    row t - 1 for round t, are drawn at construction; each row of ``means``
+    has the bits of ``true_attrs @ context``."""
 
     def __init__(self, true_attrs: np.ndarray, source, horizon: int,
                  rng: np.random.Generator) -> None:
@@ -330,11 +301,9 @@ class LinearEnvironment:
 class DatasetEnvironment:
     """Replay a dataset: context = feature row, reward = 1{arm == label}.
 
-    Rows arrive in a seed-dependent shuffled order, ``order`` (horizon,) of
-    dataset row indices; without replacement each row is visited at most
-    once per pass through the dataset. Like ``LinearEnvironment`` it holds
-    the whole run's ``contexts`` (the rows, unit-ball projected) and one-hot
-    ``means``.
+    ``order`` (horizon,) holds the rows' seeded shuffled order, each row at
+    most once without replacement; ``contexts`` (unit-ball projected) and the
+    one-hot ``means`` hold the whole run, as in ``LinearEnvironment``.
     """
 
     def __init__(self, dataset: BanditDataset, horizon: int,
@@ -361,10 +330,6 @@ class DatasetEnvironment:
     def true_means(self, t: int) -> np.ndarray:
         return self.means[t - 1]
 
-
-# ---------------------------------------------------------------------------
-# Diagnostics.
-# ---------------------------------------------------------------------------
 
 def covariate_diversity_report(contexts) -> float:
     """Smallest eigenvalue of the empirical second-moment matrix (1/n) sum x x^T.

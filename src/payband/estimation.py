@@ -1,49 +1,9 @@
 """Per-arm linear attribute estimation, one bank of arrays per strategy.
 
-Each arm is fitted on its own observations (the disjoint model of LinUCB:
-one A_a and b_a per arm). ``EstimatorState`` holds a strategy's N arms as
-arrays: Gram matrices, moment vectors, cached inverses, a ``current``
-flag per arm and the displayed estimates. Point estimates come from
-ordinary least squares or ridge regression on those statistics;
-estimates whose norm exceeds 1 are scaled back onto the unit ball because
-the true attribute vectors live there. Ridge banks also provide the
-ellipsoidal confidence widths used by the chained payment strategies.
-
-The bank caches A = G^-1 for each arm's (regularized) Gram matrix G in its
-row of ``inverses``: the estimate is A moment, ||x|| in the G^-1 metric is
-sqrt(x^T A x), and the widths of all N arms are one (N, d, d) @ x product.
-While an arm is ``current``, ``absorb`` keeps its A up to date with the
-Sherman-Morrison update A -= v v^T, v = A x / sqrt(s), s = 1 + x^T A x.
-Because s = det G' / det G, an observation with s > 2 clears the arm's
-flag instead and the next use refactors G anew (Cholesky, then A = W^T W
-for W = L^-1); this is the determinant-doubling rule of rarely switching
-OFUL (Abbasi-Yadkori, Pal & Szepesvari, 2011) and fires O(d log n) times
-per arm. It bounds the drift of the updated inverse. Adding x x^T never
-lowers a Cholesky pivot, so an OLS arm that once passed ``PIVOT_TOL`` stays
-identifiable and needs no re-check between refactors.
-
-An OLS arm with fewer absorbed contexts than ``dim`` is not identifiable,
-since the rank of G is at most its count; ``inverse`` raises
-SingularMatrixError for it without folding or factoring G. Rounding can let
-such a G pass the pivot check, so the count, not the check, decides there.
-An arm with at least ``dim`` contexts that are still rank deficient relies
-on the pivot check alone.
-
-Each arm's G and moment share one (dim + 1, dim) statistics block: rows
-:dim hold G and row dim the moment, and ``gram`` and ``moment`` are views of
-it. ``absorb`` adds to the block one k = 1 BLAS product, the column
-(x, response) times the row x, so each entry gains the one rounding of its
-product, x_i x_j or response * x_j, as a sequential ``+=`` of the broadcast
-``x[:, None] * x`` and of ``response * x`` would. A zero product is +0.0
-where the broadcast can give -0.0, but the block starts at +0.0, a sum that
-cancels to zero is +0.0, and adding a zero of either sign to anything but
--0.0 gives the same bits, so the block never holds -0.0 and keeps the bits
-of the sequential sums, signs of zero included.
-
-The factor and solve kernels below are numpy's LAPACK calls on float64
-arrays of at most ``model.MAX_DIM`` columns. The singularity threshold is
-applied to the finished factor, whose squared diagonal entries are exactly
-the pivots of the factorization.
+``EstimatorState`` holds a strategy's N arms (the disjoint model of LinUCB:
+one A_a and b_a per arm), and the factor and solve kernels below are numpy's
+LAPACK calls. The update, refactor and OLS rules, why each kernel keeps its
+bits, and the accuracy contract: README "Numerics".
 """
 
 from __future__ import annotations
@@ -55,23 +15,18 @@ import numpy as np
 OLS = "ols"
 RIDGE = "ridge"
 
-# An absorb whose update ratio s = det G' / det G exceeds this drops the
-# cached inverse, so the next use refactors G anew.
+# An absorb whose s = det G' / det G exceeds this drops the cached inverse.
 REFACTOR_RATIO = 2.0
 
-# Pivot below this during factorization means the matrix is treated as
-# singular rather than positive definite.
+# A Cholesky pivot below this counts as singular, not positive definite.
 PIVOT_TOL = 1e-12
 
 _SYM_TOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a matrix is numerically singular (Cholesky pivot < tolerance).
-
-    Callers react by adding ridge regularization or by collecting more
-    observations until the Gram matrix becomes positive definite.
-    """
+    """Raised when a matrix is numerically singular (Cholesky pivot < tolerance):
+    an OLS arm then displays the zero vector until it is identifiable."""
 
 
 def _as_square(a: np.ndarray) -> np.ndarray:
@@ -131,14 +86,12 @@ def min_eig_sym(a: np.ndarray) -> float:
 class EstimatorState:
     """The regression statistics of a strategy's N arms, one row per arm.
 
-    ``gram`` (N, dim, dim) and ``moment`` (N, dim) are views of one
-    (N, dim + 1, dim) array, each arm's statistics block: the raw
-    sum of outer products, to which the ridge term ``ridge_lambda * I`` is
-    added at refactor time only, and the sum of response * context.
-    ``inverses`` (N, dim, dim) holds G^-1 of each arm whose ``current``
-    entry is True, and ``shown`` (N, dim) is each arm's displayed estimate.
-    ``current`` is a list, read-only to callers like the arrays. Every method
-    takes the arm, 0 by default, so ``EstimatorState(dim)`` is one arm's state.
+    ``gram`` (N, dim, dim) and ``moment`` (N, dim) view one (N, dim + 1, dim)
+    array of statistics blocks: the raw sums of outer products (the ridge term
+    is added at refactor time only) and of response * context. ``inverses``
+    holds G^-1 of each arm whose ``current`` entry is True, and ``shown`` each
+    arm's displayed estimate, all read-only to callers. Every method takes
+    the arm, 0 by default, so ``EstimatorState(dim)`` is one arm's state.
     """
 
     def __init__(self, dim: int, mode: str = OLS, ridge_lambda: float = 0.0,
@@ -158,8 +111,7 @@ class EstimatorState:
         self._absorbed = [0] * n_arms  # contexts absorbed, for the OLS rank rule
         # Each arm's rows, viewed once: indexing the stacks on every absorb costs more.
         self._views = list(zip(self.inverses, self._stats, self.moment, self.shown))
-        # The block update's scratch: the column (x, response) with its (d + 1, 1)
-        # and x's (1, d) views, and their product.
+        # The block update's scratch: the column (x, response), its views and their product.
         self._col = np.empty(d + 1)
         self._x, self._colv, self._xrow = self._col[:d], self._col[:, None], self._col[None, :d]
         self._outer = np.empty((d + 1, d))
@@ -171,22 +123,9 @@ class EstimatorState:
     def absorb(self, context: np.ndarray, response: float, arm: int = 0) -> None:
         """Add one (context, response) pair to the arm's statistics, then
         refresh its ``shown`` row: the estimate, which refactors if needed,
-        or the zero vector while an OLS arm is not identifiable.
-
-        The block gains the k = 1 BLAS product of the column (x, response)
-        and the row x: G and the moment keep the bits of adding x x^T and
-        response * x with ``+=``, since each entry is one rounding and the
-        block never holds -0.0 (module docstring).
-
-        The rank-1 update forms v v^T as a k = 1 BLAS product of (d, 1) and
-        (1, d) views of the bank's scratch v (0.8-1.1 us at d = 4 and 14,
-        against 3.0-3.6 us for the broadcast ``v[:, None] * v``). Each entry
-        is the one rounding of v_i v_j, so A stays exactly symmetric and
-        nonzero products keep the broadcast's bits. A zero product is +0.0
-        where the broadcast gives -0.0 (+0.0 times a negative): subtracting
-        it differs only on a -0.0 entry of A, and a zero's sign reaches only
-        other exact zeros, so no arm choice moves, and no CSV cell of the
-        presets or of ``tests/test_output_digests.py`` did.
+        or the zero vector while an OLS arm is not identifiable. The bits
+        kept: README "Numerics", `test_statistics_block_equals_sequential_sums`
+        and `test_rank_one_update_matches_the_broadcast_outer_product`.
         """
         x = np.asarray(context, dtype=float)
         if x.shape != (self.dim,):
@@ -216,10 +155,9 @@ class EstimatorState:
 
     def inverse(self, arm: int = 0) -> np.ndarray:
         """The arm's row of ``inverses``, A = G^-1 for its (regularized) Gram
-        matrix G. With none cached, G is factored anew; OLS mode then raises
-        SingularMatrixError while the arm is not identifiable. An OLS arm
-        with fewer absorbed contexts than ``dim`` raises before any factor:
-        G's rank is at most its count."""
+        matrix G, factored anew when none is cached. OLS mode raises
+        SingularMatrixError while the arm is not identifiable, before any
+        factor while it has fewer than ``dim`` contexts (README "Numerics")."""
         inv = self._views[arm][0]
         if not self.current[arm]:
             if self.mode == OLS and self._absorbed[arm] < self.dim:
@@ -240,14 +178,11 @@ class EstimatorState:
         return self.inverses
 
     def estimate(self, arm: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """Point estimate of the arm's attribute vector, clipped to the unit ball.
-
-        Written into ``out`` (a contiguous float (dim,) row, such as the arm's
-        ``shown`` row) when given, else into a new array; the clip divides in
-        place, so both hold the bits of ``est / norm``. OLS mode raises
-        SingularMatrixError while the Gram matrix is rank deficient, before
-        ``out`` is written; ``absorb`` then shows the zero vector.
-        """
+        """Point estimate of the arm's attribute vector, clipped to the unit
+        ball, written into ``out`` (a contiguous float (dim,) row) when given,
+        else into a new array, with the bits of ``est / norm`` either way. OLS
+        mode raises SingularMatrixError while the Gram matrix is rank
+        deficient, before ``out`` is written."""
         est = self.inverse(arm).dot(self._views[arm][2], out=out)
         norm = math.sqrt(est.dot(est))
         if norm > 1.0:
@@ -261,11 +196,9 @@ class EstimatorState:
 
 
 def inv_norms(inverses: np.ndarray, context: np.ndarray) -> np.ndarray:
-    """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one product.
-
-    The clip at zero and the square root write over the quadratic forms, a new
-    (N,) array, which gives the bits of the allocating calls.
-    """
+    """||context|| in each of an (N, d, d) stack of inverse Gram metrics, from one
+    product; the in-place clip and root keep the allocating calls' bits
+    (README "Run engine")."""
     x = np.asarray(context, float)
     quad = (inverses @ x).dot(x)
     np.maximum(quad, 0.0, out=quad)
@@ -274,16 +207,10 @@ def inv_norms(inverses: np.ndarray, context: np.ndarray) -> np.ndarray:
 
 def confidence_width(inverses: np.ndarray, ridge_lambda: float, context: np.ndarray,
                      delta: float, explore_m: int, t: int) -> np.ndarray:
-    """Ellipsoidal confidence widths of all arms at round t, one per inverse.
-
-    width_i = ||context||_{A_i} * (m * sqrt(d * ln((1 + t/lam)/delta)) + sqrt(lam))
-
-    ``inverses`` is the (N, d, d) stack of current A_i = (G_i + lam I)^-1
-    of a ridge-mode bank with lam = ``ridge_lambda`` > 0, as
-    ``EstimatorState.current_inverses`` returns it; delta is in (0, 1). Zero context
-    gives width 0; more data never increases an arm's width for a fixed
-    context.
-    """
+    """Ellipsoidal confidence widths of all arms at round t, one per inverse:
+    ||context||_{A_i} * ``width_scale``, for the (N, d, d) stack of current
+    A_i = (G_i + lam I)^-1 of a ridge bank with lam = ``ridge_lambda`` > 0 and
+    delta in (0, 1). A zero context gives width 0; more data never widens."""
     lam = ridge_lambda
     if not lam > 0:
         raise ValueError(f"confidence widths require ridge_lambda > 0, got {lam}")

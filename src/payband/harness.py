@@ -1,20 +1,9 @@
 """Experiment harness: config handling, seeding, runs, and CSV output.
 
-A JSON config describes one instance, a list of payment strategies, and a
-run count; reading it reports every bad field of every object in it, all
-together. Every (strategy, run) pair gets its own child seed derived as
-
-    SeedSequence(master_seed, spawn_key=(policy_index, run_index))
-
-which is a pure function of the three integers and injective in the pair, so
-runs never share streams and any single run can be reproduced in isolation.
-Each run then splits its seed into three independent streams (contexts,
-reward noise, strategy randomness); strategies that draw nothing leave the
-other streams untouched, which makes equal-seed comparisons across
-strategies exact.
-
-The environment variable PAYBAND_SEED, when set, overrides the config's
-master seed.
+The config: README "Config format". Every (strategy, run) pair runs on its
+own child seed (``child_seed_sequence``), split into context, reward-noise
+and strategy streams (README "Output"); PAYBAND_SEED overrides the master
+seed.
 """
 
 from __future__ import annotations
@@ -94,12 +83,10 @@ class ExperimentConfig:
 
 
 def check_policy(instance: InstanceSpec, policy: PolicyConfig, where: str = "") -> None:
-    """The rules that tie a strategy to the instance it runs on.
-
-    Its own exploration length fits the horizon, and in ridge mode its
-    ``ridge_lambda`` reaches the floor for the instance's dim and horizon.
-    A broken rule raises ConfigError on the field, prefixed by ``where``.
-    """
+    """The rules that tie a strategy to its instance: its exploration length
+    fits the horizon, and in ridge mode its ``ridge_lambda`` reaches
+    ``ridge_lambda_floor``. A broken rule raises ConfigError on the field,
+    prefixed by ``where``."""
     if policy.init_explore_m is not None:
         instance.check_explore_m(where + "init_explore_m", policy.init_explore_m)
     floor = ridge_lambda_floor(instance.dim, instance.horizon)
@@ -198,16 +185,10 @@ def resolve_dataset_path(path: str, base_dir: Optional[Path] = None) -> Path:
 
 def load_config_data(data: dict, base_dir: Optional[Path] = None
                      ) -> tuple[Optional[ExperimentConfig], list[ConfigError]]:
-    """Validate config data already read from JSON and build the config.
-
-    Returns (config, findings); config is None when errors were found. Each
-    object (top level, ``instance``, its ``context_source``, each policy) is
-    read against its field table: every unknown key, missing required field
-    and mistyped field of every object is reported, all together. An object's
-    class builds it once all its fields read cleanly, so an omitted field
-    takes the class's default and the class checks ranges and cross-field
-    rules. The PAYBAND_SEED environment variable, when set, overrides the
-    master seed; it must be an integer >= 0.
+    """Validate config data already read from JSON and build the config:
+    (config, findings), config None when any finding is an error. Every bad
+    field of every object is reported (README "Config format"). PAYBAND_SEED,
+    when set, overrides the master seed and must be an integer >= 0.
     """
     env_seed = os.environ.get(SEED_ENV_VAR)
     try:
@@ -306,18 +287,28 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None
                  **{**top, "instance": instance, "policies": tuple(policies)}), diags
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice raises ValueError naming it."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        data[key] = value
+    return data
+
+
 def load_config_file(path: Union[str, Path]
                      ) -> tuple[Optional[ExperimentConfig], list[ConfigError]]:
     """Read a JSON config file, then validate and parse it (load_config_data).
 
     Relative dataset paths resolve against the file's directory; a leading
     UTF-8 byte order mark is skipped. Bytes that are not UTF-8 JSON, JSON
-    nested too deep to parse and integer literals too long to convert are
-    reported like a missing file.
+    nested too deep to parse, integer literals too long to convert and a key
+    written twice in one object are reported like a missing file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8-sig"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         return None, [ConfigError(str(path), "readable JSON file", str(exc))]
     return load_config_data(data, path.parent)
@@ -335,12 +326,9 @@ def child_seed_sequence(master_seed: int, policy_index: int, run_index: int) -> 
 
 def spawn_streams(seed: Union[int, np.random.SeedSequence]
                   ) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    """Three independent generators per run: contexts, reward noise, strategy.
-
-    Child sequences are derived by value (entropy + extended spawn key), not via
-    the stateful ``SeedSequence.spawn``, so equal-valued seeds always yield
-    identical streams no matter how often they are reused.
-    """
+    """Three independent generators per run: contexts, reward noise, strategy,
+    derived by value (entropy + extended spawn key), not by the stateful
+    ``SeedSequence.spawn``, so equal seeds always give identical streams."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = [
@@ -363,19 +351,12 @@ def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
 def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
                seed: Union[int, np.random.SeedSequence],
                policy: Optional[Policy] = None) -> RunTrace:
-    """One full run of one strategy on one instance.
+    """One full run of one strategy on one instance (README "Run engine").
 
-    Each stream is drawn for the whole run before the first round: the
-    contexts, the reward noise, and what the strategy can draw ahead (see
-    ``Policy.start_run``). Each round then fills its row of the trace, and
-    the strategy's ``diagnostics`` are copied into the trace at the end.
-
-    A pre-built (possibly warm-started) policy object can be injected; by
-    default a fresh one is constructed from the config. A config that breaks
-    a rule of ``check_policy`` raises ConfigError, and an injected policy
-    built from a config other than ``policy_cfg`` or for another n_arms or
-    dim raises ValueError, before anything is drawn: the trace records
-    ``policy_cfg`` as the strategy that ran.
+    A pre-built, possibly warm-started ``policy`` replaces the fresh one. A
+    config that breaks a rule of ``check_policy`` raises ConfigError, and a
+    policy built from another config or for another n_arms or dim raises
+    ValueError, before anything is drawn.
     """
     check_policy(instance, policy_cfg)
     if policy is not None and policy.config != policy_cfg:
@@ -444,11 +425,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     """Run every (strategy, run) pair and write per-strategy CSV files.
 
     ``jobs`` (>= 1) caps the worker processes; no more are started than
-    there are tasks or CPUs. Results arrive in (policy, run) order
-    regardless of worker completion order, so output bytes do not depend
-    on ``jobs``. Each strategy's CSVs are written as soon as its runs are
-    in, and its traces are dropped then, so one strategy's runs are held
-    at a time.
+    there are tasks or CPUs. Output bytes do not depend on ``jobs``, and one
+    strategy's runs are held at a time (README "Run engine").
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -487,26 +465,11 @@ _NOTHING = object()
 
 def _texts(column: np.ndarray, memo: dict, end: str) -> list[str]:
     """Each cell of a 1-D float64 or object column as its CSV text, followed
-    by ``end``.
-
-    Floats print as ``float.__repr__`` (np.float64 subclasses float), and
-    an object column (the budget) as ``_fmt`` gives each cell. A shortest
-    round-trip ``repr`` costs up to a microsecond, and many cells repeat the
-    one above them (zero payments, cumulative sums that step, a single
-    run's stderr), so each run of bit-equal neighbours is formatted once.
-    Runs are found on the int64 bit patterns, so 0.0 and -0.0, or NaNs with
-    different payloads, stay apart. A column bit-equal to one already in
-    ``memo`` (keyed on its bytes and ``end``) reuses its texts: the signed
-    and absolute cumulative payments of a strategy that never pays a
-    negative amount are such a pair.
-
-    Neighbours differ where their bit patterns' difference is nonzero (the
-    subtraction wraps, so only equal patterns give zero). ``!=`` would say
-    the same, but no other step runs numpy's int64 comparison, and paging
-    its code in raised the benchmark's peak RSS by about 0.1 MB. The budget
-    is formatted once per run of one object, not of equal values, since
-    ``5 == 5.0`` prints two ways; a round that leaves the budget alone
-    stores the same object again.
+    by ``end``: ``float.__repr__`` for a float, ``_fmt`` for the budget's
+    objects. Each run of bit-equal neighbours, or of one budget object, is
+    formatted once, and a column bit-equal to one already in ``memo`` reuses
+    its texts; the texts are those of each cell alone (README "Run engine",
+    `test_trace_csv_formats_every_run_of_cells_as_each_cell_alone`).
     """
     if column.dtype == object:
         texts, last, text = [], _NOTHING, ""
@@ -519,7 +482,7 @@ def _texts(column: np.ndarray, memo: dict, end: str) -> list[str]:
     texts = memo.get(key)
     if texts is None:
         bits = column.view(np.int64)
-        bounds = np.flatnonzero(bits[1:] - bits[:-1]) + 1
+        bounds = np.flatnonzero(bits[1:] - bits[:-1]) + 1  # not != (README "Run engine")
         runs = bounds.size + 1 < column.size
         if runs:
             bounds = np.concatenate(([0], bounds, [column.size]))
@@ -535,19 +498,12 @@ def _texts(column: np.ndarray, memo: dict, end: str) -> list[str]:
 
 def _write_csv(path: Union[str, Path], header: list[str],
                blocks: Iterable[Sequence[Union[np.ndarray, list[str]]]]) -> None:
-    """Write ``header``, then each block's rows, to ``path``.
-
-    A block is a sequence of equally long columns, and its row i holds cell
-    i of each. A column is a float64 array, the budget's object array, or a
-    list of the cells' texts (the row numbers, runs and arms); the last
-    column is an array. Blocks are pulled one at a time, and each is turned
-    into text ``CHUNK_ROWS`` rows at a time (``_texts``); each row is the
-    ``","`` join of its cells' texts, the last of which carries the
-    ``\\r\\n``, and is handed to ``writelines`` as it is made. These are the
-    lines ``csv.writer`` writes for these cells: nothing is quoted, since no
-    cell holds a comma, quote or line break. They go to a temporary file in
-    the same directory, which is renamed onto ``path`` at the end, so a
-    failed write leaves no partial file behind.
+    """Write ``header``, then each block's rows, to ``path``, through a
+    temporary file renamed onto it at the end, so a failed write leaves no
+    partial file. A block is a sequence of equally long columns: float64
+    arrays, the budget's object array, or lists of cell texts; the last is an
+    array. The lines are those ``csv.writer`` writes for the same cells
+    (`test_trace_csv_bytes_equal_the_csv_modules`).
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -1,10 +1,7 @@
 """Run traces, trace accumulation and cross-run aggregation.
 
-A run trace holds one run's rounds as columns, row t - 1 for round t.
-Disbursed payment per round is exactly the chosen arm's payment entry; its
-cumulative signed sum is the primary payment curve, and the cumulative sum
-of absolute disbursements is tracked separately since a payment
-perturbation scheme disburses both signs.
+Disbursed payment is the chosen arm's payment entry. Its signed and absolute
+cumulative sums are kept apart, since perturbation payments take both signs.
 """
 
 from __future__ import annotations
@@ -27,20 +24,13 @@ class MixedConfigError(ValueError):
 class RunTrace:
     """One run's rounds as columns, plus the strategy diagnostics.
 
-    Row i of every column is round t = i + 1: the chosen arm, the payment
-    vector offered (n_arms,), ``shown_log`` (dim,), the context, the budget
-    left after the round (None without a budget; an object column, so an
-    integer budget stays an integer), and the chosen arm's true mean,
-    regret, disbursed payment and observed reward.
-
-    The agent's snapshot of round t, the (n_arms, dim) estimates it saw, is
-    not stored: an absorb rewrites only the chosen arm's displayed row, so
-    ``shown_start`` (n_arms, dim), the display as the run starts, and
-    ``shown_log``, whose row t - 1 is the chosen arm's row after round t's
-    absorb, fix it. Arm a's row in round t's snapshot is ``shown_log``'s row
-    of the last round before t that chose a, else ``shown_start[a]``.
-    ``records`` shows the rows as RoundRecord objects, snapshots rebuilt;
-    ``snapshots`` returns them as one array.
+    Row i of every column is round t = i + 1: the chosen arm, the payments
+    offered (n_arms,), ``shown_log`` (dim,), the chosen arm's displayed row
+    after the round's absorb, the context, the budget left (an object column:
+    None without a budget, an integer budget stays an integer), and the chosen
+    arm's true mean, regret, disbursed payment and observed reward. With
+    ``shown_start``, the display as the run starts, they fix every round's
+    snapshot, which ``records`` and ``snapshots`` rebuild (README "Run engine").
     """
 
     policy: PolicyConfig
@@ -111,12 +101,9 @@ class RunTrace:
 class RoundRecords(Sequence):
     """Read-only view of a trace's rows as RoundRecord objects.
 
-    ``len`` is O(1); nothing is cached, and each access builds a new
-    RoundRecord whose arrays are views of the trace's columns, except its
-    ``displayed_estimates``, rebuilt by ``RunTrace.snapshots``: indexing one
-    row rebuilds that row's snapshot, a slice rebuilds its rows' in one pass,
-    and iterating rebuilds the whole run's in one pass, the records then
-    holding views of that one array.
+    ``len`` is O(1); nothing is cached, and each access builds new records
+    whose arrays are views of the trace's columns and of one ``snapshots``
+    pass over the rows asked for (README "Run engine").
     """
 
     def __init__(self, trace: RunTrace) -> None:
@@ -135,9 +122,7 @@ class RoundRecords(Sequence):
         return self._records(slice(None))
 
     def _records(self, rows: slice) -> Iterator[RoundRecord]:
-        # A column at a time, each named by its RoundRecord field: ``tolist``
-        # gives Python ints and floats, the budget column its own objects,
-        # and one ``snapshots`` pass the displayed estimates.
+        # A column at a time, each named by its RoundRecord field.
         tr = self._trace
         idx = np.arange(tr.horizon)[rows]
         columns = {
@@ -166,12 +151,9 @@ class AccumulatedCurves:
 
 
 def accumulate(traces: Sequence[RunTrace]) -> AccumulatedCurves:
-    """Prefix-sum each run's per-round regret and disbursed payments.
-
-    The runs must share a horizon and an arm count. ``np.cumsum`` along a
-    row adds its cells in order, so row r has the bits of summing run r
-    alone.
-    """
+    """Prefix-sum each run's per-round regret and disbursed payments; the runs
+    share a horizon and an arm count. ``np.cumsum`` along a row adds its cells
+    in order, so row r has the bits of summing run r alone."""
     paid = np.array([tr.paid for tr in traces])
     n_runs, horizon = paid.shape
     per_arm = np.zeros((n_runs, traces[0].payments.shape[1], horizon))
@@ -185,12 +167,9 @@ def accumulate(traces: Sequence[RunTrace]) -> AccumulatedCurves:
 
 
 def payment_bound_ratio(total_payment: float, n_arms: int, horizon: int) -> float:
-    """|total| normalized by N * sqrt(2 T ln(N T)).
-
-    The denominator is the scale at which cumulative perturbation payments
-    are expected to concentrate, so a well-behaved run keeps this ratio O(1).
-    Requires N * T > 1 so the log is positive.
-    """
+    """|total| normalized by N * sqrt(2 T ln(N T)), the scale at which
+    cumulative perturbation payments are expected to concentrate, so a
+    well-behaved run keeps it O(1). Requires N * T > 1 so the log is positive."""
     if n_arms * horizon <= 1:
         raise ValueError("need n_arms * horizon > 1")
     return abs(total_payment) / (n_arms * math.sqrt(2 * horizon * math.log(n_arms * horizon)))

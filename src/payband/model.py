@@ -21,31 +21,21 @@ TIE_TOLERANCE = 1e-12
 
 MAX_DIM = 64
 
-# Most float64 cells (2 GiB) the runs of one strategy may hold, a run
-# counting the cells it allocates (run_cells) plus RUN_CELLS, so that many
-# tiny runs are bounded too. It keeps the horizon below 2**26, so round
-# indices are exact floats and the ridge_lambda floor, which grows with
-# horizon**2, stays finite.
+# Most float64 cells (2 GiB) the runs of one strategy may hold, a run counting
+# run_cells, RUN_CELLS included so that many tiny runs are bounded too. It keeps
+# the horizon below 2**26, where round indices are exact floats.
 MAX_CELLS = 2 ** 28
 RUN_CELLS = 4096
 
-# Largest magnitude accepted for a config value that scales contexts,
-# rewards or payments. Those values are squared (unit-ball projection, Gram
-# matrices, standard errors) and summed over rounds, so 1e100 keeps the
-# squares near 1e200, far below float64's limit of about 1.8e308; from about
-# 1e154 a square overflows.
+# Largest magnitude accepted for a config value that scales contexts, rewards
+# or payments: runs square and sum these, and from about 1e154 a square overflows.
 MAX_MAGNITUDE = 1e100
 
 
 def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
     """Each row of an (n, d) array scaled down to unit Euclidean norm when it
-    exceeds the unit ball, as a new array.
-
-    Each row's squared norm comes from a stacked (1, d) @ (d, 1) product,
-    which gives the bits of the ``x.dot(x)`` inside ``np.linalg.norm``, so the
-    rows equal projecting one row at a time, ``v / np.linalg.norm(v)``,
-    exactly.
-    """
+    exceeds the unit ball, as a new array, with the bits of projecting one
+    row at a time, ``v / np.linalg.norm(v)`` (README "Run engine")."""
     rows = np.array(rows, dtype=float)
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     over = norms > 1.0
@@ -54,20 +44,9 @@ def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def run_cells(n_arms: int, dim: int, horizon: int) -> int:
-    """The float64 cells a run of ``horizon`` rounds allocates.
-
-    Per round: the trace's payments, n_arms; n_arms * dim, which hold the
-    trace's log of one displayed row, dim, and stand for the (n_arms, dim)
-    snapshots that a ``trace.records`` pass rebuilds, one run at a time;
-    its six other columns; the environment's context and true
-    means, dim + n_arms; the reward noise; a perturbation draw and the
-    perturbed context, 2 * dim; LinUCB's (t, greedy, base) log entry, 92
-    bytes or 12 cells; and the accumulated curves, n_arms + 3. Per run: the
-    estimator bank's inverses, statistics blocks (Gram matrix and moment) and
-    displayed estimates, n_arms * dim * (2 * dim + 2); its block update's
-    column and product, (dim + 1) * (dim + 1), and its rank-1 update's
-    scratch, dim * (dim + 1); and RUN_CELLS.
-    """
+    """The float64 cells a run of ``horizon`` rounds allocates, its per-round
+    arrays, its estimator bank and scratch, and ``RUN_CELLS``; the arrays
+    each term counts: README "Command line"."""
     per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + 12 + n_arms + 3
     bank = n_arms * dim * (2 * dim + 2) + (2 * dim + 1) * (dim + 1)
     return horizon * per_round + bank + RUN_CELLS
@@ -219,8 +198,7 @@ class RoundRecord:
     """Full log of one interaction round, as ``RunTrace.records`` builds it.
 
     ``displayed_estimates`` is the (n_arms, dim) snapshot the agent saw, so
-    the choice can be replayed offline; the records rebuild it from the
-    trace's start rows and logged rows (see ``RunTrace``). ``payment_paid``
+    the choice can be replayed offline (README "Run engine"). ``payment_paid``
     is exactly the chosen arm's payment entry.
     """
 

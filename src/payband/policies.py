@@ -1,35 +1,10 @@
 """Payment strategies the platform can run against myopic agents.
 
-All strategies share one per-round contract: given the round's context they
-produce a payment vector, the agent picks the arm maximizing estimated utility
-plus payment, and the strategy then absorbs the realized observation. Five
-strategies are provided:
-
-* ``no_payments``            - passive baseline; agents act greedily on the
-                               displayed estimates.
-* ``perturbation_payments``  - draws a Gaussian vector each round and pays
-                               each arm that vector dotted with the arm's
-                               estimate, which makes the agent behave as if
-                               the context itself were perturbed; the chosen
-                               arm's estimator absorbs the perturbed context
-                               with the payment folded into the response.
-* ``linucb_alignment``       - runs a disjoint-model LinUCB choice internally
-                               and, when it disagrees with the greedy arm,
-                               pays the LinUCB arm the estimated utility gap
-                               so the agent's choice lands on it.
-* ``chained_unrestricted``   - builds confidence intervals per arm, chains
-                               together every arm whose interval overlaps the
-                               greedy arm's (transitively), picks a chain
-                               member uniformly at random and pays it the
-                               estimated gap to the greedy arm.
-* ``chained_restricted``     - same, but clamps each payment to a finite
-                               budget that depletes as payments are offered;
-                               at zero budget it degenerates to no_payments.
-
-Every strategy is built (``build_policy``), started (``start_run``) with the
-run's exploration length, free-round count and random stream, played round by
-round, and read back through ``diagnostics``. Strategies only ever see contexts,
-payments, and realized rewards; ground truth never crosses this interface.
+Each round a strategy turns the context and estimated utilities into a
+payment vector, the agent picks the arm maximizing estimated utility plus
+payment, and the strategy absorbs the realized observation; ground truth
+never crosses this interface. The strategies: README "Strategies"; a run:
+README "Run engine".
 """
 
 from __future__ import annotations
@@ -50,9 +25,7 @@ from .estimation import (
     width_scale,
 )
 from .model import MAX_MAGNITUDE, ConfigError, agent_pick
-# No round calls agent_choose or realize_from_mean any more (play_round
-# reuses the round's scores, and noise is drawn per run), but
-# perfbench/worker.py still looks both up in this module.
+# Unused here; perfbench/worker.py looks both up in this module until ROADMAP K.
 from .model import agent_choose  # noqa: F401
 from .environment import realize_from_mean  # noqa: F401
 
@@ -66,29 +39,20 @@ CHAINED_UNRESTRICTED = "chained_unrestricted"
 CHAINED_RESTRICTED = "chained_restricted"
 
 def ridge_lambda_floor(dim: int, horizon: int) -> float:
-    """The least ``ridge_lambda`` a ridge arm may use over ``horizon`` rounds.
-
-    An empty arm's pivots are lambda, so lambda must pass ``PIVOT_TOL``. The
-    Gram matrix then sums up to ``horizon`` outer products of unit-ball
-    contexts, and rounding in that sum can move its least eigenvalue by up
-    to about ``dim * horizon**2 * 2**-52``; on rank-deficient contexts that
-    is all that keeps the pivots of G + lambda*I positive, so lambda must
-    cover it too.
-    """
+    """The least ``ridge_lambda`` a ridge arm may use over ``horizon`` rounds:
+    ``PIVOT_TOL``, an empty arm's pivot, or the rounding a Gram sum of
+    ``horizon`` unit contexts can reach (README "Command line")."""
     return max(PIVOT_TOL, dim * horizon ** 2 * 2.0 ** -52)
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Declarative configuration for one strategy.
+    """Declarative configuration for one strategy (README "Config format").
 
-    ``init_explore_m`` overrides the instance-level initial exploration
-    length when set; ``ExperimentConfig`` checks it against the horizon.
-    ``estimator_mode`` forces "ols" or "ridge" (the ridge override on
-    no_payments gives an exact zero-budget reference for the restricted
-    chained strategy); strategies with confidence widths require "ridge".
-    Ridge mode needs ``ridge_lambda >= PIVOT_TOL``, an empty arm's pivot;
-    ``ExperimentConfig`` checks it against ``ridge_lambda_floor`` too.
+    ``estimator_mode`` forces "ols" or "ridge" (a ridge ``no_payments`` is the
+    exact zero-budget reference of ``chained_restricted``); strategies with
+    confidence widths require "ridge". ``harness.check_policy`` holds the
+    rules that tie it to an instance.
     """
 
     kind: str
@@ -161,13 +125,10 @@ def alignment_payment(scores: np.ndarray, greedy: int, base: int) -> np.ndarray:
 
 def linucb_choose(inverses: np.ndarray, scores: np.ndarray,
                   context: np.ndarray, alpha: float) -> int:
-    """Disjoint-model LinUCB pick: argmax of score + alpha * width.
-
-    ``scores`` (N,) are the estimated utilities estimate_i . context. The
-    widths are the context norms in the arms' inverse regularized Gram
-    metrics, the (N, d, d) stack ``inverses``, all from one product. Ties
-    break toward the lowest arm index.
-    """
+    """Disjoint-model LinUCB pick: argmax of score + alpha * width, ties to the
+    lowest arm index. ``scores`` (N,) are the estimated utilities, and the
+    widths the context's norms in the (N, d, d) stack ``inverses``, from one
+    product."""
     return int((scores + alpha * inv_norms(inverses, context)).argmax())
 
 
@@ -181,8 +142,7 @@ def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) ->
 
     Sorted by lower endpoint, the intervals split into components wherever a
     lower endpoint exceeds every upper endpoint before it; the chain is the
-    anchor's component. ``ChainedPolicy`` calls this only on rounds where
-    its width floor cannot show that the chain is every arm.
+    anchor's component.
     """
     e = np.asarray(point_estimates, float)
     w = np.asarray(widths, float)
@@ -230,16 +190,12 @@ def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int
 class Policy:
     """Base class: a strategy's arm bank and the round hooks that feed it.
 
-    ``bank`` is one ``EstimatorState`` for all N arms. Each run calls
+    ``bank`` is one ``EstimatorState`` for all N arms, built in ``mode``, the
+    strategy's default estimator (README "Strategies"). Each run calls
     ``start_run``, then ``absorb_forced`` or ``calc_payments`` and ``update``
-    per round; ``diagnostics`` then holds what that run recorded. Runs share
-    what the object learned: the bank and ``budget``, None when unrestricted.
-
-    ``mode`` is the strategy's default estimator. The passive baseline and
-    the perturbation strategy use plain least squares with a zero-vector
-    display before identifiability; everything that needs confidence
-    geometry uses ridge regression, which keeps every Gram matrix positive
-    definite.
+    per round; ``diagnostics`` then holds what that run recorded, while the
+    bank and ``budget`` (None when unrestricted) carry over
+    (README "Run engine").
     """
 
     mode = OLS
@@ -256,12 +212,9 @@ class Policy:
         self.rounds = 0  # no round is free before start_run
 
     def displayed_estimates(self) -> np.ndarray:
-        """(n_arms, dim) matrix of displayed estimates, the bank's ``shown``.
-
-        Arms whose least-squares system is still rank deficient display the
-        zero vector. Each absorb rewrites its arm's row in place; callers
-        who keep the array must copy.
-        """
+        """(n_arms, dim) displayed estimates, the bank's ``shown``, zero for an
+        arm not yet identifiable. Each absorb rewrites its arm's row in place;
+        callers who keep the array must copy."""
         return self.bank.shown
 
     # -- interaction loop hooks -------------------------------------------
@@ -270,9 +223,7 @@ class Policy:
         """Begin a run of ``explore_m`` mandated rounds and then ``rounds`` free
         ones, the rounds ``free_row`` lets through, with a fresh ``diagnostics``.
         Every per-run draw and record starts here, the only call that hands a
-        strategy its stream ``rng``: the perturbation zetas, and the chained
-        strategies' picks among all arms (``ChainPicks``), drawn ahead. The
-        budget carries over: the chained width floor needs one that never rises."""
+        strategy its stream ``rng`` (README "Run engine")."""
         self.explore_m = explore_m
         self.rounds = rounds
         self.diagnostics = {}
@@ -310,14 +261,11 @@ class NoPaymentsPolicy(Policy):
 class PerturbationPaymentsPolicy(Policy):
     """Gaussian payment perturbations that emulate context diversity.
 
-    Each round takes its zeta ~ N(0, sigma_pay^2 I) and pays every arm
-    zeta . estimate. The chosen arm's regression then absorbs the perturbed
-    context (context + zeta) with the disbursed payment folded into the
-    response, keeping the absorbed pairs consistent with the perturbed
-    linear model. ``start_run`` draws the ``zetas`` of all free rounds in one
-    (rounds, dim) call, which holds the bits of one (dim,) draw per round;
-    ``effective_contexts`` (also in ``diagnostics``) keeps the perturbed
-    contexts, one row per free round, for diversity diagnostics.
+    Round i pays every arm ``zetas[i]`` . estimate, zeta ~ N(0, sigma_pay^2 I),
+    drawn for all free rounds by ``start_run``. The chosen arm then absorbs
+    the perturbed context (context + zeta) with the disbursed payment folded
+    into the response; ``effective_contexts`` (also in ``diagnostics``) keeps
+    those contexts, one row per free round.
     """
 
     def start_run(self, explore_m, rounds, rng):
@@ -339,11 +287,10 @@ class PerturbationPaymentsPolicy(Policy):
 class LinUCBAlignmentPolicy(Policy):
     """Pays the utility gap to steer agents onto an internal LinUCB choice.
 
-    When the LinUCB pick differs from the greedy arm, that arm receives a
-    payment equal to the estimated utility gap; the tie rule in agent_choose
-    then lands the agent exactly on the LinUCB pick. Rounds where the two
-    agree need no payment. The (t, greedy, base) triples are logged per
-    round in ``alignment_log``, which ``diagnostics`` shares.
+    When the LinUCB pick differs from the greedy arm, that arm is paid the
+    estimated utility gap, and the tie rule lands the agent on it. Each free
+    round's (t, greedy, base) triple goes to ``alignment_log``, which
+    ``diagnostics`` shares.
     """
 
     mode = RIDGE
@@ -362,15 +309,10 @@ class LinUCBAlignmentPolicy(Policy):
 
 
 class ChainPicks:
-    """A run's chain picks, drawn from the policy stream ``rng`` ahead.
-
-    ``integers(n)`` answers what ``rng.integers(n)`` would at the same point
-    of the stream, which nothing else draws from during the run. The answers
-    for n = ``n_arms`` are drawn at construction in one ``rng.integers(n_arms,
-    size=rounds)`` call, which holds the bits of one call per round. The
-    first request for another n restores the stream's state from before that
-    call, replays the k picks used so far with ``rng.integers(n_arms,
-    size=k)``, and draws that request and every later one from the stream.
+    """A run's chain picks from the policy stream ``rng``: ``integers(n)``
+    answers what ``rng.integers(n)`` would at the same point of the stream.
+    Picks among all arms are drawn ahead; the first other n rewinds the
+    stream (README "Run engine"; `test_chained_configs_reach_every_pick_path`).
     """
 
     def __init__(self, rng: np.random.Generator, n_arms: int, rounds: int) -> None:
@@ -395,19 +337,11 @@ class ChainPicks:
 class ChainedPolicy(Policy):
     """Randomizes over the chain of statistically indistinguishable arms.
 
-    The anchor is the greedy arm; any arm whose confidence interval overlaps
-    the chain transitively joins it. One member is drawn uniformly and paid
-    the estimated gap to the anchor, which under the tie rule makes the agent
-    take that member. With a budget, offers are clamped to the remaining
-    amount and the budget is decremented by each offer; once it reaches zero
-    the strategy stops paying entirely.
-
-    Most rounds need neither the widths nor the chain: ``chain_is_whole``
-    shows from two floats that every interval meets every other. Picks come
-    only from ``picks``, the ``ChainPicks`` that ``start_run`` sets; a test
-    may set any object whose ``integers(n)`` answers like a Generator.
-    ``absorbed_sq_norms`` is the floor's S, the sum of ||x||^2 over every
-    context the bank has absorbed while the budget was positive.
+    The anchor is the greedy arm, and the chain every arm whose confidence
+    interval overlaps it transitively. One member, drawn from ``picks``, is
+    paid the estimated gap to the anchor, which the tie rule makes the agent
+    take. A budget clamps each offer and shrinks by it; at zero the strategy
+    stops paying. ``absorbed_sq_norms`` is the width floor's S (``chain_is_whole``).
     """
 
     mode = RIDGE
@@ -422,19 +356,10 @@ class ChainedPolicy(Policy):
         self.picks = ChainPicks(rng, self.n_arms, rounds)
 
     def chain_is_whole(self, t: int) -> bool:
-        """True when the width floor proves that round t chains every arm.
-
-        Each displayed estimate has norm at most 1, so two estimated
-        utilities differ by at most 2 ||x||. Arm i's Gram matrix G_i sums
-        outer products of absorbed contexts, so its largest eigenvalue is at
-        most tr G_i <= S, and ||x|| in the (G_i + lam I)^-1 metric is at least
-        ||x|| / sqrt(lam + S): every width is at least ||x|| * scale /
-        sqrt(lam + S). With scale >= 2 sqrt(lam + S) every width is at least
-        2 ||x||, so each interval holds every estimate. The proof needs only
-        scale >= sqrt(lam + S); the factor 2 covers the rounding of the
-        computed widths and estimates. The comparison is of Python floats
-        and squares nothing, so it cannot overflow.
-        """
+        """True when the width floor ``scale >= 2 sqrt(lam + S)`` proves that
+        round t chains every arm; it compares Python floats and squares nothing,
+        so it cannot overflow. The proof: README "Run engine"; its check:
+        `test_width_floor_never_disagrees_with_the_widths`."""
         lam = self.config.ridge_lambda
         scale = width_scale(lam, self.dim, self.config.delta, self.explore_m, t)
         return scale >= 2.0 * math.sqrt(lam + self.absorbed_sq_norms)
@@ -481,12 +406,9 @@ def build_policy(config: PolicyConfig, n_arms: int, dim: int) -> Policy:
 
 
 # ---------------------------------------------------------------------------
-# The interaction loop. A run's rounds are rows of its RunTrace: row t - 1
-# holds round t. The environment supplies every round's context and true
-# means, and ``noise`` (horizon,) the reward noise already scaled by the
-# noise level, all drawn before the first round. The rounds write the
-# columns only they can fill (arm, payments, the chosen arm's displayed row,
-# budget); ``realize_outcomes`` then fills the rest from the arm column in bulk.
+# The interaction loop: a run's rounds are rows of its RunTrace, row t - 1 for
+# round t. The environment's contexts and true means and ``noise``, the scaled
+# reward noise, are drawn before the first round (README "Run engine").
 # ---------------------------------------------------------------------------
 
 class RoundOutcome(NamedTuple):
@@ -497,14 +419,10 @@ class RoundOutcome(NamedTuple):
 
 
 def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace) -> None:
-    """Mandated round-robin pulls for rounds 1..m, the started policy's ``explore_m``.
-
-    Round t forces arm (t - 1) mod n_arms. Payments stay zero (a mandate, not
-    a purchase), so these rounds add nothing to payment totals while their
-    regret still counts. Every run begins here, even with m = 0: the trace's
-    ``shown_start`` takes the display as the run starts, a warm-started
-    policy's rows included.
-    """
+    """Mandated round-robin pulls for rounds 1..m, the started policy's
+    ``explore_m``: round t forces arm (t - 1) mod n_arms and pays nothing,
+    while its regret counts. Every run begins here, even with m = 0, since
+    the trace's ``shown_start`` takes the display as the run starts."""
     m = policy.explore_m
     shown = policy.displayed_estimates()
     trace.shown_start[...] = shown
@@ -518,11 +436,8 @@ def initial_exploration(policy: Policy, env, noise: np.ndarray, trace: RunTrace)
 
 
 def play_round(policy: Policy, env, noise: np.ndarray, trace: RunTrace, t: int) -> RoundOutcome:
-    """One free-choice round: payments, agent choice, realization, update.
-
-    The round's estimated utilities are one product: the strategy reads
-    them, and the agent (``agent_choose``'s rule) adds the payments to them.
-    """
+    """One free-choice round: payments, agent choice, realization, update, from
+    one product of estimated utilities that the strategy and the agent share."""
     i = t - 1
     theta = env.contexts[i]
     shown = policy.displayed_estimates()

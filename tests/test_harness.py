@@ -977,6 +977,33 @@ def test_cli_rejects_an_unknown_key_in_every_object(tmp_path, capsys, where, sou
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, key, values", [
+    ("<root>", "n_runs", (2, 1)),
+    ("instance", "horizon", (12, 5)),
+    ("instance.context_source", "std", (0.5, 0.0)),
+    ("policies[0]", "kind", ("no_payments", "perturbation_payments")),
+])
+def test_cli_rejects_a_key_written_twice_in_any_object(tmp_path, capsys, where, key, values):
+    """Python's ``json`` keeps the last of two equal keys, so a config that sets
+    ``horizon`` twice would run the second value; the reader refuses it."""
+    data = base_config()
+    obj = {"<root>": data, "instance": data["instance"],
+           "instance.context_source": data["instance"]["context_source"],
+           "policies[0]": data["policies"][0]}[where]
+    del obj[key]
+    obj["twice"] = None
+    twice = ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for value in values)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data).replace('"twice": null', twice))
+    config, diags = load_config_file(p)
+    assert config is None and [d.constraint for d in diags] == ["readable JSON file"]
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "readable JSON file" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
 def fig2_like_config(**instance):
     data = json.loads(preset_config_path("fig2-like").read_text())
     data["instance"].update(instance)
