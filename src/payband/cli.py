@@ -10,13 +10,12 @@ import json
 import sys
 from typing import Optional
 
-from . import harness
+from . import harness, policies
 from .environment import DatasetFormatError
-from .model import MAX_CELLS, run_cells
+from .model import most_that_fit
 
-# The most classes an instance can have: the largest n_arms whose run fits
-# MAX_CELLS at dim 1 and horizon 1, where each arm costs the fewest cells.
-MAX_CLASSES = (MAX_CELLS - run_cells(0, 1, 1)) // (run_cells(1, 1, 1) - run_cells(0, 1, 1))
+# The most classes an instance can have: the most arms a run fits at dim 1 and horizon 1.
+MAX_CLASSES = most_that_fit(lambda n: harness.run_cells(policies.CHEAPEST_KIND, n, 1, 1))
 
 
 def _int_at_least(low: int, high: Optional[int] = None):

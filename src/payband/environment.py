@@ -331,6 +331,12 @@ class DatasetEnvironment:
         return self.means[t - 1]
 
 
+def environment_cells(n_arms: int, dim: int, horizon: int) -> int:
+    """The float64 cells either environment allocates: the contexts and what
+    they are projected from, the means, and a replay's ``order`` and labels."""
+    return horizon * (2 * dim + n_arms + 3)
+
+
 def covariate_diversity_report(contexts) -> float:
     """Smallest eigenvalue of the empirical second-moment matrix (1/n) sum x x^T.
 

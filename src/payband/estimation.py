@@ -120,6 +120,12 @@ class EstimatorState:
         self._vcol, self._vrow = self._u[:, None], self._u[None, :]
         self._vvt = np.empty((d, d))
 
+    @staticmethod
+    def cells(n_arms: int, dim: int) -> int:
+        """The float64 cells a bank allocates: each arm's rows and 73 cells (584
+        bytes) of views and list entries, and the update scratch."""
+        return n_arms * (dim * (2 * dim + 2) + 73) + (2 * dim + 1) * (dim + 1)
+
     def absorb(self, context: np.ndarray, response: float, arm: int = 0) -> None:
         """Add one (context, response) pair to the arm's statistics, then
         refresh its ``shown`` row: the estimate, which refactors if needed,

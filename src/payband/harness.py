@@ -27,10 +27,11 @@ from .environment import (
     FixedSequenceSpec,
     GaussianContextSpec,
     LinearEnvironment,
+    environment_cells,
     load_dataset_csv,
 )
-from .metrics import AccumulatedCurves, AggregateCurves, RunTrace, aggregate
-from .model import MAX_CELLS, ConfigError, InstanceSpec
+from .metrics import AccumulatedCurves, AggregateCurves, RoundRecords, RunTrace, aggregate
+from .model import MAX_CELLS, ConfigError, InstanceSpec, most_that_fit
 from .policies import (
     RIDGE,
     Policy,
@@ -38,6 +39,7 @@ from .policies import (
     build_policy,
     initial_exploration,
     play_round,
+    policy_cells,
     realize_outcomes,
     ridge_lambda_floor,
 )
@@ -72,12 +74,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ConfigError("n_runs", "integer >= 1", self.n_runs)
-        cells = self.instance.run_cells()
-        if self.n_runs * cells > MAX_CELLS:
-            raise ConfigError("n_runs", f"<= {MAX_CELLS // cells} at {cells} float64 cells "
-                              "per run, so a strategy's runs hold at most 2**28", self.n_runs)
         if not self.policies:
             raise ConfigError("policies", "nonempty list", [])
+        inst = self.instance  # the costliest strategy's runs bound n_runs
+        cells, kind = max((run_cells(p.kind, inst.n_arms, inst.dim, inst.horizon), p.kind)
+                          for p in self.policies)
+        if self.n_runs * cells > MAX_CELLS:
+            raise ConfigError("n_runs", f"<= {most_that_fit(lambda n: n * cells)} at {cells} "
+                              f"float64 cells per {kind} run, so its runs hold at most 2**28",
+                              self.n_runs)
         for i, policy in enumerate(self.policies):
             check_policy(self.instance, policy, f"policies[{i}].")
 
@@ -348,6 +353,16 @@ def build_environment(instance: InstanceSpec, ctx_rng: np.random.Generator):
     return LinearEnvironment(instance.true_attrs, source, instance.horizon, ctx_rng)
 
 
+def run_cells(kind: str, n_arms: int, dim: int, horizon: int) -> int:
+    """The float64 cells a run of a ``kind`` strategy counts against ``MAX_CELLS``:
+    its allocators' counts and the reward noise, drawn and then scaled
+    (README "Command line")."""
+    return (environment_cells(n_arms, dim, horizon) + 2 * horizon
+            + policy_cells(kind, n_arms, dim, horizon) + RunTrace.cells(n_arms, dim, horizon)
+            + AccumulatedCurves.cells(n_arms, horizon) + RoundRecords.cells(n_arms, dim, horizon)
+            + 4096)  # a run's fixed objects, so that many tiny runs are bounded too
+
+
 def run_single(instance: InstanceSpec, policy_cfg: PolicyConfig,
                seed: Union[int, np.random.SeedSequence],
                policy: Optional[Policy] = None) -> RunTrace:
@@ -425,8 +440,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     """Run every (strategy, run) pair and write per-strategy CSV files.
 
     ``jobs`` (>= 1) caps the worker processes; no more are started than
-    there are tasks or CPUs. Output bytes do not depend on ``jobs``, and one
-    strategy's runs are held at a time (README "Run engine").
+    there are tasks or usable CPUs. Output bytes do not depend on ``jobs``, and
+    one strategy's runs are held at a time (README "Run engine").
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -435,7 +450,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     tasks = [(config.instance, pcfg, pi, ri)
              for pi, pcfg in enumerate(config.policies)
              for ri in range(config.n_runs)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
     with contextlib.closing(_traces(tasks, workers)) as traces:
         entries = [_write_strategy(out, pi, pcfg,
                                    list(itertools.islice(traces, config.n_runs)),

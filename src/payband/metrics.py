@@ -71,6 +71,11 @@ class RunTrace:
                    true_mean=np.zeros(horizon), inst_regret=np.zeros(horizon),
                    paid=np.zeros(horizon), observed=np.zeros(horizon))
 
+    @staticmethod
+    def cells(n_arms: int, dim: int, horizon: int) -> int:
+        """The float64 cells ``allocate`` makes; the contexts are the environment's."""
+        return horizon * (n_arms + dim + 6) + n_arms * dim
+
     @property
     def horizon(self) -> int:
         return len(self.arm)
@@ -80,21 +85,17 @@ class RunTrace:
         return RoundRecords(self)
 
     def snapshots(self, rows: Sequence[int] | None = None) -> np.ndarray:
-        """The (len(rows), n_arms, dim) snapshots of the given rows, all rows
-        by default, rebuilt bit for bit in one pass over the rounds up to the
-        last row asked for."""
-        rows = np.arange(self.horizon) if rows is None else np.asarray(rows, dtype=np.intp)
-        stop = int(rows.max()) + 1 if rows.size else 0
-        n_arms = len(self.shown_start)
-        arms = np.arange(n_arms)
-        # last[i, a]: the last row before row i that chose arm a, or -1.
-        last = np.full((stop + 1, n_arms), -1)
-        last[1:] = np.where(self.arm[:stop, None] == arms, np.arange(stop)[:, None], -1)
-        last = np.maximum.accumulate(last, axis=0)[rows]
-        out = np.empty(last.shape + self.shown_start.shape[1:])
-        out[...] = self.shown_start
-        logged = last >= 0
-        out[logged] = self.shown_log[last[logged]]
+        """The (len(rows), n_arms, dim) snapshots of the given rows, all by default,
+        rebuilt bit for bit one arm at a time (README "Run engine"). A negative
+        row counts from the end; a row outside the trace raises IndexError."""
+        rows = np.arange(self.horizon)[slice(None) if rows is None else np.asarray(rows, np.intp)]
+        out = np.empty((len(rows),) + self.shown_start.shape)
+        for a, start in enumerate(self.shown_start):
+            chose = np.flatnonzero(self.arm == a)
+            before = chose.searchsorted(rows)  # per row asked for: earlier rows that chose a
+            if chose.size:
+                out[:, a] = self.shown_log[chose[before - 1]]
+            out[before == 0, a] = start
         return out
 
 
@@ -108,6 +109,12 @@ class RoundRecords(Sequence):
 
     def __init__(self, trace: RunTrace) -> None:
         self._trace = trace
+
+    @staticmethod
+    def cells(n_arms: int, dim: int, horizon: int) -> int:
+        """The float64 cells a pass over all rows holds at once: the snapshots
+        beside one arm's scratch and the int columns, then beside every column."""
+        return horizon * (n_arms * dim + max(dim + 18, 26))
 
     def __len__(self) -> int:
         return self._trace.horizon
@@ -149,14 +156,28 @@ class AccumulatedCurves:
     cum_payment_abs: np.ndarray    # (runs, T) sum of |disbursed|
     per_arm_payment: np.ndarray    # (runs, n_arms, T) signed disbursed per chosen arm
 
+    @staticmethod
+    def cells(n_arms: int, horizon: int) -> int:
+        """The float64 cells ``accumulate`` makes per run, scratch included."""
+        return horizon * (2 * n_arms + 5)
+
 
 def accumulate(traces: Sequence[RunTrace]) -> AccumulatedCurves:
-    """Prefix-sum each run's per-round regret and disbursed payments; the runs
-    share a horizon and an arm count. ``np.cumsum`` along a row adds its cells
-    in order, so row r has the bits of summing run r alone."""
+    """Prefix-sum each run's per-round regret and disbursed payments, row r with
+    the bits of run r summed alone (``np.cumsum`` adds a row in order). No
+    traces, or mixed horizons, arm counts or kinds, raise MixedConfigError."""
+    if not traces:
+        raise MixedConfigError("no traces to aggregate")
+    first, n_arms = traces[0], traces[0].payments.shape[1]
+    for tr in traces[1:]:
+        for what, want, got in (("horizons", first.horizon, tr.horizon),
+                                ("arm counts", n_arms, tr.payments.shape[1]),
+                                ("policy kinds", repr(first.policy.kind), repr(tr.policy.kind))):
+            if got != want:
+                raise MixedConfigError(f"mixed {what}: {want} vs {got}")
     paid = np.array([tr.paid for tr in traces])
     n_runs, horizon = paid.shape
-    per_arm = np.zeros((n_runs, traces[0].payments.shape[1], horizon))
+    per_arm = np.zeros((n_runs, n_arms, horizon))
     per_arm[np.arange(n_runs)[:, None], [tr.arm for tr in traces], np.arange(horizon)] = paid
     return AccumulatedCurves(
         cum_regret=np.cumsum([tr.inst_regret for tr in traces], axis=1),
@@ -200,39 +221,9 @@ def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def aggregate(traces: list[RunTrace]) -> AggregateCurves:
-    """Mean and standard error curves over runs of a single strategy.
-
-    Raises MixedConfigError when the traces disagree on horizon, arm count
-    or strategy kind; averaging those would silently produce nonsense.
-    """
-    if not traces:
-        raise MixedConfigError("no traces to aggregate")
-    horizon = traces[0].horizon
-    n_arms = traces[0].payments.shape[1]
-    kind = traces[0].policy.kind
-    for tr in traces[1:]:
-        if tr.horizon != horizon:
-            raise MixedConfigError(
-                f"mixed horizons: {horizon} vs {tr.horizon}"
-            )
-        if tr.payments.shape[1] != n_arms:
-            raise MixedConfigError(f"mixed arm counts: {n_arms} vs {tr.payments.shape[1]}")
-        if tr.policy.kind != kind:
-            raise MixedConfigError(
-                f"mixed policy kinds: {kind!r} vs {tr.policy.kind!r}"
-            )
-    runs = accumulate(traces)
-    mean_r, se_r = _mean_stderr(runs.cum_regret)
-    mean_p, se_p = _mean_stderr(runs.cum_payment)
-    mean_a, se_a = _mean_stderr(runs.cum_payment_abs)
-    return AggregateCurves(
-        n_runs=len(traces),
-        mean_cum_regret=mean_r,
-        stderr_cum_regret=se_r,
-        mean_cum_payment=mean_p,
-        stderr_cum_payment=se_p,
-        mean_cum_payment_abs=mean_a,
-        stderr_cum_payment_abs=se_a,
-        mean_per_arm_payment=runs.per_arm_payment.mean(axis=0),
-        runs=runs,
-    )
+    """Mean and standard error curves over runs of a single strategy; mixed
+    traces raise MixedConfigError (``accumulate``)."""
+    runs = accumulate(traces)  # each curve's mean and stderr, in the fields' order
+    return AggregateCurves(len(traces), *_mean_stderr(runs.cum_regret),
+                           *_mean_stderr(runs.cum_payment), *_mean_stderr(runs.cum_payment_abs),
+                           runs.per_arm_payment.mean(axis=0), runs)

@@ -9,7 +9,7 @@ environment side and are never handed to a payment strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -21,11 +21,9 @@ TIE_TOLERANCE = 1e-12
 
 MAX_DIM = 64
 
-# Most float64 cells (2 GiB) the runs of one strategy may hold, a run counting
-# run_cells, RUN_CELLS included so that many tiny runs are bounded too. It keeps
-# the horizon below 2**26, where round indices are exact floats.
+# Most float64 cells (2 GiB) the runs of one strategy may hold, each counting
+# harness.run_cells; it keeps the horizon below 2**26, where round indices are exact.
 MAX_CELLS = 2 ** 28
-RUN_CELLS = 4096
 
 # Largest magnitude accepted for a config value that scales contexts, rewards
 # or payments: runs square and sum these, and from about 1e154 a square overflows.
@@ -43,13 +41,10 @@ def unit_ball_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def run_cells(n_arms: int, dim: int, horizon: int) -> int:
-    """The float64 cells a run of ``horizon`` rounds allocates, its per-round
-    arrays, its estimator bank and scratch, and ``RUN_CELLS``; the arrays
-    each term counts: README "Command line"."""
-    per_round = n_arms * (dim + 1) + 6 + dim + n_arms + 1 + 2 * dim + 12 + n_arms + 3
-    bank = n_arms * dim * (2 * dim + 2) + (2 * dim + 1) * (dim + 1)
-    return horizon * per_round + bank + RUN_CELLS
+def most_that_fit(cells: Callable[[int], int]) -> int:
+    """The largest x with ``cells(x) <= MAX_CELLS`` for ``cells`` affine in x, such
+    as a run's cells in its horizon; negative when not even x = 0 fits."""
+    return (MAX_CELLS - cells(0)) // (cells(1) - cells(0))
 
 
 def agent_choose(estimates: np.ndarray, context: np.ndarray, payments: np.ndarray) -> int:
@@ -117,8 +112,10 @@ class InstanceSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
-        # environment imports this module, so its spec types load late.
+        # environment and harness import this module, so their names load late.
         from .environment import DatasetReplaySpec, FixedSequenceSpec
+        from .harness import run_cells
+        from .policies import CHEAPEST_KIND
 
         if self.n_arms < 2:
             raise ConfigError("n_arms", "integer >= 2", self.n_arms)
@@ -126,10 +123,9 @@ class InstanceSpec:
             raise ConfigError("dim", f"integer in [1, {MAX_DIM}]", self.dim)
         if self.horizon < 1:
             raise ConfigError("horizon", "integer >= 1", self.horizon)
-        if self.run_cells() > MAX_CELLS:
-            fixed = run_cells(self.n_arms, self.dim, 0)
-            longest = max(0, (MAX_CELLS - fixed) // (run_cells(self.n_arms, self.dim, 1) - fixed))
-            raise ConfigError("horizon", f"<= {longest} at n_arms {self.n_arms} and dim "
+        longest = most_that_fit(lambda h: run_cells(CHEAPEST_KIND, self.n_arms, self.dim, h))
+        if self.horizon > longest:
+            raise ConfigError("horizon", f"<= {max(0, longest)} at n_arms {self.n_arms} and dim "
                               f"{self.dim}, so a run holds at most 2**28 float64 cells",
                               self.horizon)
         if self.master_seed < 0:
@@ -181,10 +177,6 @@ class InstanceSpec:
                 raise ConfigError(f"true_attrs[{bad}]", "Euclidean norm <= 1",
                                   round(float(norms[bad]), 6))
             object.__setattr__(self, "true_attrs", attrs)
-
-    def run_cells(self) -> int:
-        """The float64 cells one run counts against ``MAX_CELLS``."""
-        return run_cells(self.n_arms, self.dim, self.horizon)
 
     def check_explore_m(self, field: str, m: int) -> None:
         """Rounds of mandated round-robin exploration, for the instance or a

@@ -199,6 +199,7 @@ class Policy:
     """
 
     mode = OLS
+    round_cells = staticmethod(lambda n_arms, dim: 0)  # float64 cells start_run adds a round
 
     def __init__(self, config: PolicyConfig, n_arms: int, dim: int) -> None:
         self.config = config
@@ -268,6 +269,8 @@ class PerturbationPaymentsPolicy(Policy):
     those contexts, one row per free round.
     """
 
+    round_cells = staticmethod(lambda n_arms, dim: 2 * dim)  # zetas, effective_contexts
+
     def start_run(self, explore_m, rounds, rng):
         super().start_run(explore_m, rounds, rng)
         self.zetas = self.config.sigma_pay * rng.standard_normal((rounds, self.dim))
@@ -294,6 +297,8 @@ class LinUCBAlignmentPolicy(Policy):
     """
 
     mode = RIDGE
+    # A (t, greedy, base) tuple in a list: 104 bytes, 168 once arms pass 256.
+    round_cells = staticmethod(lambda n_arms, dim: 13 + 8 * (n_arms > 256))
 
     def start_run(self, explore_m, rounds, rng):
         super().start_run(explore_m, rounds, rng)
@@ -345,6 +350,8 @@ class ChainedPolicy(Policy):
     """
 
     mode = RIDGE
+    # Per pick an int64, a list entry and an int past 256 arms; a restricted budget's float.
+    round_cells = staticmethod(lambda n_arms, dim: 9)
 
     def __init__(self, config, n_arms, dim):
         super().__init__(config, n_arms, dim)
@@ -399,10 +406,18 @@ _POLICY_CLASSES = {
 }
 
 POLICY_KINDS = tuple(_POLICY_CLASSES)
+CHEAPEST_KIND = NO_PAYMENTS  # its round_cells are 0: a run allocates only its bank
 
 
 def build_policy(config: PolicyConfig, n_arms: int, dim: int) -> Policy:
     return _POLICY_CLASSES[config.kind](config, n_arms, dim)
+
+
+def policy_cells(kind: str, n_arms: int, dim: int, horizon: int) -> int:
+    """The float64 cells a ``kind`` strategy allocates for a run: its bank and
+    its class's ``round_cells`` a round."""
+    per_round = _POLICY_CLASSES[kind].round_cells(n_arms, dim)
+    return EstimatorState.cells(n_arms, dim) + per_round * horizon
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,18 @@ def test_iterating_the_records_equals_indexing_them(cfg):
     assert records[-1].t == HORIZON and records[HORIZON:] == []
 
 
+def test_snapshots_count_negative_rows_from_the_end_and_refuse_rows_outside():
+    trace = run_single(instance(sources()["gaussian"]), POLICIES[0], child_seed_sequence(6, 0, 0))
+    every = trace.snapshots()
+    assert not np.array_equal(every[-1], trace.shown_start)
+    assert trace.snapshots((-1, 3, -HORIZON)).tobytes() == every[[-1, 3, 0]].tobytes()
+    assert trace.snapshots([-1])[0].tobytes() == trace.records[-1].displayed_estimates.tobytes()
+    assert trace.snapshots([]).shape == (0, N_ARMS, DIM)
+    for row in (HORIZON, HORIZON + 20, -HORIZON - 1, -HORIZON - 20):
+        with pytest.raises(IndexError, match=f"index {row} is out of bounds"):
+            trace.snapshots([2, row])
+
+
 def test_a_finished_trace_holds_no_per_round_snapshot():
     # The agent's (N, d) snapshot per round is rebuilt from one logged (d,)
     # row per round; a trace that kept it would hold N * d cells a round.
@@ -243,8 +255,8 @@ def test_a_finished_trace_holds_no_per_round_snapshot():
         arrays = [a for a in [*vars(trace).values(), *trace.diagnostics.values()]
                   if isinstance(a, np.ndarray)]
         assert all(a.size < horizon * n_arms * dim for a in arrays), cfg.kind
-        # The columns, the start rows and the perturbed contexts, cell for cell.
-        cells = horizon * (n_arms + 2 * dim + 6) + n_arms * dim
+        # The columns, the start rows, the contexts and the perturbed contexts.
+        cells = RunTrace.cells(n_arms, dim, horizon) + horizon * dim
         if cfg.kind == PERTURBATION:
             cells += (horizon - explore) * dim
         assert sum(a.nbytes for a in arrays) <= 8 * cells, cfg.kind

@@ -30,6 +30,7 @@ from payband.harness import (
     child_seed_sequence,
     load_config_file,
     preset_config_path,
+    run_cells,
     run_experiment,
     run_single,
     spawn_streams,
@@ -37,8 +38,14 @@ from payband.harness import (
 )
 from payband.estimation import PIVOT_TOL
 from payband.metrics import RunTrace, accumulate
-from payband.model import MAX_CELLS, MAX_MAGNITUDE, ConfigError, InstanceSpec, run_cells
-from payband.policies import POLICY_KINDS, PolicyConfig, build_policy, ridge_lambda_floor
+from payband.model import MAX_MAGNITUDE, ConfigError, InstanceSpec, most_that_fit
+from payband.policies import (
+    CHEAPEST_KIND,
+    POLICY_KINDS,
+    PolicyConfig,
+    build_policy,
+    ridge_lambda_floor,
+)
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -518,10 +525,10 @@ def cell(value):
 
 
 def awkward_traces():
+    # Runs of one kind, whose budget columns hold None in one and numbers in the other.
     traces = []
+    cfg = PolicyConfig(kind="chained_restricted", budget=5)
     for budget in (None, 5):
-        cfg = PolicyConfig(kind="chained_restricted", budget=budget) if budget is not None \
-            else PolicyConfig(kind="no_payments")
         tr = RunTrace.allocate(cfg, np.zeros((len(AWKWARD_FLOATS), 2)), 3)
         tr.arm[:] = [2, 0, 1, 2]
         tr.inst_regret[:] = AWKWARD_FLOATS
@@ -533,7 +540,7 @@ def awkward_traces():
 
 def test_trace_csv_bytes_equal_the_csv_modules(tmp_path):
     traces = awkward_traces()
-    curves = accumulate(traces)  # the two kinds differ, which aggregate refuses
+    curves = accumulate(traces)
     curves.cum_regret[:] = AWKWARD_FLOATS[1:] + AWKWARD_FLOATS[:1]
     rows = [TRACE_COLUMNS]
     for r, tr in enumerate(traces):
@@ -730,11 +737,19 @@ def test_workers_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)  # some the process may not use
     for cpus, jobs, want in ((64, 1000, 4), (3, 1000, 3), (64, 2, 2), (1, 1000, None)):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         started.clear()
         run_experiment(config, jobs=jobs, out_dir=tmp_path / "out")
         assert started == ([] if want is None else [want])
+    # Where the platform has no sched_getaffinity, cpu_count bounds them.
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    started.clear()
+    run_experiment(config, jobs=1000, out_dir=tmp_path / "out")
+    assert started == [3]
     with pytest.raises(ValueError, match="jobs"):
         run_experiment(config, jobs=0, out_dir=tmp_path / "out")
 
@@ -1046,26 +1061,44 @@ def test_cli_counts_the_estimator_bank_against_the_cell_bound(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-def test_every_strategy_allocates_at_most_its_run_cells():
-    # LinUCB's alignment log (92 bytes per free round) is what n_arms 2 and
-    # dim 1 expose. The untraced runs come first: a process's first run also
-    # allocates what it keeps for later runs.
-    instance = InstanceSpec(2, 1, 3000, np.array([[0.6], [-0.4]]), 0.1,
-                            GaussianContextSpec(mean=np.array([0.2]), std=0.5), 2, 7)
+# The least share of its run_cells that a run's measured peak reaches: the
+# count sums allocations that do not all live at once (README "Command line").
+LEAST_SHARE_OF_RUN_CELLS = 0.6
+
+
+def test_every_strategy_allocates_about_its_run_cells():
+    # What run_cells counts: run_single, accumulate and one records pass. The
+    # untraced runs come first: a process's first run also allocates what it
+    # keeps for later runs.
+    def run(instance, cfg):
+        trace = run_single(instance, cfg, 1)
+        curves = accumulate([trace])
+        for _ in trace.records:
+            pass
+        return curves
+
     configs = [PolicyConfig(kind, budget=5.0 if kind == "chained_restricted" else None)
                for kind in POLICY_KINDS]
-    for cfg in configs:
-        accumulate([run_single(instance, cfg, 1)])
-    peaks = {}
-    for cfg in configs:
-        tracemalloc.start()
-        try:
-            accumulate([run_single(instance, cfg, 1)])
-            peaks[cfg.kind] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    bound = 8 * instance.run_cells()
-    assert {kind: peak for kind, peak in peaks.items() if peak > bound} == {}, bound
+    shares = {}
+    for n_arms, dim, horizon in [(8, 4, 800), (2, 14, 2500), (40, 2, 2000)]:
+        attrs = np.random.default_rng(3).normal(size=(n_arms, dim))
+        attrs /= 2 * np.linalg.norm(attrs, axis=1)[:, None]
+        instance = InstanceSpec(n_arms, dim, horizon, attrs, 0.1,
+                                GaussianContextSpec(mean=np.full(dim, 0.1), std=0.5),
+                                2 * n_arms, 7)
+        for cfg in configs:
+            run(instance, cfg)
+        for cfg in configs:
+            tracemalloc.start()
+            try:
+                run(instance, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            cells = run_cells(cfg.kind, n_arms, dim, horizon)
+            shares[n_arms, dim, horizon, cfg.kind] = round(peak / (8 * cells), 3)
+    assert {key: share for key, share in shares.items()
+            if not LEAST_SHARE_OF_RUN_CELLS <= share <= 1} == {}, shares
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)], ids=str)
@@ -1093,8 +1126,8 @@ def test_run_single_rejects_a_policy_built_from_another_config(monkeypatch):
 
 def test_the_cell_bound_admits_a_run_that_fills_it():
     data = base_config()
-    fixed = run_cells(2, 2, 0)
-    longest = (MAX_CELLS - fixed) // (run_cells(2, 2, 1) - fixed)
+    assert data["policies"] == [{"kind": CHEAPEST_KIND}]
+    longest = most_that_fit(lambda horizon: run_cells(CHEAPEST_KIND, 2, 2, horizon))
     data["instance"]["horizon"] = longest
     data["n_runs"] = 1
     assert validate_config_data(data) == []
@@ -1338,7 +1371,7 @@ GOLDEN_FINDINGS = {
         "[error] policies[0]: only the fields kind, sigma_pay, ridge_lambda, delta, "
         "linucb_alpha, budget, init_explore_m, estimator_mode (got ['siverity'])\n"),
     "range and cell bound": (range_and_cell_bound, None, 2,
-        "[error] instance.horizon: <= 7063982 at n_arms 2 and dim 2, so a run holds at "
+        "[error] instance.horizon: <= 4473852 at n_arms 2 and dim 2, so a run holds at "
         "most 2**28 float64 cells (got 100000000)\n"
         "[error] policies[0].sigma_pay: number in [0, 1e+100] (got -1.0)\n"),
     "non-object root": (lambda tmp_path: "[1, 2]", None, 2,

@@ -187,27 +187,37 @@ def test_aggregate_is_order_invariant():
     assert np.allclose(fwd.stderr_cum_regret, rev.stderr_cum_regret)
 
 
+# accumulate holds the rule, and aggregate reaches it through accumulate.
+SUMMING = [aggregate, accumulate]
+
+
 def test_aggregate_rejects_mixed_horizons():
     a = trace([record(1)])
     b = trace([record(1), record(2)])
-    with pytest.raises(MixedConfigError):
-        aggregate([a, b])
+    for fn in SUMMING:
+        with pytest.raises(MixedConfigError, match="mixed horizons: 1 vs 2"):
+            fn([a, b])
 
 
 def test_aggregate_rejects_mixed_kinds():
     a = trace([record(1)])
     b = trace([record(1)], cfg=PolicyConfig(kind="perturbation_payments"))
-    with pytest.raises(MixedConfigError):
-        aggregate([a, b])
+    for fn in SUMMING:
+        with pytest.raises(MixedConfigError,
+                           match="mixed policy kinds: 'no_payments' vs 'perturbation_payments'"):
+            fn([a, b])
 
 
 def test_aggregate_rejects_empty_input():
-    with pytest.raises(MixedConfigError):
-        aggregate([])
+    for fn in SUMMING:
+        with pytest.raises(MixedConfigError, match="no traces to aggregate"):
+            fn([])
 
 
 def test_aggregate_rejects_mixed_arm_counts():
-    a = trace([record(1, payments=(0.0, 0.0))])
-    b = trace([record(1, payments=(0.0, 0.0, 0.0))])
-    with pytest.raises(MixedConfigError, match="mixed arm counts: 2 vs 3"):
-        aggregate([a, b])
+    two = trace([record(1, payments=(0.0, 0.0))])
+    three = trace([record(1, payments=(0.0, 0.0, 0.0))])
+    for fn in SUMMING:
+        for first, second, counts in ((two, three, "2 vs 3"), (three, two, "3 vs 2")):
+            with pytest.raises(MixedConfigError, match=f"mixed arm counts: {counts}"):
+                fn([first, second])
