@@ -464,36 +464,18 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 # CSV output.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 # Rows a writer turns into text at a time: the texts of one chunk's cells are
 # held until its rows are written, so memory does not grow with the horizon.
 CHUNK_ROWS = 1024
 
-_NOTHING = object()
-
 
 def _texts(column: np.ndarray, memo: dict, end: str) -> list[str]:
-    """Each cell of a 1-D float64 or object column as its CSV text, followed
-    by ``end``: ``float.__repr__`` for a float, ``_fmt`` for the budget's
-    objects. Each run of bit-equal neighbours, or of one budget object, is
-    formatted once, and a column bit-equal to one already in ``memo`` reuses
-    its texts; the texts are those of each cell alone (README "Run engine",
+    """Each cell of a 1-D float64 column as its ``float.__repr__`` text,
+    followed by ``end``. Each run of bit-equal neighbours is formatted once,
+    and a column bit-equal to one already in ``memo`` reuses its texts; the
+    texts are those of each cell alone (README "Run engine",
     `test_trace_csv_formats_every_run_of_cells_as_each_cell_alone`).
     """
-    if column.dtype == object:
-        texts, last, text = [], _NOTHING, ""
-        for value in column.tolist():
-            if value is not last:
-                last, text = value, _fmt(value) + end
-            texts.append(text)
-        return texts
     key = (column.tobytes(), end)
     texts = memo.get(key)
     if texts is None:
@@ -517,8 +499,8 @@ def _write_csv(path: Union[str, Path], header: list[str],
     """Write ``header``, then each block's rows, to ``path``, through a
     temporary file renamed onto it at the end, so a failed write leaves no
     partial file. A block is a sequence of equally long columns: float64
-    arrays, the budget's object array, or lists of cell texts; the last is an
-    array. The lines are those ``csv.writer`` writes for the same cells
+    arrays or lists of cell texts, a list in the last column ending each text
+    in the line end. The lines are those ``csv.writer`` writes for the same cells
     (`test_trace_csv_bytes_equal_the_csv_modules`).
     """
     path = Path(path)
@@ -553,16 +535,19 @@ def write_trace_csv(path: Union[str, Path], traces: list[RunTrace],
     Row r of ``curves`` holds run r's accumulated curves, as ``aggregate``
     returns them in ``runs``.
     """
-    numbers = _numbers(max((trace.horizon for trace in traces), default=0))
+    longest = max((trace.horizon for trace in traces), default=0)
+    numbers = _numbers(longest)
+    blanks = ["\r\n"] * longest  # last cells, empty: a strategy configured without a budget
 
     def blocks():
         for run_index, (trace, regret, payment, payment_abs) in enumerate(zip(
                 traces, curves.cum_regret, curves.cum_payment, curves.cum_payment_abs,
                 strict=True)):
             arms = list(map(str, range(trace.payments.shape[1])))
+            budget = blanks[:trace.horizon] if trace.policy.budget is None else trace.budget
             yield (numbers[:trace.horizon], [str(run_index)] * trace.horizon,
                    list(map(arms.__getitem__, trace.arm.tolist())),
-                   trace.inst_regret, regret, trace.paid, payment, payment_abs, trace.budget)
+                   trace.inst_regret, regret, trace.paid, payment, payment_abs, budget)
 
     _write_csv(path, TRACE_COLUMNS, blocks())
 

@@ -26,9 +26,9 @@ class RunTrace:
 
     Row i of every column is round t = i + 1: the chosen arm, the payments
     offered (n_arms,), ``shown_log`` (dim,), the chosen arm's displayed row
-    after the round's absorb, the context, the budget left (an object column:
-    None without a budget, an integer budget stays an integer), and the chosen
-    arm's true mean, regret, disbursed payment and observed reward. With
+    after the round's absorb, the context, the budget left (``math.inf`` for
+    a strategy configured without one), and the chosen arm's true mean,
+    regret, disbursed payment and observed reward; every column is numeric. With
     ``shown_start``, the display as the run starts, they fix every round's
     snapshot, which ``records`` and ``snapshots`` rebuild (README "Run engine").
     """
@@ -67,7 +67,7 @@ class RunTrace:
         return cls(policy=policy, arm=np.zeros(horizon, dtype=int),
                    payments=np.zeros((horizon, n_arms)),
                    shown_start=np.zeros((n_arms, dim)), shown_log=np.zeros((horizon, dim)),
-                   contexts=contexts, budget=np.full(horizon, None, dtype=object),
+                   contexts=contexts, budget=np.zeros(horizon),
                    true_mean=np.zeros(horizon), inst_regret=np.zeros(horizon),
                    paid=np.zeros(horizon), observed=np.zeros(horizon))
 
@@ -87,8 +87,12 @@ class RunTrace:
     def snapshots(self, rows: Sequence[int] | None = None) -> np.ndarray:
         """The (len(rows), n_arms, dim) snapshots of the given rows, all by default,
         rebuilt bit for bit one arm at a time (README "Run engine"). A negative
-        row counts from the end; a row outside the trace raises IndexError."""
-        rows = np.arange(self.horizon)[slice(None) if rows is None else np.asarray(rows, np.intp)]
+        row counts from the end; a row outside the trace raises IndexError,
+        and a row that is not an integer (a float or a bool) TypeError."""
+        asked = np.asarray(range(self.horizon) if rows is None else rows)
+        if asked.size and asked.dtype.kind not in "iu":
+            raise TypeError(f"rows must be integers, not {asked.dtype}")
+        rows = np.arange(self.horizon)[asked.astype(np.intp, copy=False)]
         out = np.empty((len(rows),) + self.shown_start.shape)
         for a, start in enumerate(self.shown_start):
             chose = np.flatnonzero(self.arm == a)
@@ -104,7 +108,8 @@ class RoundRecords(Sequence):
 
     ``len`` is O(1); nothing is cached, and each access builds new records
     whose arrays are views of the trace's columns and of one ``snapshots``
-    pass over the rows asked for (README "Run engine").
+    pass over the rows asked for (README "Run engine"). A strategy configured
+    without a budget gives each record a ``budget_remaining`` of None.
     """
 
     def __init__(self, trace: RunTrace) -> None:
@@ -142,7 +147,8 @@ class RoundRecords(Sequence):
             "true_mean_reward": tr.true_mean[rows].tolist(),
             "inst_regret": tr.inst_regret[rows].tolist(),
             "payment_paid": tr.paid[rows].tolist(),
-            "budget_remaining": tr.budget[rows],
+            "budget_remaining": ([None] * len(idx) if tr.policy.budget is None
+                                 else tr.budget[rows].tolist()),
         }
         return map(RoundRecord, *(columns[f.name] for f in fields(RoundRecord)))
 

@@ -166,11 +166,12 @@ class InstanceSpec:
             if len(self.true_attrs) != self.n_arms:
                 raise ConfigError("true_attrs", f"list of n_arms ({self.n_arms}) vectors",
                                   len(self.true_attrs))
-            for i, row in enumerate(self.true_attrs):
-                if np.shape(row) != (self.dim,) or not np.all(np.isfinite(row)):
-                    raise ConfigError(f"true_attrs[{i}]",
-                                      f"vector of dim ({self.dim}) finite numbers", row)
-            attrs = np.asarray(self.true_attrs, dtype=float)
+            rows = [np.asarray(row, dtype=float) for row in self.true_attrs]
+            for i, row in enumerate(rows):  # bounded, so that no square below overflows
+                if row.shape != (self.dim,) or not np.all(np.abs(row) <= MAX_MAGNITUDE):
+                    raise ConfigError(f"true_attrs[{i}]", f"vector of dim ({self.dim}) "
+                                      f"numbers of magnitude <= {MAX_MAGNITUDE:g}", row.tolist())
+            attrs = np.array(rows)
             norms = np.linalg.norm(attrs, axis=1)
             if np.any(norms > 1.0 + 1e-9):
                 bad = int(np.argmax(norms))

@@ -51,8 +51,9 @@ class PolicyConfig:
 
     ``estimator_mode`` forces "ols" or "ridge" (a ridge ``no_payments`` is the
     exact zero-budget reference of ``chained_restricted``); strategies with
-    confidence widths require "ridge". ``harness.check_policy`` holds the
-    rules that tie it to an instance.
+    confidence widths require "ridge". A set ``budget`` is stored as a
+    float; without one, the strategy's ``Policy`` holds ``math.inf``.
+    ``harness.check_policy`` holds the rules that tie it to an instance.
     """
 
     kind: str
@@ -80,11 +81,12 @@ class PolicyConfig:
             raise ConfigError("linucb_alpha", f"number in [0, {MAX_MAGNITUDE:g}]",
                               self.linucb_alpha)
         if self.budget is not None:
+            object.__setattr__(self, "budget", float(self.budget))
             if self.kind != CHAINED_RESTRICTED:
                 raise ConfigError("budget", "only applies to chained_restricted", self.budget)
             if self.budget < 0:
                 raise ConfigError("budget", ">= 0", self.budget)
-        if self.kind == CHAINED_RESTRICTED and self.budget is None:
+        elif self.kind == CHAINED_RESTRICTED:
             raise ConfigError("budget", "chained_restricted requires a budget", None)
         if self.resolved_mode() == RIDGE and self.ridge_lambda < PIVOT_TOL:
             raise ConfigError("ridge_lambda", f">= {PIVOT_TOL:g} in ridge mode", self.ridge_lambda)
@@ -162,25 +164,22 @@ def build_chain(point_estimates: np.ndarray, widths: np.ndarray, anchor: int) ->
 
 
 def chained_payment(members: list[int], point_estimates: np.ndarray, anchor: int,
-                    picks,
-                    budget: Optional[float] = None) -> tuple[np.ndarray, int, float, Optional[float]]:
+                    picks, budget: float = math.inf) -> tuple[np.ndarray, int, float, float]:
     """Pick a chain member uniformly and pay it the estimated gap to the anchor.
 
-    Returns (payments, picked member, offered amount, new budget). With a
-    budget the offered amount is clamped to what remains and the budget is
-    reduced by the offer itself, so offers can never overshoot it. The pick
-    is one ``picks.integers(len(members))`` call, so ``picks`` is anything
-    that answers it like a Generator: in a run, ``ChainedPolicy.picks``.
+    Returns (payments, picked member, offered amount, new budget). The offered
+    amount is clamped to the budget and the budget is reduced by the offer
+    itself, so offers can never overshoot it; the default, an infinite
+    budget, clamps nothing and stays infinite. The pick is one
+    ``picks.integers(len(members))`` call, so ``picks`` is anything that
+    answers it like a Generator: in a run, ``ChainedPolicy.picks``.
     """
     e = np.asarray(point_estimates, float)
     pay = np.zeros(len(e))
     j = int(members[picks.integers(len(members))])
-    amount = e.item(anchor) - e.item(j)  # >= 0: the anchor maximizes e
-    if budget is not None:
-        amount = min(amount, budget)
-        budget = budget - amount
+    amount = min(e.item(anchor) - e.item(j), budget)  # the gap is >= 0: the anchor maximizes e
     pay[j] = amount
-    return pay, j, amount, budget
+    return pay, j, amount, budget - amount
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ class Policy:
     strategy's default estimator (README "Strategies"). Each run calls
     ``start_run``, then ``absorb_forced`` or ``calc_payments`` and ``update``
     per round; ``diagnostics`` then holds what that run recorded, while the
-    bank and ``budget`` (None when unrestricted) carry over
+    bank and ``budget`` (``math.inf`` when unrestricted) carry over
     (README "Run engine").
     """
 
@@ -208,7 +207,7 @@ class Policy:
         mode = config.resolved_mode()
         lam = config.ridge_lambda if mode == RIDGE else 0.0
         self.bank = EstimatorState(dim, mode, lam, n_arms)
-        self.budget = config.budget
+        self.budget = math.inf if config.budget is None else config.budget
         self.explore_m = 0
         self.rounds = 0  # no round is free before start_run
 
@@ -350,8 +349,8 @@ class ChainedPolicy(Policy):
     """
 
     mode = RIDGE
-    # Per pick an int64, a list entry and an int past 256 arms; a restricted budget's float.
-    round_cells = staticmethod(lambda n_arms, dim: 9)
+    # Per pick an int64, a list entry and an int past 256 arms.
+    round_cells = staticmethod(lambda n_arms, dim: 6)
 
     def __init__(self, config, n_arms, dim):
         super().__init__(config, n_arms, dim)
@@ -372,7 +371,7 @@ class ChainedPolicy(Policy):
         return scale >= 2.0 * math.sqrt(lam + self.absorbed_sq_norms)
 
     def calc_payments(self, t, context, scores):
-        if self.budget is not None and self.budget <= 0:
+        if self.budget <= 0:
             return np.zeros(self.n_arms)
         self.free_row(t)
         anchor = int(scores.argmax())
@@ -390,7 +389,7 @@ class ChainedPolicy(Policy):
     def update(self, t, context, chosen, observed, payments):
         self.bank.absorb(context, observed, chosen)
         # S is read only while the budget is positive, and a budget never rises.
-        if self.budget is None or self.budget > 0:
+        if self.budget > 0:
             self.absorbed_sq_norms += float(np.dot(context, context))
 
     def absorb_forced(self, t, context, arm, observed):

@@ -91,6 +91,8 @@ EXTREMES = {
     "delta=1e-300": policies(delta=1e-300),
     "linucb_alpha=1e100": policies(linucb_alpha=1e100),
     "budget=0": budget(0.0),
+    "budget=5": budget(5),  # a JSON integer, stored as its float
+    "budget=1e308": budget(1e308),
     "horizon=1": instance(horizon=1, init_explore_m=0),
     "horizon=2": instance(horizon=2, init_explore_m=1),
     "contexts=0": fixed_contexts(0.0),

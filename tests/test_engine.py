@@ -1,6 +1,7 @@
 """The run engine: bulk streams and columns against a round-by-round loop."""
 
 import filecmp
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -34,7 +35,7 @@ POLICIES = [
     PolicyConfig(kind="linucb_alignment", linucb_alpha=0.8),
     PolicyConfig(kind="chained_unrestricted", delta=0.2),
     PolicyConfig(kind="chained_restricted", budget=0.5),
-    PolicyConfig(kind="chained_restricted", budget=1),  # an integer budget stays one
+    PolicyConfig(kind="chained_restricted", budget=1),  # an integer budget is stored as its float
     # Without exploration the width floor never holds: every round computes
     # the widths and the chain, and a partial chain rewinds the run's picks.
     # With one round of it the floor holds on the first free rounds, and the
@@ -146,11 +147,11 @@ def test_columns_equal_a_round_by_round_loop(source_name):
             assert trace.horizon == len(rows) == HORIZON
             for name in RunTrace.COLUMNS:
                 want = [row[name] for row in rows]
-                got = getattr(trace, name)
-                if name == "budget":
-                    assert [(type(b), b) for b in got] == [(type(b), b) for b in want]
-                else:
-                    assert np.array_equal(got, np.array(want)), (cfg.kind, run, name)
+                assert np.array_equal(getattr(trace, name), np.array(want)), (cfg.kind, run, name)
+            # The budget is a float each round, infinite throughout without a configured one.
+            budgets = [row["budget"] for row in rows]
+            assert {type(b) for b in budgets} == {float} and trace.budget.dtype == float
+            assert (cfg.budget is None) == all(b == math.inf for b in budgets), cfg
             want = np.array([row["displayed"] for row in rows])
             assert np.array_equal(trace.snapshots(), want), (cfg.kind, run)
             if cfg.kind == PERTURBATION:
@@ -238,9 +239,29 @@ def test_snapshots_count_negative_rows_from_the_end_and_refuse_rows_outside():
     assert trace.snapshots((-1, 3, -HORIZON)).tobytes() == every[[-1, 3, 0]].tobytes()
     assert trace.snapshots([-1])[0].tobytes() == trace.records[-1].displayed_estimates.tobytes()
     assert trace.snapshots([]).shape == (0, N_ARMS, DIM)
+    assert trace.snapshots(np.array([3, 7], np.uint8)).tobytes() == every[[3, 7]].tobytes()
     for row in (HORIZON, HORIZON + 20, -HORIZON - 1, -HORIZON - 20):
         with pytest.raises(IndexError, match=f"index {row} is out of bounds"):
             trace.snapshots([2, row])
+    # A row that is not an integer is refused, as records refuses it, not cast.
+    for rows in ([1.7], [True, False], [2, 3.0], np.array([1.0])):
+        with pytest.raises(TypeError, match="rows must be integers"):
+            trace.snapshots(rows)
+    with pytest.raises(TypeError):
+        trace.records[1.7]
+
+
+def test_a_finished_trace_holds_only_numeric_arrays():
+    # Every column, budget included, is a numeric array that stacks with
+    # other runs' columns: no budget is an infinite one, not None.
+    inst = instance(sources()["gaussian"])
+    for pi, cfg in enumerate(POLICIES[:5]):
+        trace = run_single(inst, cfg, child_seed_sequence(7, pi, 0))
+        arrays = {name: a for name, a in [*vars(trace).items(), *trace.diagnostics.items()]
+                  if isinstance(a, np.ndarray)}
+        assert set(RunTrace.COLUMNS) <= set(arrays), cfg.kind
+        assert {name: a.dtype for name, a in arrays.items() if a.dtype.kind not in "if"} == {}, \
+            cfg.kind
 
 
 def test_a_finished_trace_holds_no_per_round_snapshot():

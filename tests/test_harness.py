@@ -517,41 +517,48 @@ def csv_module_lines(rows):
 
 
 def cell(value):
-    """A cell as the csv-module writers formatted it: repr of a float, the
-    digits of an int, nothing for a missing budget."""
-    if value is None:
-        return ""
-    return str(value) if isinstance(value, int) else repr(float(value))
+    """A cell as the csv-module writers formatted it: repr of a float,
+    nothing for a missing budget."""
+    return "" if value is None else repr(float(value))
 
 
-def awkward_traces():
-    # Runs of one kind, whose budget columns hold None in one and numbers in the other.
+RESTRICTED = PolicyConfig(kind="chained_restricted", budget=5)
+
+
+def awkward_traces(cfg=RESTRICTED):
+    # Two runs of one strategy; a budget column holds numbers, or infinity
+    # where the strategy has no budget.
     traces = []
-    cfg = PolicyConfig(kind="chained_restricted", budget=5)
-    for budget in (None, 5):
+    for r in range(2):
         tr = RunTrace.allocate(cfg, np.zeros((len(AWKWARD_FLOATS), 2)), 3)
         tr.arm[:] = [2, 0, 1, 2]
         tr.inst_regret[:] = AWKWARD_FLOATS
         tr.paid[:] = AWKWARD_FLOATS[::-1]
-        tr.budget[:] = [budget, budget, 4.5 if budget else None, -0.0 if budget else None]
+        tr.budget[:] = [5.0, 5.0 - r, 4.5, -0.0] if cfg.budget is not None else np.inf
         traces.append(tr)
     return traces
 
 
 def test_trace_csv_bytes_equal_the_csv_modules(tmp_path):
-    traces = awkward_traces()
-    curves = accumulate(traces)
-    curves.cum_regret[:] = AWKWARD_FLOATS[1:] + AWKWARD_FLOATS[:1]
-    rows = [TRACE_COLUMNS]
-    for r, tr in enumerate(traces):
-        for i in range(tr.horizon):
-            rows.append([i + 1, r, int(tr.arm[i])] + [cell(v) for v in (
-                tr.inst_regret[i], curves.cum_regret[r, i], tr.paid[i],
-                curves.cum_payment[r, i], curves.cum_payment_abs[r, i], tr.budget[i])])
-    harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
-    text = (tmp_path / "trace.csv").read_bytes().decode()
-    assert text == csv_module_lines(rows)
-    assert ",5\r\n" in text and ",\r\n" in text and "5e-324" in text
+    texts = {}
+    for cfg in (RESTRICTED, PolicyConfig(kind="chained_unrestricted")):
+        traces = awkward_traces(cfg)
+        curves = accumulate(traces)
+        curves.cum_regret[:] = AWKWARD_FLOATS[1:] + AWKWARD_FLOATS[:1]
+        rows = [TRACE_COLUMNS]
+        for r, tr in enumerate(traces):
+            for i in range(tr.horizon):
+                budget = None if cfg.budget is None else tr.budget[i]
+                rows.append([i + 1, r, int(tr.arm[i])] + [cell(v) for v in (
+                    tr.inst_regret[i], curves.cum_regret[r, i], tr.paid[i],
+                    curves.cum_payment[r, i], curves.cum_payment_abs[r, i], budget)])
+        harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
+        texts[cfg.kind] = text = (tmp_path / "trace.csv").read_bytes().decode()
+        assert text == csv_module_lines(rows)
+        assert "5e-324" in text
+    # An integer budget prints as its float; no budget prints as an empty cell.
+    assert ",5.0\r\n" in texts[RESTRICTED.kind] and ",-0.0\r\n" in texts[RESTRICTED.kind]
+    assert {line[-1:] for line in texts["chained_unrestricted"].split("\r\n")[1:-1]} == {","}
 
 
 def test_aggregate_csv_bytes_equal_the_csv_modules(tmp_path):
@@ -591,9 +598,8 @@ def test_trace_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, horiz
     curves = harness.aggregate(traces).runs
     columns = []
     for r, tr in enumerate(traces):
-        tr.budget[:] = [5 if i % 3 else 5.0 for i in range(horizon)]  # equal, printed apart
         cols = [tr.inst_regret, curves.cum_regret[r], tr.paid, curves.cum_payment[r],
-                curves.cum_payment_abs[r]]
+                curves.cum_payment_abs[r], tr.budget]
         for k, column in enumerate(cols):
             column[:] = np.roll(RUNNY, 3 * k + r)[:horizon]
         columns.append([reprs_oracle(c) for c in cols])
@@ -601,7 +607,7 @@ def test_trace_csv_formats_every_run_of_cells_as_each_cell_alone(tmp_path, horiz
     for r, tr in enumerate(traces):
         for i in range(horizon):
             lines.append(",".join([str(i + 1), str(r), str(int(tr.arm[i]))]
-                                  + [c[i] for c in columns[r]] + [cell(tr.budget[i])]) + "\r\n")
+                                  + [c[i] for c in columns[r]]) + "\r\n")
     harness.write_trace_csv(tmp_path / "trace.csv", traces, curves)
     assert (tmp_path / "trace.csv").read_bytes().decode() == "".join(lines)
 
@@ -1080,7 +1086,7 @@ def test_every_strategy_allocates_about_its_run_cells():
     configs = [PolicyConfig(kind, budget=5.0 if kind == "chained_restricted" else None)
                for kind in POLICY_KINDS]
     shares = {}
-    for n_arms, dim, horizon in [(8, 4, 800), (2, 14, 2500), (40, 2, 2000)]:
+    for n_arms, dim, horizon in [(8, 4, 800), (2, 14, 2500), (40, 2, 2000), (2, 1, 3000)]:
         attrs = np.random.default_rng(3).normal(size=(n_arms, dim))
         attrs /= 2 * np.linalg.norm(attrs, axis=1)[:, None]
         instance = InstanceSpec(n_arms, dim, horizon, attrs, 0.1,
@@ -1359,6 +1365,16 @@ def range_and_cell_bound(tmp_path):
     return json.dumps(data)
 
 
+def fig1_with_true_attr(value):
+    # fig1 with one entry of true_attrs[3] replaced: numpy holds a row with an
+    # integer past 2**63 as objects, and the square of 1e308 overflows.
+    def make(tmp_path):
+        data = json.loads(harness.preset_config_path("fig1").read_text())
+        data["instance"]["true_attrs"][3][3] = value
+        return json.dumps(data)
+    return make
+
+
 # Every source of a finding, with the exact stderr ``validate`` and ``run``
 # print for it and their exit code; TMP stands for the config's directory.
 GOLDEN_FINDINGS = {
@@ -1374,6 +1390,11 @@ GOLDEN_FINDINGS = {
         "[error] instance.horizon: <= 4473852 at n_arms 2 and dim 2, so a run holds at "
         "most 2**28 float64 cells (got 100000000)\n"
         "[error] policies[0].sigma_pay: number in [0, 1e+100] (got -1.0)\n"),
+    "integer true_attr beyond int64": (fig1_with_true_attr(10 ** 20), None, 2,
+        "[error] instance.true_attrs[3]: Euclidean norm <= 1 (got 1e+20)\n"),
+    "true_attr whose square overflows": (fig1_with_true_attr(1e308), None, 2,
+        "[error] instance.true_attrs[3]: vector of dim (4) numbers of magnitude <= 1e+100 "
+        "(got [-0.194521, 0.47417, 0.35366, 1e+308])\n"),
     "non-object root": (lambda tmp_path: "[1, 2]", None, 2,
         "[error] <root>: must be a JSON object (got 'list')\n"),
     "unparseable file": (lambda tmp_path: "{ nope", None, 2,

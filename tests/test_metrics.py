@@ -46,9 +46,11 @@ def trace(records, cfg=CFG):
     arms = column("chosen_arm", int)
     # Row i of the log is round i's chosen row in the next snapshot (the last round's own).
     log = np.array([after[arm] for after, arm in zip(shown[1:] + shown[-1:], arms)])
+    # A run without a budget holds an infinite one.
+    budget = [math.inf if r.budget_remaining is None else r.budget_remaining for r in records]
     return RunTrace(policy=cfg, arm=arms, payments=column("payments"),
                     shown_start=shown[0], shown_log=log,
-                    contexts=column("context"), budget=column("budget_remaining", object),
+                    contexts=column("context"), budget=np.array(budget),
                     true_mean=column("true_mean_reward"), inst_regret=column("inst_regret"),
                     paid=column("payment_paid"), observed=column("observed_reward"))
 
@@ -66,9 +68,9 @@ def test_trace_requires_equal_column_lengths():
 
 
 def test_records_view_rebuilds_each_round_from_the_columns():
-    records = [record(t, regret=0.1 * t, payments=(0.5, -0.25 * t), chosen=t % 2, budget=t)
-               for t in range(1, 6)]
-    tr = trace(records)
+    records = [record(t, regret=0.1 * t, payments=(0.5, -0.25 * t), chosen=t % 2,
+                      budget=5.0 - t) for t in range(1, 6)]
+    tr = trace(records, PolicyConfig(kind="chained_restricted", budget=5))
     view = tr.records
     assert len(view) == 5
     for got, want in zip(view, records, strict=True):
@@ -86,6 +88,11 @@ def test_records_view_rebuilds_each_round_from_the_columns():
         view[5]
     with pytest.raises(TypeError):
         view[0] = records[0]
+    # Without a configured budget the column is infinite and each record's budget None.
+    unbudgeted = trace([record(t) for t in range(1, 4)])
+    assert unbudgeted.budget.tolist() == [math.inf] * 3
+    assert [r.budget_remaining for r in unbudgeted.records] == [None] * 3
+    assert [r.budget_remaining for r in unbudgeted.records[::2]] == [None] * 2
 
 
 def test_regret_prefix_sum():

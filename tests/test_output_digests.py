@@ -163,21 +163,21 @@ ARM_DIGESTS = {
     },
 }
 
-# The integer-budget run below holds both ``5`` and ``5.0`` budget cells (32
-# exploration rounds at the integer budget, then two rounds whose offer is the
-# anchor's own 0.0 gap), which print differently though they compare equal.
+# The integer-budget run below starts at the JSON integer ``5`` (32
+# exploration rounds at it, then two rounds whose offer is the anchor's own
+# 0.0 gap); a budget is stored as a float, so every cell prints as one.
 BUDGET_DIGESTS = {
     "SkylakeX": {
         "p0_chained_restricted_aggregate": "ba89c8040cf17a15e7f4b45bf110240aaf875fc88de3debb79a38a338631149e",
-        "p0_chained_restricted_trace": "858a2c0676a84af526ed5792d745d2114c82b94f8146a9a3fc9c4bd2f5723ffb",
+        "p0_chained_restricted_trace": "ed8c488b76689936e5bdd04e244fe3d6505c1c2a3dd5848de53bd49b632c49b0",
     },
     "Haswell": {
         "p0_chained_restricted_aggregate": "e82b5cb13b413b1c07c7975773e21ed00a48efba16304ce063ef95f781e6a77c",
-        "p0_chained_restricted_trace": "b73b6bc0c3ff2f08d45e1ea52cc9a86ab9f78be8922776676df5fc0f6ad5bdd1",
+        "p0_chained_restricted_trace": "838ac7a7d6ee956de33a729f463aad5c5377f296a0eb2aaacfcec8eeb5b5354a",
     },
     "Sandybridge": {
         "p0_chained_restricted_aggregate": "44c4feecc26707e4e384b99efdafb710eee7182386c74210c99fdf6916059a26",
-        "p0_chained_restricted_trace": "658eadaa74e9167b642fc2fb52fead826706334054dc2c7d51db609f23dd3f39",
+        "p0_chained_restricted_trace": "51fd54304269edf17292c7ceb61ca58ab4a46d97f3d6a31efb385b99283b68cf",
     },
 }
 
@@ -300,11 +300,16 @@ def test_chain_sweep_csvs_keep_their_digests(tmp_path, monkeypatch):
     assert {stem: sha256(p.read_bytes()) for stem, p in csvs.items()} == want
 
 
-def test_integer_budget_trace_keeps_its_bytes(tmp_path):
+def test_integer_budget_trace_prints_as_its_float(tmp_path):
+    policy = {"kind": "chained_restricted", "ridge_lambda": 1.0, "delta": 0.1}
+    integer, real = (run_shortened(tmp_path / name, "fig1", 1, 200, master_seed=3,
+                                   policies=[dict(policy, budget=budget)])
+                     for name, budget in (("integer", 5), ("float", 5.0)))
+    trace = integer["p0_chained_restricted_trace"].read_text()
+    budgets = [line.rsplit(",", 1)[1] for line in trace.splitlines()[1:]]
+    assert len(budgets) == 200 and budgets[0] == "5.0"
+    assert all(cell == repr(float(cell)) for cell in budgets)
+    assert {stem: p.read_bytes() for stem, p in integer.items()} == \
+        {stem: p.read_bytes() for stem, p in real.items()}
     want = for_this_core(BUDGET_DIGESTS)
-    csvs = run_shortened(tmp_path, "fig1", 1, 200, master_seed=3, policies=[
-        {"kind": "chained_restricted", "ridge_lambda": 1.0, "delta": 0.1, "budget": 5}])
-    trace = csvs["p0_chained_restricted_trace"].read_text()
-    budgets = {line.rsplit(",", 1)[1] for line in trace.splitlines()[1:]}
-    assert {"5", "5.0"} <= budgets
-    assert {stem: sha256(p.read_bytes()) for stem, p in csvs.items()} == want
+    assert {stem: sha256(p.read_bytes()) for stem, p in integer.items()} == want

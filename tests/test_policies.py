@@ -52,6 +52,8 @@ def test_budget_only_on_restricted_kind():
     with pytest.raises(ValueError):
         PolicyConfig(kind="chained_restricted", budget=-0.5)
     PolicyConfig(kind="chained_restricted", budget=0.0)  # zero is allowed
+    assert type(PolicyConfig(kind="chained_restricted", budget=5).budget) is float
+    assert build_policy(PolicyConfig(kind="chained_unrestricted"), 2, 2).budget == math.inf
 
 
 def test_config_parameter_ranges():
@@ -384,8 +386,8 @@ def test_chained_payment_amount_is_gap_to_anchor():
     seen = {}
     for s in range(40):
         pay, j, amount, b = chained_payment(members, e, anchor=0, picks=rng_for(s))
-        assert b is None
-        assert amount == pytest.approx(e[0] - e[j])
+        assert b == math.inf  # the default budget clamps nothing and stays infinite
+        assert amount == e[0] - e[j]
         assert pay[j] == amount and np.count_nonzero(pay) <= 1
         seen[j] = seen.get(j, 0) + 1
     assert set(seen) == {0, 1, 2}
@@ -559,7 +561,7 @@ def test_unrestricted_chained_payment_targets_chain_member():
     pol.start_run(1, 1, rng_for(7))
     ctx = np.array([1.0, 0.0])
     pay = pol.calc_payments(2, ctx, pol.displayed_estimates().dot(ctx))
-    assert pol.budget is None
+    assert pol.budget == math.inf
     assert np.count_nonzero(pay) <= 1
     assert pay.min() >= 0.0
 
