@@ -193,15 +193,13 @@ def load_config_data(data: dict, base_dir: Optional[Path] = None
     """Validate config data already read from JSON and build the config:
     (config, findings), config None when any finding is an error. Every bad
     field of every object is reported (README "Config format"). PAYBAND_SEED,
-    when set, overrides the master seed and must be an integer >= 0.
+    when set, overrides the master seed and must be an integer >= 0 in
+    ASCII digits alone.
     """
     env_seed = os.environ.get(SEED_ENV_VAR)
-    try:
-        seed = None if env_seed is None else int(env_seed)
-    except ValueError:
-        seed = -1
-    if seed is not None and seed < 0:
+    if env_seed is not None and not (env_seed.isascii() and env_seed.isdigit()):
         return None, [ConfigError(SEED_ENV_VAR, "integer >= 0", env_seed)]
+    seed = None if env_seed is None else int(env_seed)
     if not isinstance(data, dict):
         return None, [ConfigError("<root>", "must be a JSON object", type(data).__name__)]
     diags: list[ConfigError] = []

@@ -108,7 +108,8 @@ class RoundRecords(Sequence):
 
     ``len`` is O(1); nothing is cached, and each access builds new records
     whose arrays are views of the trace's columns and of one ``snapshots``
-    pass over the rows asked for (README "Run engine"). A strategy configured
+    pass over the rows asked for (README "Run engine"). An index that is not
+    an integer, a bool included, raises TypeError. A strategy configured
     without a budget gives each record a ``budget_remaining`` of None.
     """
 
@@ -127,6 +128,8 @@ class RoundRecords(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self._records(index))
+        if isinstance(index, bool):  # range() would take it as 0 or 1
+            raise TypeError("rows must be integers, not bool")
         row = range(self._trace.horizon)[index]
         return next(self._records(slice(row, row + 1)))
 

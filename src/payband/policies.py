@@ -313,29 +313,18 @@ class LinUCBAlignmentPolicy(Policy):
 
 
 class ChainPicks:
-    """A run's chain picks from the policy stream ``rng``: ``integers(n)``
-    answers what ``rng.integers(n)`` would at the same point of the stream.
-    Picks among all arms are drawn ahead; the first other n rewinds the
-    stream (README "Run engine"; `test_chained_configs_reach_every_pick_path`).
-    """
+    """A run's chain picks from the policy stream ``rng``: one
+    ``rng.integers(N, size=rounds)`` draw as the run starts, whose next pick
+    ``integers(N)`` takes; ``integers(k)`` for any other k draws from the
+    stream after it (README "Run engine")."""
 
     def __init__(self, rng: np.random.Generator, n_arms: int, rounds: int) -> None:
         self.rng = rng
         self.n_arms = n_arms
-        self.state = rng.bit_generator.state
-        self.ahead = rng.integers(n_arms, size=rounds).tolist()
-        self.used = 0
+        self.drawn = iter(rng.integers(n_arms, size=rounds).tolist())
 
     def integers(self, n: int) -> int:
-        used = self.used
-        if used < len(self.ahead):
-            if n == self.n_arms:
-                self.used = used + 1
-                return self.ahead[used]
-            self.rng.bit_generator.state = self.state
-            self.rng.integers(self.n_arms, size=used)
-        self.ahead = []  # the stream has drawn exactly the picks used: draw from it
-        return self.rng.integers(n)
+        return next(self.drawn) if n == self.n_arms else self.rng.integers(n)
 
 
 class ChainedPolicy(Policy):
@@ -375,13 +364,11 @@ class ChainedPolicy(Policy):
             return np.zeros(self.n_arms)
         self.free_row(t)
         anchor = int(scores.argmax())
-        # The refactors happen now either way: their timing sets the bits of later updates.
-        inverses = self.bank.current_inverses()
         if self.chain_is_whole(t):
             members = self._arms
         else:
-            widths = confidence_width(inverses, self.config.ridge_lambda, context,
-                                      self.config.delta, self.explore_m, t)
+            widths = confidence_width(self.bank.current_inverses(), self.config.ridge_lambda,
+                                      context, self.config.delta, self.explore_m, t)
             members = build_chain(scores, widths, anchor)
         pay, _, _, self.budget = chained_payment(members, scores, anchor, self.picks, self.budget)
         return pay

@@ -5,10 +5,12 @@ its argument is stated in full: a README section, written ``README "Numerics"``,
 or the test that pins it, by its name. README names tests, and README and
 CHANGES.md name the committed ``BENCH_<n>.json`` records. A renamed heading,
 test or record would leave such a pointer dangling, and these tests say which.
-The run-size numbers README states are checked against the code that counts them.
+The run-size numbers and width-floor margins README states are checked
+against the code that computes them.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -63,3 +65,27 @@ def test_readme_run_size_numbers_equal_the_code():
         counted[preset] = config.n_runs, f"{config.n_runs * cells / 1e6:.2g}"
     assert stated.groups() == (counted["fig1"][1], str(counted["fig1"][0]),
                                counted["fig2-like"][1])
+
+
+def test_readme_width_floor_margins_equal_the_presets():
+    # The least scale / (2 sqrt(lam + t - 1)) over each preset's free rounds,
+    # for its chained strategies (test_width_floor_holds_on_every_free_round_of_the_presets).
+    from payband.estimation import width_scale
+    from payband.harness import load_config_file, preset_config_path
+
+    text = " ".join(README.split())
+    stated = re.search(r"the least `scale / \(2 sqrt\(lam \+ t - 1\)\)` over the free rounds "
+                       r"is ([\d.]+) on `fig1` and ([\d.]+) on `fig2-like`", text)
+    assert stated, "the width-floor margins are not stated"
+    computed = []
+    for preset in ("fig1", "fig2-like"):
+        config, _ = load_config_file(preset_config_path(preset))
+        inst, margins = config.instance, []
+        for p in config.policies:
+            if p.kind in ("chained_unrestricted", "chained_restricted"):
+                lam = p.ridge_lambda
+                m = inst.init_explore_m if p.init_explore_m is None else p.init_explore_m
+                margins += [width_scale(lam, inst.dim, p.delta, m, t) / (2 * math.sqrt(lam + t - 1))
+                            for t in range(m + 1, inst.horizon + 1)]
+        computed.append(f"{min(margins):.2f}")
+    assert stated.groups() == tuple(computed)

@@ -37,11 +37,13 @@ POLICIES = [
     PolicyConfig(kind="chained_restricted", budget=0.5),
     PolicyConfig(kind="chained_restricted", budget=1),  # an integer budget is stored as its float
     # Without exploration the width floor never holds: every round computes
-    # the widths and the chain, and a partial chain rewinds the run's picks.
+    # the widths and the chain, and a partial chain draws its pick from the stream.
     # With one round of it the floor holds on the first free rounds, and the
     # budget runs out (test_chained_configs_reach_every_pick_path).
     PolicyConfig(kind="chained_unrestricted", init_explore_m=0),
     PolicyConfig(kind="chained_restricted", budget=1.5, init_explore_m=1),
+    # A smaller lambda narrows the widths: about a third of its chains are partial.
+    PolicyConfig(kind="chained_restricted", budget=4.0, ridge_lambda=0.1, init_explore_m=0),
 ]
 
 
@@ -74,11 +76,29 @@ def sources():
     }
 
 
+class StatedPicks:
+    """The chain-pick contract, stated apart from ``policies.ChainPicks``: one
+    ``rng.integers(N, size=rounds)`` draw as the run starts, whose picks the
+    rounds that chain every arm take in turn, and ``rng.integers(k)`` after it
+    for each round whose chain has k < N arms."""
+
+    def __init__(self, rng, n_arms, rounds):
+        self.rng, self.n_arms = rng, n_arms
+        self.drawn = rng.integers(n_arms, size=rounds)
+        self.taken = 0
+
+    def integers(self, k):
+        if k < self.n_arms:
+            return self.rng.integers(k)
+        self.taken += 1
+        return self.drawn[self.taken - 1]
+
+
 def reference_run(inst, cfg, seed):
-    """The run one round at a time: each round draws its own context, noise,
-    perturbation and chain pick and builds its own row, as the engine did
-    before it drew streams per run. Returns the rows, the perturbed contexts
-    and the policy."""
+    """The run one round at a time: each round draws its own context, noise
+    and perturbation and builds its own row, as the engine did before it drew
+    streams per run, and a chained round takes its pick from ``StatedPicks``.
+    Returns the rows, the perturbed contexts and the policy."""
     ctx_rng, noise_rng, policy_rng = spawn_streams(seed)
     source = inst.context_source
     if isinstance(source, DatasetReplaySpec):
@@ -102,10 +122,10 @@ def reference_run(inst, cfg, seed):
     policy = build_policy(cfg, inst.n_arms, inst.dim)
     m = cfg.init_explore_m if cfg.init_explore_m is not None else inst.init_explore_m
     # Started on a throwaway stream, the policy's own draws go unused: the
-    # perturbation below draws per round, and a chained round's pick is one
-    # integers call on the run's stream itself.
+    # perturbation below draws per round, and the chain picks follow the contract.
     policy.start_run(m, inst.horizon - m, np.random.default_rng(0))
-    policy.picks = policy_rng
+    if isinstance(policy, policies.ChainedPolicy):
+        policy.picks = StatedPicks(policy_rng, inst.n_arms, inst.horizon - m)
     rows, effective = [], []
     for t in range(1, inst.horizon + 1):
         x, means = round_inputs(t - 1)
@@ -249,6 +269,9 @@ def test_snapshots_count_negative_rows_from_the_end_and_refuse_rows_outside():
             trace.snapshots(rows)
     with pytest.raises(TypeError):
         trace.records[1.7]
+    for row in (True, False):
+        with pytest.raises(TypeError, match="rows must be integers, not bool"):
+            trace.records[row]
 
 
 def test_a_finished_trace_holds_only_numeric_arrays():
@@ -285,14 +308,19 @@ def test_a_finished_trace_holds_no_per_round_snapshot():
 
 def test_chained_configs_reach_every_pick_path(monkeypatch):
     # What the reference loop above checks the chained rounds against: picks
-    # from the run's draw on floor rounds and on swept whole chains, a rewind
-    # after some of them were used, and a budget that runs out.
+    # from the run's draw on floor rounds and on swept whole chains, picks
+    # drawn from the stream for partial chains, a whole chain after a partial
+    # one that still takes the next drawn pick, and a budget that runs out.
     seen = Counter()
     integers, floor = policies.ChainPicks.integers, policies.ChainedPolicy.chain_is_whole
+    partial = {}  # id -> the runs' ChainPicks that drew from the stream, kept alive
 
     def counted_integers(picks, n):
-        if picks.used < len(picks.ahead):
-            seen["rewind after picks" if n != picks.n_arms and picks.used else "drawn ahead"] += 1
+        if n < picks.n_arms:
+            partial[id(picks)] = picks
+            seen["from the stream"] += 1
+        else:
+            seen["drawn after a partial chain" if id(picks) in partial else "drawn"] += 1
         return integers(picks, n)
 
     def counted_floor(policy, t):
@@ -308,8 +336,8 @@ def test_chained_configs_reach_every_pick_path(monkeypatch):
                 for run in range(10):
                     trace = run_single(instance(source), cfg, child_seed_sequence(5, pi, run))
                     seen["budget out"] += cfg.budget is not None and trace.budget[-1] <= 0
-    assert seen["floor"] > 100 and seen["drawn ahead"] > 1000, seen
-    assert seen["rewind after picks"] > 0 and seen["budget out"] > 10, seen
+    assert seen["floor"] > 100 and seen["drawn"] > 1000 and seen["budget out"] > 10, seen
+    assert seen["from the stream"] > 100 and seen["drawn after a partial chain"] > 100, seen
 
 
 @pytest.mark.parametrize("dim", [1, 4, 14, 64])

@@ -1405,6 +1405,11 @@ GOLDEN_FINDINGS = {
         "directory: 'TMP/cfg.json'\")\n"),
     "bad env seed": (lambda tmp_path: json.dumps(base_config()), "abc", 2,
         "[error] PAYBAND_SEED: integer >= 0 (got 'abc')\n"),
+    # int() reads these as 10 and 3; a seed is ASCII digits only.
+    "env seed with an underscore": (lambda tmp_path: json.dumps(base_config()), "1_0", 2,
+        "[error] PAYBAND_SEED: integer >= 0 (got '1_0')\n"),
+    "env seed in Arabic-Indic digits": (lambda tmp_path: json.dumps(base_config()), "\u0663", 2,
+        "[error] PAYBAND_SEED: integer >= 0 (got '\u0663')\n"),
 }
 
 

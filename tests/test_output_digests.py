@@ -182,36 +182,53 @@ BUDGET_DIGESTS = {
 }
 
 
-# fig1's two chained strategies without exploration, 2 runs of 800 rounds. At
-# m = 0 the widths' scale is sqrt(ridge_lambda), intervals part, and many
-# rounds sort and sweep them and chain some arms only; every shipped preset
-# chains all arms on every round, so only this config's bytes see the sweep.
+# fig1's two chained strategies at init_explore_m 0 and then 1, 2 runs of 800
+# rounds. At m = 0 the widths' scale is sqrt(ridge_lambda), intervals part,
+# and many rounds sort and sweep them and chain some arms only; every shipped
+# preset chains all arms on every round, so only this config's bytes see the
+# sweep and the picks drawn from the stream. At m = 1 the width floor holds
+# while some of the 8 arms were never absorbed, so these bytes also pin when
+# such an arm is first factored: at its first absorb, not on a floor round.
 SWEEP_SHAPE = ("fig1", 2, 800)
 
 SWEEP_DIGESTS = {
     "SkylakeX": {
-        "p0_chained_unrestricted_aggregate": "b20df1a9133f59e8a28b89a1c7e1dbd843dbf022355361441a9f70526d9857c6",
-        "p0_chained_unrestricted_trace": "6ffbf0c72810a1843df6ee039b5656f2030148ef7d736f8d3634a5e73811a9ad",
+        "p0_chained_unrestricted_aggregate": "40964b2ab9015d7e1b62eebb2c200de03fca9d4ee0195ef8356cb983760c172d",
+        "p0_chained_unrestricted_trace": "61785313d3635cfcf45064f71deb2a2aabf3cd81abb542c1e77560da9e5e8243",
         "p1_chained_restricted_aggregate": "5fc96967a29dd324da23d3d58b452f57fd2153954d8a47a4530d9961a5d66406",
         "p1_chained_restricted_trace": "fb26dc85d2ada1588bc59efc6bf06fb2fafabe504e044c388f38cea51b577f7c",
+        "p2_chained_unrestricted_aggregate": "a42202dde5642992b2b6f9349c4eb2b13ce0d30c88c7070a09b20b454755285a",
+        "p2_chained_unrestricted_trace": "16bca565a113f699daa6ba3e056e0db67253e2abc1c8560ca7a3755249982094",
+        "p3_chained_restricted_aggregate": "73938bed9a5a89ef65bd57eb489370d61aef9a39271ebd9bd472b66f0a5d0c74",
+        "p3_chained_restricted_trace": "b07c536aeb94e109976ee95f30205da030eddb06fc28f204c0bdf1c8fc77277c",
     },
     "Haswell": {
-        "p0_chained_unrestricted_aggregate": "563ae6a659fdd9fd00226d6d4a0394f594f7c9cd9dbc4953008bed72b745387e",
-        "p0_chained_unrestricted_trace": "61c33bb39f90f36e655994f41205bea032ef605ae63b6d95f6174e96fb9f7e13",
+        "p0_chained_unrestricted_aggregate": "47a0a95d4ed74b7ee68ec20d2cc8fd2120acd46c2a9978ba914f525c91e5c09f",
+        "p0_chained_unrestricted_trace": "88e57255b3a2b85a57efc4a1f5a74cc8f3fe3bd3005f161ad0a860216efed47c",
         "p1_chained_restricted_aggregate": "89b1195956923ffbc371224ee6513453780e672828354fcef535bde382272373",
         "p1_chained_restricted_trace": "8bc6b13c04c44f7cd942bc74bdab4554fc6472eb0469081919d7d83eeb39987f",
+        "p2_chained_unrestricted_aggregate": "14f11d16560e6f33f8f901580b715906ca30cd78c7655b60a2679fa7d937a9fd",
+        "p2_chained_unrestricted_trace": "08723185efe6aacf86010a5d92624d3b3ae1b12b0a72786853d0730a00578b6a",
+        "p3_chained_restricted_aggregate": "2278bef8e0df0adb99ba7cebf60a177938807ba4f31d8f5da87cebd561b7a0ee",
+        "p3_chained_restricted_trace": "a3e1b6796848cedb7fc1520509e4805a793bbfab21f0602caf8b52af176de4ed",
     },
     "Sandybridge": {
-        "p0_chained_unrestricted_aggregate": "607a0290dd6f3361d90ee85ebae5d66f4f492a5fec030e8b98c9cff5380c271c",
-        "p0_chained_unrestricted_trace": "adfaa5e54ae77960d84608f33e90824eefae96d21bd8f3e1da850e0b5dc22a0b",
+        "p0_chained_unrestricted_aggregate": "a81421d4f5b7e02258ab09445d2add8bc20eae2f12c077ec3c51b594631117e3",
+        "p0_chained_unrestricted_trace": "01d626d32ac6ddfb355d302fe0c8c6cd14d8056fac437f0c0cd15d4c41e92684",
         "p1_chained_restricted_aggregate": "90f847056c7c4aba2685e267cee8e5b5779fb12bec112185861aa382c2791319",
         "p1_chained_restricted_trace": "480dfda98edd608d629528ebea802c606b14ecb08ac8983210f24b513064b39a",
+        "p2_chained_unrestricted_aggregate": "9c85878335d208a9d3d5d27cae39c19beab20ad9dba6768e8c8f6fdccf3f899b",
+        "p2_chained_unrestricted_trace": "a95f6067f5644c88f905b8206aeafce7ac64abec36db92d889ddf2bd421bfba3",
+        "p3_chained_restricted_aggregate": "c2b77ea0552bd219f682b3b1868f657e5edcd7e97e7d05536444ac1a4d4cd617",
+        "p3_chained_restricted_trace": "1c4799764de9dba0077612d5e2f4f95f89550b7c66864a9d2a4cee65e1319cad",
     },
 }
 
 SWEEP_ARM_DIGESTS = {
-    "p0_chained_unrestricted_trace": "752a1765ea4d313fbb362c8f7de50526005481a654294d331af8f295b5a0ad97",
+    "p0_chained_unrestricted_trace": "abe13106be42a5405cfb515968159fe98b1e040b2a8ff3c9f8e3e5a033ed574b",
     "p1_chained_restricted_trace": "215ec8440af1e7dc57750175b54e488d80313c387f78c8e5abe56b24f837c559",
+    "p2_chained_unrestricted_trace": "4dee1fbfc56bf0555be05c91278351a2fe60f75d78a5930594a194e9801c7d29",
+    "p3_chained_restricted_trace": "f6e790975ee85371845edf0395addbc2e0831f1c725015aa6f4572c942f3d820",
 }
 
 @functools.cache
@@ -282,19 +299,27 @@ def test_shortened_preset_arm_columns_keep_their_digests(tmp_path, preset, n_run
 def test_chain_sweep_csvs_keep_their_digests(tmp_path, monkeypatch):
     preset, n_runs, horizon = SWEEP_SHAPE
     data = json.loads(harness.preset_config_path(preset).read_text())
-    chained = [dict(p, init_explore_m=0) for p in data["policies"]
+    chained = [dict(p, init_explore_m=m) for m in (0, 1) for p in data["policies"]
                if p["kind"] in ("chained_unrestricted", "chained_restricted")]
-    partial = []
+    partial, unfactored = [], []
+    floor = policies.ChainedPolicy.chain_is_whole
 
     def counted(e, w, anchor):
         chain = build_chain(e, w, anchor)
         partial.append(len(chain) < len(e))
         return chain
 
+    def counted_floor(policy, t):
+        whole = floor(policy, t)
+        unfactored.append(whole and False in policy.bank.current)
+        return whole
+
     monkeypatch.setattr(policies, "build_chain", counted)
+    monkeypatch.setattr(policies.ChainedPolicy, "chain_is_whole", counted_floor)
     csvs = run_shortened(tmp_path, preset, n_runs, horizon, policies=chained,
                          emit_full_trace=True)
     assert sum(partial) > 100  # the sweep ends in a chain of some arms only
+    assert sum(unfactored) > 10  # floor rounds with an arm never absorbed
     assert arm_digests(csvs) == SWEEP_ARM_DIGESTS
     want = for_this_core(SWEEP_DIGESTS)
     assert {stem: sha256(p.read_bytes()) for stem, p in csvs.items()} == want

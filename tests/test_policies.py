@@ -9,7 +9,7 @@ import pytest
 
 from payband import policies
 from payband.environment import FixedSequenceSpec, LinearEnvironment
-from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width
+from payband.estimation import OLS, RIDGE, EstimatorState, confidence_width, width_scale
 from payband.harness import child_seed_sequence, load_config_data, preset_config_path, run_single
 from payband.estimation import PIVOT_TOL
 from payband.metrics import RunTrace
@@ -344,6 +344,28 @@ def test_width_floor_never_disagrees_with_the_widths(dim):
         for contexts in ("aligned", "subspace", "full"):
             for warm in (False, True):
                 assert floor_rounds(dim, lam, contexts, warm, rng) == 100, (lam, contexts, warm)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2-like"])
+def test_width_floor_holds_on_every_free_round_of_the_presets(preset):
+    # Every absorbed context lies in the unit ball, so S <= t - 1 as round t
+    # begins, and a scale of at least 2 sqrt(lam + t - 1) makes
+    # chain_is_whole hold on every free round for any seed: no chained run
+    # of a preset, or of a benchmark workload (these presets at their
+    # horizons or shorter), builds a chain or draws a pick past its run's
+    # draw, and no floor round factors an inverse. README "Run engine"
+    # states the least margin scale / (2 sqrt(lam + t - 1)), over 3 on both.
+    config, diags = load_config_data(json.loads(preset_config_path(preset).read_text()))
+    assert not diags
+    inst = config.instance
+    chained = [p for p in config.policies
+               if p.kind in ("chained_unrestricted", "chained_restricted")]
+    assert len(chained) == 2
+    for p in chained:
+        m = inst.init_explore_m if p.init_explore_m is None else p.init_explore_m
+        for t in range(m + 1, inst.horizon + 1):
+            scale = width_scale(p.ridge_lambda, inst.dim, p.delta, m, t)
+            assert scale >= 2 * math.sqrt(p.ridge_lambda + t - 1), (p.kind, t)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
